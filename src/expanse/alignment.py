@@ -248,8 +248,7 @@ def recompute_cost(flow: FlowModel, x, y, times: np.ndarray, reparam: Reparam,
     T = float(times[-1])
     h = float(times[1] - times[0])
     xs = sample_orbit(flow, x, T, h)
-    s_vals = reparam(times)
-    y_pts = np.stack([flow.evaluate(float(s), y) for s in s_vals])
+    y_pts = flow.evaluate(reparam(times), y)
     dists = flow.space.distance(xs.points, y_pts)
     ratio = _weighted_ratio(dists, _weights(xs, weight_kind))
     i = int(np.argmax(ratio))

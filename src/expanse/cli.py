@@ -1,9 +1,12 @@
 """Batch experiment runner: `expanse <task> --config <path>`.
 
 Tasks: check | falsify | equicontinuity | ball-inclusion | constants |
-shadow | entropy | hstar | xdelta. Reports are deterministic JSON trees
-plus flat CSV tables; exit code 0 on completion, 2 on a falsified
-property (so CI can assert expected falsifications), 1 on error.
+shadow | entropy | hstar | xdelta. `TASKS` maps each task to its runner
+and the config keys it reads besides flow, scale, seed and out; any other
+key, or a scale key other than T, h, band_width and grid, is an error.
+Reports are deterministic JSON trees plus flat CSV tables; exit code 0 on
+completion, 2 on a falsified property (so CI can assert expected
+falsifications), 1 on error.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from .alignment import rep_epsilon_check
 from .flows import flow_from_config
 from .reports import write_csv, write_report
 
-TASKS = ("check", "falsify", "equicontinuity", "ball-inclusion", "constants",
-         "shadow", "entropy", "hstar", "xdelta")
+COMMON_KEYS = ("flow", "scale", "seed", "out")
 RANDOMIZED_TASKS = ("shadow",)
 
-SCALE_DEFAULTS = {"T": 20.0, "h": 0.01, "band_width": 2.0, "grid": 64}
+SCALE_DEFAULTS = {"T": expa.DEFAULT_T, "h": expa.DEFAULT_H,
+                  "band_width": expa.DEFAULT_BAND, "grid": expa.DEFAULT_GRID}
 
 
 class ConfigError(ValueError):
@@ -46,9 +49,19 @@ class ExperimentConfig:
     def from_dict(cls, task: str, cfg: dict) -> "ExperimentConfig":
         if task not in TASKS:
             raise ConfigError(f"unknown task: {task!r}")
+        task_keys = TASKS[task][1]
+        for key in cfg:
+            if key not in COMMON_KEYS and key not in task_keys:
+                raise ConfigError(f"unknown config key {key!r} for task {task!r}")
+        scale_cfg = cfg.get("scale", {})
+        if not isinstance(scale_cfg, dict):
+            raise ConfigError("config key 'scale' must be an object")
+        for key in scale_cfg:
+            if key not in SCALE_DEFAULTS:
+                raise ConfigError(f"unknown config key {'scale.' + key!r}")
         if "flow" not in cfg:
             raise ConfigError("config needs a 'flow' subtree")
-        scale = {**SCALE_DEFAULTS, **cfg.get("scale", {})}
+        scale = {**SCALE_DEFAULTS, **scale_cfg}
         for key in ("T", "h", "band_width"):
             if not scale[key] >= 0:
                 raise ConfigError(f"scale.{key} must be nonnegative")
@@ -82,18 +95,16 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
-def _base_report(conf: ExperimentConfig) -> dict:
-    return {"task": conf.task, "config": conf.raw, "scale": conf.scale}
-
-
-def _write_pair_costs(out_dir: Path, pair_costs) -> None:
+def _pair_table(pair_costs) -> dict:
     rows = [list(x) + list(y) + [c] for x, y, c in pair_costs]
     width = (len(rows[0]) - 1) // 2 if rows else 1
     header = [f"x{i}" for i in range(width)] + [f"y{i}" for i in range(width)] + ["cost"]
-    write_csv(out_dir / "pairs.csv", header, rows)
+    return {"pairs.csv": (header, rows)}
 
 
-def _run_property(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+# Each runner returns (report subtree, {csv file name: (header, rows)}).
+
+def _run_property(conf: ExperimentConfig, flow, out_dir: Path):
     (prop,) = conf.require("property")
     eps, delta = conf.require("eps", "delta")
     rep = expa.check_property(
@@ -102,55 +113,42 @@ def _run_property(conf: ExperimentConfig, flow, out_dir: Path) -> int:
         strict_t0=bool(conf.raw.get("strict_t0", False)),
         t0_step=float(conf.raw.get("t0_step", 0.5)),
         max_pairs=conf.raw.get("max_pairs"))
-    doc = _base_report(conf)
-    doc["report"] = rep.to_dict()
-    write_report(doc, out_dir / "report.json")
-    _write_pair_costs(out_dir, rep.pair_costs)
-    return 2 if rep.verdict == "falsified" else 0
+    return rep.to_dict(), _pair_table(rep.pair_costs)
 
 
-def _run_equicontinuity(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+def _run_equicontinuity(conf: ExperimentConfig, flow, out_dir: Path):
     eps, delta = conf.require("eps", "delta")
     rep = expa.check_equicontinuity(
         flow, bool(conf.raw.get("singular", False)), float(eps), float(delta),
         T=conf.scale["T"], h=conf.scale["h"],
         max_pairs=conf.raw.get("max_pairs"))
-    doc = _base_report(conf)
-    doc["report"] = rep.to_dict()
-    write_report(doc, out_dir / "report.json")
-    _write_pair_costs(out_dir, rep.pair_costs)
-    return 2 if rep.verdict == "falsified" else 0
+    return rep.to_dict(), _pair_table(rep.pair_costs)
 
 
-def _run_ball_inclusion(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+def _run_ball_inclusion(conf: ExperimentConfig, flow, out_dir: Path):
     eps, delta = conf.require("eps", "delta")
     grid = flow.space.grid(int(conf.raw.get("x_grid", 1000)))
     rep = expa.ball_inclusion_check(
         flow, float(eps), float(delta), x_grid=grid,
         ball_samples=int(conf.raw.get("ball_samples", 100)))
-    doc = _base_report(conf)
-    doc["report"] = rep.to_dict()
-    write_report(doc, out_dir / "report.json")
-    return 2 if rep.verdict == "falsified" else 0
+    return rep.to_dict(), {}
 
 
-def _run_constants(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+def _run_constants(conf: ExperimentConfig, flow, out_dir: Path):
     consts = expa.comparability_constants(flow)
     c, c_info = expa.local_norm_constant(flow, seed=conf.seed or 0)
-    doc = _base_report(conf)
-    doc["report"] = {
+    report = {
         "B": consts.B, "C": consts.C,
         "argmax_B": list(consts.argmax_B), "argmax_C": list(consts.argmax_C),
         "n_grid": consts.n_grid, "degenerate": consts.degenerate,
         "local_norm_c": c, "local_norm_info": c_info,
     }
     if conf.raw.get("return_time", False):
-        doc["report"]["return_time"] = expa.return_time_bound_check(flow)
-    write_report(doc, out_dir / "report.json")
-    return 0
+        report["return_time"] = expa.return_time_bound_check(flow)
+    return report, {}
 
 
-def _run_shadow(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+def _run_shadow(conf: ExperimentConfig, flow, out_dir: Path):
     eps = float(conf.require("eps")[0])
     if "pseudo_orbit_file" in conf.raw:
         po = shad.PseudoOrbit.load(conf.raw["pseudo_orbit_file"])
@@ -161,19 +159,15 @@ def _run_shadow(conf: ExperimentConfig, flow, out_dir: Path) -> int:
             T_min=float(conf.raw.get("T_min", 1.0)), seed=conf.seed)
     po.save(out_dir / "pseudo_orbit.txt")
     result = shad.find_shadow(flow, po, eps, h=float(conf.raw.get("h_shadow", 0.02)))
-    doc = _base_report(conf)
     if result is None:
-        doc["report"] = {"shadowed": False, "eps": eps}
-    else:
-        doc["report"] = {
-            "shadowed": True, "eps": eps,
-            "shadow_point": list(result.shadow_point.coords),
-            "max_error": result.max_error,
-            "per_segment_errors": list(result.per_segment_errors),
-            "rep_eps_ok": rep_epsilon_check(result.reparam, eps),
-        }
-    write_report(doc, out_dir / "report.json")
-    return 0
+        return {"shadowed": False, "eps": eps}, {}
+    return {
+        "shadowed": True, "eps": eps,
+        "shadow_point": list(result.shadow_point.coords),
+        "max_error": result.max_error,
+        "per_segment_errors": list(result.per_segment_errors),
+        "rep_eps_ok": rep_epsilon_check(result.reparam, eps),
+    }, {}
 
 
 def _entropy_grid(conf: ExperimentConfig, flow):
@@ -183,65 +177,60 @@ def _entropy_grid(conf: ExperimentConfig, flow):
     return flow.space.grid(n)
 
 
-def _run_entropy(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+def _entropy_report(est, estimate_key: str, **extra):
+    report = {
+        estimate_key: est.h_estimate,
+        "per_eps_slopes": [[e, s] for e, s in est.per_eps_slopes],
+        "K_descriptor": est.K_descriptor,
+        **extra,
+    }
+    return report, {"triples.csv": (["t", "eps", "r"], est.r_table)}
+
+
+def _run_entropy(conf: ExperimentConfig, flow, out_dir: Path):
     t_ladder, eps_ladder = conf.require("t_ladder", "eps_ladder")
     grid = conf.raw.get("K_grid") or _entropy_grid(conf, flow)
     est = entropy_mod.entropy_estimate(
         flow, [np.asarray(p, dtype=float) for p in grid],
         t_ladder, eps_ladder, h_sample=float(conf.raw.get("h_sample", 0.05)))
-    doc = _base_report(conf)
-    doc["report"] = {
-        "h_estimate": est.h_estimate,
-        "per_eps_slopes": [[e, s] for e, s in est.per_eps_slopes],
-        "K_descriptor": est.K_descriptor,
-    }
-    write_report(doc, out_dir / "report.json")
-    write_csv(out_dir / "triples.csv", ["t", "eps", "r"], est.r_table)
-    return 0
+    return _entropy_report(est, "h_estimate")
 
 
-def _run_hstar(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+def _run_hstar(conf: ExperimentConfig, flow, out_dir: Path):
     delta_ladder, t_ladder, eps_ladder = conf.require(
         "delta_ladder", "t_ladder", "eps_ladder")
     est = entropy_mod.h_star_estimate(
         flow, delta_ladder, t_ladder, eps_ladder,
         T_escape=float(conf.raw.get("T_escape", 50.0)),
         h_sample=float(conf.raw.get("h_sample", 0.05)))
-    doc = _base_report(conf)
-    doc["report"] = {
-        "h_star_estimate": est.h_estimate,
-        "per_eps_slopes": [[e, s] for e, s in est.per_eps_slopes],
-        "K_descriptor": est.K_descriptor,
-        "all_empty": est.all_empty,
-    }
-    write_report(doc, out_dir / "report.json")
-    write_csv(out_dir / "triples.csv", ["t", "eps", "r"], est.r_table)
-    return 0
+    return _entropy_report(est, "h_star_estimate", all_empty=est.all_empty)
 
 
-def _run_xdelta(conf: ExperimentConfig, flow, out_dir: Path) -> int:
+def _run_xdelta(conf: ExperimentConfig, flow, out_dir: Path):
     delta = float(conf.require("delta")[0])
     kept = entropy_mod.x_delta_set(
         flow, delta, T_escape=float(conf.raw.get("T_escape", 50.0)),
         h=float(conf.raw.get("h_escape", 0.05)))
-    doc = _base_report(conf)
-    doc["report"] = {"delta": delta, "n_kept": len(kept)}
-    write_report(doc, out_dir / "report.json")
     width = len(kept[0]) if kept else flow.space.dim
-    write_csv(out_dir / "points.csv", [f"x{i}" for i in range(width)], kept)
-    return 0
+    table = ([f"x{i}" for i in range(width)], kept)
+    return {"delta": delta, "n_kept": len(kept)}, {"points.csv": table}
 
 
-_RUNNERS = {
-    "check": _run_property,
-    "falsify": _run_property,
-    "equicontinuity": _run_equicontinuity,
-    "ball-inclusion": _run_ball_inclusion,
-    "constants": _run_constants,
-    "shadow": _run_shadow,
-    "entropy": _run_entropy,
-    "hstar": _run_hstar,
-    "xdelta": _run_xdelta,
+_PROPERTY_KEYS = ("property", "eps", "delta", "strict_t0", "t0_step", "max_pairs")
+
+# task -> (runner, the config keys it reads besides COMMON_KEYS)
+TASKS = {
+    "check": (_run_property, _PROPERTY_KEYS),
+    "falsify": (_run_property, _PROPERTY_KEYS),
+    "equicontinuity": (_run_equicontinuity, ("eps", "delta", "singular", "max_pairs")),
+    "ball-inclusion": (_run_ball_inclusion, ("eps", "delta", "x_grid", "ball_samples")),
+    "constants": (_run_constants, ("return_time",)),
+    "shadow": (_run_shadow, ("eps", "pseudo_orbit_file", "x0", "n_segments", "delta",
+                             "T_min", "h_shadow")),
+    "entropy": (_run_entropy, ("t_ladder", "eps_ladder", "K_grid", "h_sample")),
+    "hstar": (_run_hstar, ("delta_ladder", "t_ladder", "eps_ladder", "T_escape",
+                           "h_sample")),
+    "xdelta": (_run_xdelta, ("delta", "T_escape", "h_escape")),
 }
 
 
@@ -251,12 +240,12 @@ def run(task: str, cfg: dict, out_dir) -> int:
     flow = flow_from_config(conf.flow)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[task](conf, flow, out)
-
-
-def emit_report(report: dict, path) -> None:
-    """Byte-stable serialization of a report tree (sorted keys, 12 sig digits)."""
-    write_report(report, path)
+    report, tables = TASKS[task][0](conf, flow, out)
+    write_report({"task": conf.task, "config": conf.raw, "scale": conf.scale,
+                  "report": report}, out / "report.json")
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    return 2 if report.get("verdict") == "falsified" else 0
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ falsification, which exhibits a concrete witness pair, is conclusive.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,7 @@ from .alignment import (
     align,
     orbit_membership,
 )
-from .flows import FlowModel, OrbitSample, sample_orbit
+from .flows import FlowModel, sample_orbit
 from .spaces import CircleUnion, FiniteSet, Interval01, Point, Torus2, as_coords
 
 DEFAULT_T = 20.0
@@ -169,16 +170,59 @@ def _conclusion_holds(flow, x, y, eps, mode, reparam, T, t0_step, tol) -> bool:
     return False
 
 
-class _SampleCache:
-    def __init__(self, flow, T, h):
-        self.flow, self.T, self.h = flow, T, h
-        self._cache = {}
+def _scan_pairs(flow, pairs, T, h, cost):
+    """Yield (x, y, cost(x orbit, y orbit)) for each pair, in order.
 
-    def __call__(self, x) -> OrbitSample:
-        key = tuple(np.asarray(x, dtype=float))
-        if key not in self._cache:
-            self._cache[key] = sample_orbit(self.flow, x, self.T, self.h)
-        return self._cache[key]
+    Each base point is sampled once over [-T, T] with step h, however many
+    pairs share it. A pair listed more than once is costed once; its cost
+    is held only until its last listing, since a cost may carry a full path.
+    """
+    pairs = [(as_coords(x), as_coords(y)) for x, y in pairs]
+    listings = Counter((tuple(x), tuple(y)) for x, y in pairs)
+    orbits, held = {}, {}
+
+    def orbit(p):
+        key = tuple(p)
+        if key not in orbits:
+            orbits[key] = sample_orbit(flow, p, T, h)
+        return orbits[key]
+
+    for x, y in pairs:
+        key = (tuple(x), tuple(y))
+        listings[key] -= 1
+        c = held.pop(key) if key in held else cost(orbit(x), orbit(y))
+        if listings[key]:
+            held[key] = c
+        yield x, y, c
+
+
+def _falsify(flow, pairs, max_pairs, T, h, cost, fails):
+    """Scan pairs for a witness; returns (verdict, witness, pair_costs).
+
+    cost maps two orbit samples to an AlignmentResult and fails(x, y, result)
+    marks a witness. The scan stops at the first witness ("falsified"); one
+    cut short by max_pairs without a witness is "inconclusive", a full scan
+    without one "certified_at_scale".
+    """
+    if max_pairs is not None and (isinstance(max_pairs, bool) or not isinstance(
+            max_pairs, (int, np.integer)) or max_pairs < 1):
+        raise ExpansivityError(f"max_pairs must be None or an int >= 1, got {max_pairs!r}")
+    scanned = pairs[:max_pairs]
+    pair_costs = []
+    for x, y, res in _scan_pairs(flow, scanned, T, h, cost):
+        pair_costs.append((tuple(x), tuple(y), res.cost))
+        if fails(x, y, res):
+            witness = Witness(flow.space.point(*x), flow.space.point(*y), res)
+            return "falsified", witness, pair_costs
+    verdict = "inconclusive" if len(scanned) < len(pairs) else "certified_at_scale"
+    return verdict, None, pair_costs
+
+
+def _aligner(weight_kind, fix_zero, band_width):
+    def cost(xs, ys):
+        return align(xs, ys, weight_kind=weight_kind, fix_zero=fix_zero,
+                     band_width=band_width)
+    return cost
 
 
 def _scale_record(T, h, band_width, n_pairs, **extra) -> dict:
@@ -207,30 +251,13 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
     if strict_t0:
         t0_mode = "t0_zero"
     pairs = list(pair_grid) if pair_grid is not None else default_pair_grid(flow, delta)
-    scanned = pairs if max_pairs is None else pairs[:max_pairs]
 
-    samples = _SampleCache(flow, T, h)
-    pair_costs = []
-    below = 0
-    witness = None
-    for x, y in scanned:
-        res = align(samples(x), samples(y), weight_kind=weight_kind,
-                    fix_zero=fix_zero, band_width=band_width)
-        pair_costs.append((tuple(as_coords(x)), tuple(as_coords(y)), res.cost))
-        if res.cost <= delta:
-            below += 1
-            if not _conclusion_holds(flow, as_coords(x), as_coords(y), eps,
-                                     t0_mode, res.reparam, T, t0_step, tol_orbit):
-                witness = Witness(flow.space.point(*as_coords(x)),
-                                  flow.space.point(*as_coords(y)), res)
-                break
+    def fails(x, y, res):
+        return res.cost <= delta and not _conclusion_holds(
+            flow, x, y, eps, t0_mode, res.reparam, T, t0_step, tol_orbit)
 
-    if witness is not None:
-        verdict = "falsified"
-    elif len(scanned) < len(pairs):
-        verdict = "inconclusive"
-    else:
-        verdict = "certified_at_scale"
+    verdict, witness, pair_costs = _falsify(
+        flow, pairs, max_pairs, T, h, _aligner(weight_kind, fix_zero, band_width), fails)
     return PropertyReport(
         property=property, verdict=verdict, eps=eps, delta=delta,
         witness=witness,
@@ -238,7 +265,7 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
                             t0_window=[-T, T], strict_t0=strict_t0,
                             tol_orbit=tol_orbit),
         stats={"pairs_checked": len(pair_costs), "pairs_total": len(pairs),
-               "pairs_below_delta": below},
+               "pairs_below_delta": sum(1 for *_, c in pair_costs if c <= delta)},
         pair_costs=pair_costs,
     )
 
@@ -287,31 +314,17 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
         raise ExpansivityError("eps and delta must be positive")
     pairs = list(pair_grid) if pair_grid is not None \
         else _equicontinuity_pairs(flow, delta, singular_variant)
-    scanned = pairs if max_pairs is None else pairs[:max_pairs]
     name = "singular_equicontinuous" if singular_variant else "equicontinuous"
+    identity = Reparam.identity(-T, T)
 
-    samples = _SampleCache(flow, T, h)
-    pair_costs = []
-    witness = None
-    for x, y in scanned:
-        xs, ys = samples(x), samples(y)
+    def sup_separation(xs, ys):
         seps = flow.space.distance(xs.points, ys.points)
         i = int(np.argmax(seps))
-        sup = float(seps[i])
-        pair_costs.append((tuple(as_coords(x)), tuple(as_coords(y)), sup))
-        if sup > eps:
-            res = AlignmentResult(cost=sup, reparam=Reparam.identity(-T, T),
-                                  argmax_t=float(xs.times[i]), weight_kind="unit")
-            witness = Witness(flow.space.point(*as_coords(x)),
-                              flow.space.point(*as_coords(y)), res)
-            break
+        return AlignmentResult(cost=float(seps[i]), reparam=identity,
+                               argmax_t=float(xs.times[i]), weight_kind="unit")
 
-    if witness is not None:
-        verdict = "falsified"
-    elif len(scanned) < len(pairs):
-        verdict = "inconclusive"
-    else:
-        verdict = "certified_at_scale"
+    verdict, witness, pair_costs = _falsify(
+        flow, pairs, max_pairs, T, h, sup_separation, lambda x, y, res: res.cost > eps)
     return PropertyReport(
         property=name, verdict=verdict, eps=eps, delta=delta, witness=witness,
         scale=_scale_record(T, h, 0.0, len(pairs)),
@@ -539,21 +552,14 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
     """
     pairs = list(pairs) if pairs is not None else default_pair_grid(flow, delta)
     diam = flow.space.diameter
-    samples = _SampleCache(flow, T, h)
-    cache = {}
-    rows = []
-    violations = []
-    for x, y in pairs:
-        key = (tuple(as_coords(x)), tuple(as_coords(y)))
-        if key not in cache:
-            xs, ys = samples(x), samples(y)
-            c_sing = align(xs, ys, weight_kind="sing_dist", band_width=band_width).cost
-            c_unit = align(xs, ys, weight_kind="unit", band_width=band_width).cost
-            cache[key] = (c_sing, c_unit)
-        c_sing, c_unit = cache[key]
-        rows.append((key[0], key[1], c_sing, c_unit))
-        if c_sing <= delta / diam and not c_unit <= delta:
-            violations.append(rows[-1])
+
+    def costs(xs, ys):
+        return (align(xs, ys, weight_kind="sing_dist", band_width=band_width).cost,
+                align(xs, ys, weight_kind="unit", band_width=band_width).cost)
+
+    rows = [(tuple(x), tuple(y), c_sing, c_unit)
+            for x, y, (c_sing, c_unit) in _scan_pairs(flow, pairs, T, h, costs)]
+    violations = [row for row in rows if row[2] <= delta / diam and not row[3] <= delta]
     return {
         "delta": delta, "diam": diam, "pairs": rows, "violations": violations,
         "n_pairs": len(rows), "scale": _scale_record(T, h, band_width, len(rows)),
@@ -575,12 +581,8 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     pairs = list(pair_grid) if pair_grid is not None \
         else default_pair_grid(flow, min(eps_values))
-    samples = _SampleCache(flow, T, h)
-    aligned = []
-    for x, y in pairs:
-        res = align(samples(x), samples(y), weight_kind=weight_kind,
-                    fix_zero=fix_zero, band_width=band_width)
-        aligned.append((as_coords(x), as_coords(y), res))
+    aligned = list(_scan_pairs(flow, pairs, T, h,
+                               _aligner(weight_kind, fix_zero, band_width)))
     curve = []
     for eps in eps_values:
         fail_costs = [res.cost for x, y, res in aligned

@@ -109,7 +109,8 @@ def generate_pseudo_orbit(flow: FlowModel, x0, n_segments: int, delta: float,
 
     Durations are uniform in [T_min, 2 T_min]; jumps are uniform over the
     delta-ball intersected with the space. x0 starts the chain at the
-    leftmost index -floor(n/2); deterministic under the seed.
+    leftmost index -floor(n/2); deterministic under the seed. A jump ball
+    that misses the space raises SpaceError.
     """
     if delta < 0:
         raise ShadowingError("delta must be nonnegative")
@@ -120,18 +121,7 @@ def generate_pseudo_orbit(flow: FlowModel, x0, n_segments: int, delta: float,
     durs = [float(rng.uniform(T_min, 2.0 * T_min)) for _ in range(n_segments)]
     for k in range(n_segments - 1):
         tip = flow.evaluate(durs[k], pts[-1])
-        if delta == 0.0:
-            nxt = tip
-        else:
-            nxt = None
-            for _ in range(100):
-                try:
-                    nxt = flow.space.sample_near(rng, tip, delta)
-                    break
-                except Exception:
-                    continue
-            if nxt is None:
-                raise ShadowingError("jump left the domain 100 times in a row")
+        nxt = tip if delta == 0.0 else flow.space.sample_near(rng, tip, delta)
         pts.append(np.asarray(nxt, dtype=float))
     return PseudoOrbit(points=tuple(tuple(p) for p in pts), durations=tuple(durs),
                        i_min=-(n_segments // 2), T_min=T_min, delta=delta)
@@ -282,6 +272,9 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     """
     if eps <= 0:
         raise ShadowingError("eps must be positive")
+    if flow.forward_only and po.i_min < 0:
+        raise ShadowingError(f"{flow.name} is a forward semiflow: it cannot shadow "
+                             f"a pseudo-orbit with negative indices (i_min={po.i_min})")
     q = max(2, int(math.ceil(1.25 / eps)))
     candidates = list(candidate_grid) if candidate_grid is not None \
         else default_candidates(flow, po, eps)

@@ -69,6 +69,17 @@ def test_missing_key_exit_one(tmp_path):
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("typo, path", [({"scael": {"T": 1.0}}, "'scael'"),
+                                         ({"scale": {"t": 1.0}}, "'scale.t'")])
+def test_unknown_config_key_exit_one(tmp_path, capsys, typo, path):
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0},
+                               "eps": 0.1, "delta": 1e-3, **typo})
+    out = tmp_path / "out"
+    assert main(["equicontinuity", "--config", str(cfg), "--out", str(out)]) == 1
+    assert path in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_shadow_requires_seed(tmp_path):
     cfg = {"flow": {"name": "interval"}, "eps": 0.05, "x0": [0.3],
            "n_segments": 4, "delta": 1e-3}

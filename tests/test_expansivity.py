@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expanse import expansivity
 from expanse.expansivity import (
     ExpansivityError,
     ball_inclusion_check,
@@ -15,7 +16,7 @@ from expanse.expansivity import (
     local_norm_constant,
     return_time_bound_check,
 )
-from expanse.alignment import recompute_cost
+from expanse.alignment import align, recompute_cost
 from expanse.flows import interval_flow, rotation_flow, trivial_flow
 from expanse.spaces import CircleUnion, FiniteSet, exp_radii, harmonic_radii
 
@@ -89,6 +90,19 @@ def test_check_property_budget_inconclusive(harmonic_rot):
                          max_pairs=3, **FAST)
     assert rep.verdict == "inconclusive"
     assert rep.stats["pairs_checked"] == 3
+    # an isometry never separates the pairs, so only the budget stops the scan
+    pairs = [(np.array([0.5, 0.0]), np.array([0.5, 0.01 * k])) for k in (1, 2, 3)]
+    equi = check_equicontinuity(harmonic_rot, False, eps=0.1, delta=0.05,
+                                pair_grid=pairs, T=6.0, h=0.05, max_pairs=2)
+    assert equi.verdict == "inconclusive"
+    assert equi.stats["pairs_checked"] == 2
+    for bad in ("3", -1, 0, True, 2.5):
+        with pytest.raises(ExpansivityError, match="max_pairs"):
+            check_property(harmonic_rot, "singular_expansive", eps=1.0, delta=1e-6,
+                           max_pairs=bad, **FAST)
+        with pytest.raises(ExpansivityError, match="max_pairs"):
+            check_equicontinuity(harmonic_rot, False, eps=0.1, delta=0.05,
+                                 pair_grid=pairs, T=6.0, h=0.05, max_pairs=bad)
 
 
 def test_check_property_validation(harmonic_rot):
@@ -289,6 +303,22 @@ def test_hierarchy_hypothesis_nonvacuous():
     rep = hierarchy_check(flow, delta=0.25, T=4.0, h=0.05, band_width=0.5)
     diam = rep["diam"]
     assert any(cs <= 0.25 / diam for _, _, cs, _ in rep["pairs"])
+
+
+def test_repeated_pairs_aligned_once(monkeypatch):
+    flow = trivial_flow(FiniteSet([[0.0, 0.0], [1.0, 0.0]]))
+    a, b = flow.space.grid()
+    calls = []
+
+    def counting_align(*args, **kwargs):
+        calls.append(kwargs["weight_kind"])
+        return align(*args, **kwargs)
+
+    monkeypatch.setattr(expansivity, "align", counting_align)
+    rep = hierarchy_check(flow, [(a, b), (b, b), (a, b)], delta=0.25,
+                          T=1.0, h=0.05, band_width=0.5)
+    assert len(calls) == 4  # two weight kinds per distinct pair
+    assert rep["pairs"][0] == rep["pairs"][2]
 
 
 # --------------------------------------------------------- delta search

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanse.alignment import rep_epsilon_check
-from expanse.flows import interval_flow, rotation_flow
+from expanse.flows import interval_flow, rotation_flow, suspension_doubling
 from expanse.shadowing import (
     PseudoOrbit,
     ShadowingError,
@@ -173,3 +173,16 @@ def test_find_shadow_validation():
     po = generate_pseudo_orbit(flow, np.array([0.3]), 4, 1e-3, seed=0)
     with pytest.raises(ShadowingError):
         find_shadow(flow, po, eps=0.0)
+
+
+def test_find_shadow_forward_semiflow():
+    flow = suspension_doubling()
+    x = (0.3, 0.5)
+    pts = (x, tuple(flow.evaluate(1.0, x)))
+    two_sided = make_po([1.0, 1.0], points=pts, i_min=-1)
+    with pytest.raises(ShadowingError, match="forward semiflow"):
+        find_shadow(flow, two_sided, eps=0.05)
+    one_sided = make_po([1.0, 1.0], points=pts, i_min=0)
+    res = find_shadow(flow, one_sided, eps=0.05)
+    assert res is not None
+    assert res.max_error <= 1e-12
