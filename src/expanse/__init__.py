@@ -34,6 +34,7 @@ from .alignment import (
     AlignmentResult,
     Reparam,
     align,
+    align_batch,
     orbit_membership,
     recompute_cost,
     rep_epsilon_check,

@@ -7,6 +7,13 @@ and j advances by 0, 1 or 2 cells per step inside a fixed offset band
 weighted separations, matching the "for every t" bound of the expansivity
 definitions; ties are broken toward the path closest to the identity.
 Lattice paths are lifted to strictly increasing piecewise-linear maps.
+
+One kernel runs this bottleneck DP for a batch of pairs on (pairs, band)
+rows. Local costs are streamed to it in row blocks from a strided window
+view of each extended y-orbit, so no pair's full cost tensor is built. A
+kernel call holds at most BATCH_CELLS int8 path choices (about 20 pairs at
+T = 20, h = 0.01, band 2); align_batch splits longer lists, and align is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -16,11 +23,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .flows import FlowModel, OrbitSample
 from .spaces import as_coords
 
-_PEN_INF = np.int64(2 ** 62)
+_PEN_INF = 2 ** 54  # penalty of masked and out-of-band cells; 4x it fits int64
+_KEY_INF = 2 ** 62  # packed key of a candidate above the row's minimum cost
+_STEP = np.array([0, 1, -1])  # k of the predecessor minus k, by tie priority
+BATCH_CELLS = 2 ** 25  # int8 path choices one kernel call may hold
+_BLOCK_VALUES = 2 ** 17  # local costs built per row block
 _FLAT_SLOPE = 1e-12  # spread applied to flat runs so knots stay strictly monotone
 
 
@@ -120,57 +132,60 @@ def _weighted_ratio(dists: np.ndarray, w: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _lex_min3(c1, p1, c0, p0, c2, p2):
-    """Lexicographic (cost, penalty) min of three candidate rows.
+def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None):
+    """Minimax DP over monotone lattice paths in an offset band, B pairs at once.
 
-    The first candidate wins ties, so the diagonal step is preferred.
+    blocks yields local-cost arrays of shape (B, rows, 2W+1) that cover rows
+    0..n-1 in order; lc[b, i, k] is the cost of pairing x-time i with
+    y-offset k - W cells, and j advances by 0, 1 or 2 per i step. Ties in
+    cost go to the smaller sum of |offset|, then to the diagonal, k+1 and
+    k-1 predecessor in that order: each candidate's (penalty, priority) is
+    packed as 4 * penalty + priority and compared only among candidates
+    whose cost equals the row minimum. Returns (costs (B,), k-paths (B, n)).
     """
-    best_c, best_p = c1.copy(), p1.copy()
-    choice = np.ones(c1.shape, dtype=np.int8)
-    for cand_c, cand_p, tag in ((c0, p0, np.int8(0)), (c2, p2, np.int8(2))):
-        better = (cand_c < best_c) | ((cand_c == best_c) & (cand_p < best_p))
-        best_c = np.where(better, cand_c, best_c)
-        best_p = np.where(better, cand_p, best_p)
-        choice = np.where(better, tag, choice)
-    return best_c, best_p, choice
+    width = 2 * W + 1
+    pen4 = 4 * np.abs(np.arange(width, dtype=np.int64) - W)
+    off_band = np.arange(width) != W
+    rows = (block[:, r] for block in blocks for r in range(block.shape[1]))
+    first = next(rows)
+    B = first.shape[0]
+    # two padded row buffers; the pad columns stay out of band for good
+    D = np.full((2, B, width + 2), np.inf)
+    P4 = np.full((2, B, width + 2), 4 * _PEN_INF, dtype=np.int64)
+    D[0, :, 1:-1] = first
+    P4[0, :, 1:-1] = pen4
+    choices = np.empty((n, B, width), dtype=np.int8)
+    best = np.empty((B, width))
 
+    def pin(i):  # a fixed row keeps only the zero offset
+        if i == fix_row:
+            D[i % 2, :, 1:-1][:, off_band] = np.inf
+            P4[i % 2, :, 1:-1][:, off_band] = 4 * _PEN_INF
 
-def _minimax_band_dp(lc: np.ndarray, W: int, fix_row: Optional[int] = None):
-    """Minimax DP over monotone lattice paths in an offset band.
-
-    lc[i, k] is the local cost of pairing x-time i with y-offset k - W
-    cells; j advances by 0, 1 or 2 per i step. Returns (cost, k-path).
-    """
-    n, width = lc.shape
-    pen_unit = np.abs(np.arange(width, dtype=np.int64) - W)
-    D = lc[0].copy()
-    P = pen_unit.copy()
-    choices = np.empty((n, width), dtype=np.int8)
-    if fix_row == 0:
-        D[np.arange(width) != W] = np.inf
-        P[np.arange(width) != W] = _PEN_INF
-    for i in range(1, n):
-        # predecessor of offset k is k+1 (dj=0), k (dj=1) or k-1 (dj=2)
-        c0 = np.append(D[1:], np.inf)
-        p0 = np.append(P[1:], _PEN_INF)
-        c2 = np.concatenate(([np.inf], D[:-1]))
-        p2 = np.concatenate(([_PEN_INF], P[:-1]))
-        best_c, best_p, ch = _lex_min3(D, P, c0, p0, c2, p2)
-        D = np.maximum(lc[i], best_c)
-        P = best_p + pen_unit
-        choices[i] = ch
-        if fix_row == i:
-            D = np.where(np.arange(width) == W, D, np.inf)
-            P = np.where(np.arange(width) == W, P, _PEN_INF)
-    order = np.lexsort((P, D))
-    k = int(order[0])
-    cost = float(D[k])
-    path = np.empty(n, dtype=np.int64)
-    path[-1] = k
+    for i, lc in enumerate(rows, 1):
+        pin(i - 1)
+        d, p = D[(i - 1) % 2], P4[(i - 1) % 2]
+        # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1 (dj=2)
+        np.minimum(d[:, 1:-1], d[:, 2:], out=best)
+        np.minimum(best, d[:, :-2], out=best)
+        q = np.where(d[:, 1:-1] == best, p[:, 1:-1], _KEY_INF)
+        np.minimum(q, np.where(d[:, 2:] == best, p[:, 2:] + 1, _KEY_INF), out=q)
+        np.minimum(q, np.where(d[:, :-2] == best, p[:, :-2] + 2, _KEY_INF), out=q)
+        np.bitwise_and(q, 3, out=choices[i], casting="unsafe")
+        np.bitwise_and(q, ~3, out=P4[i % 2, :, 1:-1])
+        P4[i % 2, :, 1:-1] += pen4
+        np.maximum(lc, best, out=D[i % 2, :, 1:-1])
+    pin(n - 1)
+    d, p = D[(n - 1) % 2, :, 1:-1], P4[(n - 1) % 2, :, 1:-1]
+    costs = d.min(axis=1)
+    k = np.where(d == costs[:, None], p, _KEY_INF).argmin(axis=1)
+    paths = np.empty((n, B), dtype=np.int64)
+    paths[-1] = k
+    pairs = np.arange(B)
     for i in range(n - 1, 0, -1):
-        k = k + 1 - int(choices[i, k])
-        path[i - 1] = k
-    return cost, path
+        k = k + _STEP[choices[i, pairs, k]]
+        paths[i - 1] = k
+    return costs, paths.T
 
 
 def _lift_path(times: np.ndarray, path_k: np.ndarray, W: int, h: float,
@@ -183,19 +198,12 @@ def _lift_path(times: np.ndarray, path_k: np.ndarray, W: int, h: float,
     """
     j_abs = np.arange(len(path_k)) + path_k  # y-cell index, origin at -T - W*h
     s = (j_abs - (len(times) - 1) // 2 - W) * h
-    eta = h * _FLAT_SLOPE
-    start = 0
-    n = len(s)
-    corr = np.zeros(n)
-    for i in range(1, n + 1):
-        if i == n or j_abs[i] != j_abs[start]:
-            if i - start > 1:
-                anchor = start
-                if fix_idx is not None and start <= fix_idx < i:
-                    anchor = fix_idx
-                corr[start:i] = (np.arange(start, i) - anchor) * eta
-            start = i
-    return Reparam(times.copy(), s + corr)
+    new_cell = np.r_[True, j_abs[1:] != j_abs[:-1]]
+    run = np.cumsum(new_cell) - 1  # index of each knot's flat run
+    anchor = np.flatnonzero(new_cell)[run]
+    if fix_idx is not None:
+        anchor[run == run[fix_idx]] = fix_idx
+    return Reparam(times.copy(), s + (np.arange(len(s)) - anchor) * (h * _FLAT_SLOPE))
 
 
 def align(xs: OrbitSample, ys: OrbitSample, weight_kind: str = "unit",
@@ -207,31 +215,59 @@ def align(xs: OrbitSample, ys: OrbitSample, weight_kind: str = "unit",
     sup_t d(phi_t(x), phi_{s(t)}(y)) / w(phi_t(x)). With fix_zero the path
     is constrained through s(0) = 0.
     """
-    if abs(xs.step_h - ys.step_h) > 1e-15 or abs(xs.window_T - ys.window_T) > 1e-12:
+    return align_batch([(xs, ys)], weight_kind, fix_zero, band_width)[0]
+
+
+def pairs_per_batch(T: float, h: float, band_width: float) -> int:
+    """How many pairs sampled over [-T, T] with step h one kernel call holds."""
+    n = 2 * int(round(T / h)) + 1
+    return max(1, BATCH_CELLS // (n * (2 * int(math.floor(band_width / h + 1e-9)) + 1)))
+
+
+def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
+                band_width: float = 2.0) -> list:
+    """align for each (xs, ys) in pairs; all samples share T, h and a space.
+
+    Lists longer than pairs_per_batch go through the kernel in chunks.
+    """
+    if not pairs:
+        return []
+    (xs0, ys0), h = pairs[0], pairs[0][0].step_h
+    if any(abs(s.step_h - h) > 1e-15 or abs(s.window_T - xs0.window_T) > 1e-12
+           for pair in pairs for s in pair):
         raise AlignmentError("samples must share T and h")
-    h = xs.step_h
     W = int(math.floor(band_width / h + 1e-9))
     if W < 1:
         raise AlignmentError("infeasible band: band_width < h")
+    per = pairs_per_batch(xs0.window_T, h, band_width)
+    if len(pairs) > per:
+        return [res for lo in range(0, len(pairs), per) for res in
+                align_batch(pairs[lo:lo + per], weight_kind, fix_zero, band_width)]
 
-    flow = ys.flow
-    n = len(xs.times)
+    space, n = ys0.flow.space, len(xs0.times)
     n_half = (n - 1) // 2
-    times_ext = np.arange(-(n_half + W), n_half + W + 1, dtype=float) * h
-    y_ext = flow.evaluate(times_ext, ys.base)
-
-    idx = np.arange(n)[:, None] + np.arange(2 * W + 1)[None, :]
-    dists = flow.space.distance(xs.points[:, None, :], y_ext[idx])
-    w = _weights(xs, weight_kind)
-    lc = _weighted_ratio(dists, w[:, None])
-
+    # only the W margin samples on each side of a y-window are new
+    margin = np.r_[-(n_half + W):-n_half, n_half + 1:n_half + W + 1] * h
+    margins = [ys.flow.evaluate(margin, ys.base) for _, ys in pairs]
+    y_ext = np.stack([np.concatenate([m[:W], ys.points, m[W:]])
+                      for m, (_, ys) in zip(margins, pairs)])
+    x_pts = np.stack([xs.points for xs, _ in pairs])
+    w = np.stack([_weights(xs, weight_kind) for xs, _ in pairs])
+    # windows[b, i, k] = y_ext[b, i + k]: a strided view, never materialized
+    windows = np.moveaxis(sliding_window_view(y_ext, 2 * W + 1, axis=1), -1, 2)
+    step = max(1, _BLOCK_VALUES // (len(pairs) * (2 * W + 1)))
+    local_costs = (_weighted_ratio(space.distance(x_pts[:, i:i + step, None, :],
+                                                  windows[:, i:i + step]),
+                                   w[:, i:i + step, None]) for i in range(0, n, step))
     fix_idx = n_half if fix_zero else None
-    cost, path = _minimax_band_dp(lc, W, fix_row=fix_idx)
-    reparam = _lift_path(xs.times, path, W, h, fix_idx)
-    per_t = lc[np.arange(n), path]
-    argmax_t = float(xs.times[int(np.argmax(per_t))])
-    return AlignmentResult(cost=cost, reparam=reparam, argmax_t=argmax_t,
-                           weight_kind=weight_kind)
+    costs, paths = _minimax_band_dp(local_costs, n, W, fix_row=fix_idx)
+    # the local costs along each chosen path, recomputed to locate its max
+    along = _weighted_ratio(space.distance(
+        x_pts, y_ext[np.arange(len(pairs))[:, None], np.arange(n) + paths]), w)
+    return [AlignmentResult(cost=float(c), reparam=_lift_path(xs.times, path, W, h, fix_idx),
+                            argmax_t=float(xs.times[int(np.argmax(a))]),
+                            weight_kind=weight_kind)
+            for (xs, _), c, path, a in zip(pairs, costs, paths, along)]
 
 
 def recompute_cost(flow: FlowModel, x, y, times: np.ndarray, reparam: Reparam,

@@ -3,7 +3,8 @@
 Tasks: check | falsify | equicontinuity | ball-inclusion | constants |
 shadow | entropy | hstar | xdelta. `TASKS` maps each task to its runner
 and the config keys it reads besides flow, scale, seed and out; any other
-key, or a scale key other than T, h, band_width and grid, is an error.
+key, or a scale key other than T, h, band_width and grid, is an error, and
+so is an eps, delta or scale value that is not a finite number.
 Reports are deterministic JSON trees plus flat CSV tables; exit code 0 on
 completion, 2 on a falsified property (so CI can assert expected
 falsifications), 1 on error.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +64,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {'scale.' + key!r}")
         if "flow" not in cfg:
             raise ConfigError("config needs a 'flow' subtree")
+        for path, value in [*((k, cfg[k]) for k in ("eps", "delta") if k in cfg),
+                            *(("scale." + k, v) for k, v in scale_cfg.items())]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ConfigError(f"config key {path!r} must be a finite number, "
+                                  f"got {value!r}")
         scale = {**SCALE_DEFAULTS, **scale_cfg}
         for key in ("T", "h", "band_width"):
             if not scale[key] >= 0:

@@ -19,8 +19,9 @@ from .alignment import (
     AlignmentResult,
     Reparam,
     _find_orbit_time,
-    align,
+    align_batch,
     orbit_membership,
+    pairs_per_batch,
 )
 from .flows import FlowModel, sample_orbit
 from .spaces import CircleUnion, FiniteSet, Interval01, Point, Torus2, as_coords
@@ -170,46 +171,51 @@ def _conclusion_holds(flow, x, y, eps, mode, reparam, T, t0_step, tol) -> bool:
     return False
 
 
-def _scan_pairs(flow, pairs, T, h, cost):
-    """Yield (x, y, cost(x orbit, y orbit)) for each pair, in order.
+def _scan_pairs(flow, pairs, T, h, cost, batch=1):
+    """Yield (x, y, cost of the pair) for each pair, in order.
 
-    Each base point is sampled once over [-T, T] with step h, however many
-    pairs share it. A pair listed more than once is costed once; its cost
-    is held only until its last listing, since a cost may carry a full path.
+    cost maps a list of (x orbit, y orbit) samples to a list of costs.
+    Distinct pairs are costed `batch` at a time in first-listing order, so
+    pairs after the one being yielded may already be costed. Each base point
+    is sampled once over [-T, T] with step h, however many pairs share it.
+    A pair listed more than once is costed once; its cost is held only
+    until its last listing, since a cost may carry a full path.
     """
     pairs = [(as_coords(x), as_coords(y)) for x, y in pairs]
-    listings = Counter((tuple(x), tuple(y)) for x, y in pairs)
+    keys = [(tuple(x), tuple(y)) for x, y in pairs]
+    listings = Counter(keys)
+    todo = list(listings)  # distinct pairs, in first-listing order
     orbits, held = {}, {}
 
     def orbit(p):
-        key = tuple(p)
-        if key not in orbits:
-            orbits[key] = sample_orbit(flow, p, T, h)
-        return orbits[key]
+        if p not in orbits:
+            orbits[p] = sample_orbit(flow, np.array(p), T, h)
+        return orbits[p]
 
-    for x, y in pairs:
-        key = (tuple(x), tuple(y))
+    for (x, y), key in zip(pairs, keys):
+        if key not in held:  # its first listing: key is todo's head
+            chunk, todo = todo[:batch], todo[batch:]
+            held.update(zip(chunk, cost([(orbit(kx), orbit(ky)) for kx, ky in chunk])))
         listings[key] -= 1
-        c = held.pop(key) if key in held else cost(orbit(x), orbit(y))
-        if listings[key]:
-            held[key] = c
+        c = held[key] if listings[key] else held.pop(key)
         yield x, y, c
 
 
-def _falsify(flow, pairs, max_pairs, T, h, cost, fails):
+def _falsify(flow, pairs, max_pairs, T, h, cost, fails, batch=1):
     """Scan pairs for a witness; returns (verdict, witness, pair_costs).
 
-    cost maps two orbit samples to an AlignmentResult and fails(x, y, result)
-    marks a witness. The scan stops at the first witness ("falsified"); one
-    cut short by max_pairs without a witness is "inconclusive", a full scan
-    without one "certified_at_scale".
+    cost maps a list of orbit sample pairs to AlignmentResults, `batch` at a
+    time (see _scan_pairs), and fails(x, y, result) marks a witness. The
+    scan stops at the first witness ("falsified"); one cut short by
+    max_pairs without a witness is "inconclusive", a full scan without one
+    "certified_at_scale".
     """
     if max_pairs is not None and (isinstance(max_pairs, bool) or not isinstance(
             max_pairs, (int, np.integer)) or max_pairs < 1):
         raise ExpansivityError(f"max_pairs must be None or an int >= 1, got {max_pairs!r}")
     scanned = pairs[:max_pairs]
     pair_costs = []
-    for x, y, res in _scan_pairs(flow, scanned, T, h, cost):
+    for x, y, res in _scan_pairs(flow, scanned, T, h, cost, batch):
         pair_costs.append((tuple(x), tuple(y), res.cost))
         if fails(x, y, res):
             witness = Witness(flow.space.point(*x), flow.space.point(*y), res)
@@ -219,9 +225,8 @@ def _falsify(flow, pairs, max_pairs, T, h, cost, fails):
 
 
 def _aligner(weight_kind, fix_zero, band_width):
-    def cost(xs, ys):
-        return align(xs, ys, weight_kind=weight_kind, fix_zero=fix_zero,
-                     band_width=band_width)
+    def cost(orbit_pairs):
+        return align_batch(orbit_pairs, weight_kind, fix_zero, band_width)
     return cost
 
 
@@ -257,7 +262,8 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
             flow, x, y, eps, t0_mode, res.reparam, T, t0_step, tol_orbit)
 
     verdict, witness, pair_costs = _falsify(
-        flow, pairs, max_pairs, T, h, _aligner(weight_kind, fix_zero, band_width), fails)
+        flow, pairs, max_pairs, T, h, _aligner(weight_kind, fix_zero, band_width), fails,
+        pairs_per_batch(T, h, band_width))
     return PropertyReport(
         property=property, verdict=verdict, eps=eps, delta=delta,
         witness=witness,
@@ -317,11 +323,12 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
     name = "singular_equicontinuous" if singular_variant else "equicontinuous"
     identity = Reparam.identity(-T, T)
 
-    def sup_separation(xs, ys):
+    def sup_separation(orbit_pairs):
+        (xs, ys), = orbit_pairs
         seps = flow.space.distance(xs.points, ys.points)
         i = int(np.argmax(seps))
-        return AlignmentResult(cost=float(seps[i]), reparam=identity,
-                               argmax_t=float(xs.times[i]), weight_kind="unit")
+        return [AlignmentResult(cost=float(seps[i]), reparam=identity,
+                                argmax_t=float(xs.times[i]), weight_kind="unit")]
 
     verdict, witness, pair_costs = _falsify(
         flow, pairs, max_pairs, T, h, sup_separation, lambda x, y, res: res.cost > eps)
@@ -553,12 +560,13 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
     pairs = list(pairs) if pairs is not None else default_pair_grid(flow, delta)
     diam = flow.space.diameter
 
-    def costs(xs, ys):
-        return (align(xs, ys, weight_kind="sing_dist", band_width=band_width).cost,
-                align(xs, ys, weight_kind="unit", band_width=band_width).cost)
+    def costs(orbit_pairs):
+        return [(s.cost, u.cost) for s, u in zip(
+            align_batch(orbit_pairs, "sing_dist", band_width=band_width),
+            align_batch(orbit_pairs, "unit", band_width=band_width))]
 
-    rows = [(tuple(x), tuple(y), c_sing, c_unit)
-            for x, y, (c_sing, c_unit) in _scan_pairs(flow, pairs, T, h, costs)]
+    rows = [(tuple(x), tuple(y), c_sing, c_unit) for x, y, (c_sing, c_unit)
+            in _scan_pairs(flow, pairs, T, h, costs, pairs_per_batch(T, h, band_width))]
     violations = [row for row in rows if row[2] <= delta / diam and not row[3] <= delta]
     return {
         "delta": delta, "diam": diam, "pairs": rows, "violations": violations,
@@ -578,11 +586,13 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     a fixed sample set. Returns [(eps, delta_star)] with inf when no pair
     fails.
     """
+    if property not in PROPERTY_RULES:
+        raise ExpansivityError(f"unknown property: {property!r}")
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     pairs = list(pair_grid) if pair_grid is not None \
         else default_pair_grid(flow, min(eps_values))
-    aligned = list(_scan_pairs(flow, pairs, T, h,
-                               _aligner(weight_kind, fix_zero, band_width)))
+    aligned = list(_scan_pairs(flow, pairs, T, h, _aligner(weight_kind, fix_zero, band_width),
+                               pairs_per_batch(T, h, band_width)))
     curve = []
     for eps in eps_values:
         fail_costs = [res.cost for x, y, res in aligned

@@ -160,8 +160,8 @@ class CircleUnion(Space):
     def distance(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        d = a - b
-        return np.hypot(d[..., 0], d[..., 1])
+        d0, d1 = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]
+        return np.hypot(d0, d1, out=d0 if d0.ndim else None)
 
     def contains(self, coords, tol=CONTAIN_TOL):
         c = as_coords(coords)

@@ -1,12 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expanse import alignment
 from expanse.alignment import (
     AlignmentError,
     Reparam,
+    _minimax_band_dp,
     align,
+    align_batch,
     orbit_membership,
     recompute_cost,
     rep_epsilon_check,
@@ -63,6 +69,139 @@ def test_reparam_compression_roundtrip():
     assert c.knots_t.size < r.knots_t.size
     probe = np.linspace(-1.0, 1.0, 301)
     assert np.abs(c(probe) - r(probe)).max() <= 1e-10
+
+
+# ------------------------------------------------------- minimax DP oracle
+
+_REF_PEN_INF = np.int64(2 ** 62)
+
+
+def _ref_lex_min3(c1, p1, c0, p0, c2, p2):
+    """Lexicographic (cost, penalty) min of three candidate rows.
+
+    The first candidate wins ties, so the diagonal step is preferred.
+    """
+    best_c, best_p = c1.copy(), p1.copy()
+    choice = np.ones(c1.shape, dtype=np.int8)
+    for cand_c, cand_p, tag in ((c0, p0, np.int8(0)), (c2, p2, np.int8(2))):
+        better = (cand_c < best_c) | ((cand_c == best_c) & (cand_p < best_p))
+        best_c = np.where(better, cand_c, best_c)
+        best_p = np.where(better, cand_p, best_p)
+        choice = np.where(better, tag, choice)
+    return best_c, best_p, choice
+
+
+def _ref_minimax_band_dp(lc, W, fix_row=None):
+    """The per-pair recurrence the batched kernel replaces; the tie-break reference."""
+    n, width = lc.shape
+    pen_unit = np.abs(np.arange(width, dtype=np.int64) - W)
+    D = lc[0].copy()
+    P = pen_unit.copy()
+    choices = np.empty((n, width), dtype=np.int8)
+    if fix_row == 0:
+        D[np.arange(width) != W] = np.inf
+        P[np.arange(width) != W] = _REF_PEN_INF
+    for i in range(1, n):
+        # predecessor of offset k is k+1 (dj=0), k (dj=1) or k-1 (dj=2)
+        c0 = np.append(D[1:], np.inf)
+        p0 = np.append(P[1:], _REF_PEN_INF)
+        c2 = np.concatenate(([np.inf], D[:-1]))
+        p2 = np.concatenate(([_REF_PEN_INF], P[:-1]))
+        best_c, best_p, ch = _ref_lex_min3(D, P, c0, p0, c2, p2)
+        D = np.maximum(lc[i], best_c)
+        P = best_p + pen_unit
+        choices[i] = ch
+        if fix_row == i:
+            D = np.where(np.arange(width) == W, D, np.inf)
+            P = np.where(np.arange(width) == W, P, _REF_PEN_INF)
+    order = np.lexsort((P, D))
+    k = int(order[0])
+    cost = float(D[k])
+    path = np.empty(n, dtype=np.int64)
+    path[-1] = k
+    for i in range(n - 1, 0, -1):
+        k = k + 1 - int(choices[i, k])
+        path[i - 1] = k
+    return cost, path
+
+
+def _brute_min_sup(lc, W, fix_row):
+    """Min over every monotone band path (k moves by -1, 0 or +1) of its max cost."""
+    n, width = lc.shape
+    best = math.inf
+    for start in range(width):
+        for moves in itertools.product((-1, 0, 1), repeat=n - 1):
+            path = np.cumsum((start,) + moves)
+            if path.min() < 0 or path.max() >= width:
+                continue
+            if fix_row is not None and path[fix_row] != W:
+                continue
+            best = min(best, float(lc[np.arange(n), path].max()))
+    return best
+
+
+@st.composite
+def _dp_batches(draw):
+    n = draw(st.integers(1, 5))
+    W = draw(st.integers(1, 2))
+    fix_row = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    batch = draw(st.integers(1, 4))
+    # small integer costs make ties common; inf marks zero-weight cells
+    cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
+    vals = draw(st.lists(cell, min_size=batch * n * (2 * W + 1),
+                         max_size=batch * n * (2 * W + 1)))
+    return np.array(vals).reshape(batch, n, 2 * W + 1), W, fix_row
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dp_batches(), st.integers(1, 3))
+def test_minimax_kernel_matches_oracle(case, block_rows):
+    lc, W, fix_row = case
+    n = lc.shape[1]
+    blocks = [lc[:, i:i + block_rows] for i in range(0, n, block_rows)]
+    costs, paths = _minimax_band_dp(blocks, n, W, fix_row)
+    for b in range(lc.shape[0]):
+        assert costs[b] == _brute_min_sup(lc[b], W, fix_row)
+        ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
+        assert costs[b] == ref_cost
+        assert paths[b].tolist() == ref_path.tolist()
+        single_cost, single_path = _minimax_band_dp([lc[b:b + 1]], n, W, fix_row)
+        assert single_cost[0] == ref_cost
+        assert single_path[0].tolist() == ref_path.tolist()
+
+
+def _ref_lift_knots(times, path_k, W, h, fix_idx):
+    """The loop form of alignment._lift_path's knot values."""
+    j_abs = np.arange(len(path_k)) + path_k
+    s = (j_abs - (len(times) - 1) // 2 - W) * h
+    eta = h * 1e-12
+    start = 0
+    n = len(s)
+    corr = np.zeros(n)
+    for i in range(1, n + 1):
+        if i == n or j_abs[i] != j_abs[start]:
+            if i - start > 1:
+                anchor = start
+                if fix_idx is not None and start <= fix_idx < i:
+                    anchor = fix_idx
+                corr[start:i] = (np.arange(start, i) - anchor) * eta
+            start = i
+    return s + corr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.data(), st.booleans())
+def test_lift_path_matches_loop(W, start, data, fix):
+    moves = data.draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=2, max_size=40))
+    k = [min(start, 2 * W)]
+    for m in moves[: len(moves) - len(moves) % 2]:  # an odd number of knots
+        k.append(min(max(k[-1] + m, 0), 2 * W))
+    path_k = np.array(k)
+    n_half = (len(path_k) - 1) // 2
+    times = np.arange(-n_half, n_half + 1) * 0.05
+    fix_idx = n_half if fix else None
+    rep = alignment._lift_path(times, path_k, W, 0.05, fix_idx)
+    assert rep.knots_s.tobytes() == _ref_lift_knots(times, path_k, W, 0.05, fix_idx).tobytes()
 
 
 # ---------------------------------------------------------------- align
@@ -133,6 +272,29 @@ def test_align_fix_zero_pins_origin():
     assert res.reparam(0.0) == 0.0
     free = align(xs, ys, weight_kind="unit", fix_zero=False, band_width=1.0)
     assert free.cost <= res.cost + 1e-12
+
+
+@pytest.mark.parametrize("fix_zero", [False, True])
+def test_align_batch_matches_single_pairs(harmonic_rot, monkeypatch, fix_zero):
+    orbits = [sample_orbit(harmonic_rot, np.array([r, 0.0]), T=3.0, h=0.05)
+              for r in (1.0, 0.5, 1.0 / 3.0, 0.25)]
+    orbits.append(sample_orbit(harmonic_rot, harmonic_rot.evaluate(0.8, orbits[1].base),
+                               T=3.0, h=0.05))
+    pairs = [(orbits[i], orbits[j]) for i in range(5) for j in range(5)]
+    singles = [align(xs, ys, "sing_dist", fix_zero, 1.0) for xs, ys in pairs]
+    # a budget of three pairs per kernel call splits the batch into chunks
+    monkeypatch.setattr(alignment, "BATCH_CELLS", 3 * 121 * 41)
+    assert alignment.pairs_per_batch(3.0, 0.05, 1.0) == 3
+    for one, res in zip(singles, align_batch(pairs, "sing_dist", fix_zero, 1.0)):
+        assert res.cost == one.cost and res.argmax_t == one.argmax_t
+        assert np.array_equal(res.reparam.knots_s, one.reparam.knots_s)
+
+
+def test_align_batch_needs_shared_grid(harmonic_rot):
+    a = sample_orbit(harmonic_rot, np.array([1.0, 0.0]), T=2.0, h=0.05)
+    b = sample_orbit(harmonic_rot, np.array([0.5, 0.0]), T=3.0, h=0.05)
+    with pytest.raises(AlignmentError):
+        align_batch([(a, a), (b, b)], band_width=1.0)
 
 
 def test_align_infeasible_band():

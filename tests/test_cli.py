@@ -69,6 +69,21 @@ def test_missing_key_exit_one(tmp_path):
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("bad, path", [({"eps": "abc"}, "'eps'"),
+                                       ({"delta": math.nan}, "'delta'"),
+                                       ({"scale": {"T": "20"}}, "'scale.T'"),
+                                       ({"scale": {"h": math.inf}}, "'scale.h'"),
+                                       ({"scale": {"band_width": True}}, "'scale.band_width'")])
+def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0},
+                               "eps": 0.1, "delta": 1e-3, **bad})
+    out = tmp_path / "out"
+    assert main(["equicontinuity", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert path in err and "finite number" in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("typo, path", [({"scael": {"T": 1.0}}, "'scael'"),
                                          ({"scale": {"t": 1.0}}, "'scale.t'")])
 def test_unknown_config_key_exit_one(tmp_path, capsys, typo, path):

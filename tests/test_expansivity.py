@@ -16,7 +16,7 @@ from expanse.expansivity import (
     local_norm_constant,
     return_time_bound_check,
 )
-from expanse.alignment import align, recompute_cost
+from expanse.alignment import align_batch, recompute_cost
 from expanse.flows import interval_flow, rotation_flow, trivial_flow
 from expanse.spaces import CircleUnion, FiniteSet, exp_radii, harmonic_radii
 
@@ -308,20 +308,28 @@ def test_hierarchy_hypothesis_nonvacuous():
 def test_repeated_pairs_aligned_once(monkeypatch):
     flow = trivial_flow(FiniteSet([[0.0, 0.0], [1.0, 0.0]]))
     a, b = flow.space.grid()
-    calls = []
+    costed = []
 
-    def counting_align(*args, **kwargs):
-        calls.append(kwargs["weight_kind"])
-        return align(*args, **kwargs)
+    def counting_align_batch(orbit_pairs, weight_kind, *args, **kwargs):
+        costed.extend((weight_kind, tuple(xs.base), tuple(ys.base))
+                      for xs, ys in orbit_pairs)
+        return align_batch(orbit_pairs, weight_kind, *args, **kwargs)
 
-    monkeypatch.setattr(expansivity, "align", counting_align)
+    monkeypatch.setattr(expansivity, "align_batch", counting_align_batch)
     rep = hierarchy_check(flow, [(a, b), (b, b), (a, b)], delta=0.25,
                           T=1.0, h=0.05, band_width=0.5)
-    assert len(calls) == 4  # two weight kinds per distinct pair
+    # each distinct pair is costed once per weight kind
+    assert sorted(costed) == sorted((w, tuple(x), tuple(y)) for w in ("sing_dist", "unit")
+                                    for x, y in [(a, b), (b, b)])
     assert rep["pairs"][0] == rep["pairs"][2]
 
 
 # --------------------------------------------------------- delta search
+
+def test_delta_star_unknown_property(harmonic_rot):
+    with pytest.raises(ExpansivityError, match="unknown property: 'bogus'"):
+        delta_star(harmonic_rot, "bogus", [1.0], **FAST)
+
 
 def test_delta_star_curve_gabi(harmonic_rot):
     pairs = [(np.array([1.0 / n, 0.0]), np.array([1.0 / (n + 1), 0.0]))
