@@ -13,7 +13,10 @@ rows. Local costs are streamed to it in row blocks from a strided window
 view of each extended y-orbit, so no pair's full cost tensor is built. A
 kernel call holds at most BATCH_CELLS int8 path choices (about 20 pairs at
 T = 20, h = 0.01, band 2); align_batch splits longer lists, and align is
-the batch of one.
+the batch of one. The shadow cone search in shadowing runs on this kernel
+too, so both share one tie rule: among equal-cost paths the smallest sum
+of |offset|, then the diagonal step. Rows after a pinned row update only
+the offsets it can reach.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def _weights(xs: OrbitSample, weight_kind: str) -> np.ndarray:
 
 def _weighted_ratio(dists: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Separation over weight; 0/0 -> 0, positive/0 -> +inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = dists / w
     bad = w <= 0.0
     if bad.any():
@@ -141,7 +144,9 @@ def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None):
     cost go to the smaller sum of |offset|, then to the diagonal, k+1 and
     k-1 predecessor in that order: each candidate's (penalty, priority) is
     packed as 4 * penalty + priority and compared only among candidates
-    whose cost equals the row minimum. Returns (costs (B,), k-paths (B, n)).
+    whose cost equals the row minimum. After fix_row only the offsets
+    |k - W| <= i - fix_row can be reached, so a row updates just those and
+    ignores its other local costs. Returns (costs (B,), k-paths (B, n)).
     """
     width = 2 * W + 1
     pen4 = 4 * np.abs(np.arange(width, dtype=np.int64) - W)
@@ -157,24 +162,29 @@ def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None):
     choices = np.empty((n, B, width), dtype=np.int8)
     best = np.empty((B, width))
 
-    def pin(i):  # a fixed row keeps only the zero offset
+    def pin(i):  # a fixed row keeps only the zero offset; the next row starts empty
         if i == fix_row:
             D[i % 2, :, 1:-1][:, off_band] = np.inf
             P4[i % 2, :, 1:-1][:, off_band] = 4 * _PEN_INF
+            D[(i + 1) % 2] = np.inf
+            P4[(i + 1) % 2] = 4 * _PEN_INF
 
     for i, lc in enumerate(rows, 1):
         pin(i - 1)
-        d, p = D[(i - 1) % 2], P4[(i - 1) % 2]
+        r = W if fix_row is None or i <= fix_row else min(W, i - fix_row)
+        lo, hi = W - r, W + r + 1  # the band columns this row updates
+        d, p = D[(i - 1) % 2, :, lo:hi + 2], P4[(i - 1) % 2, :, lo:hi + 2]
+        b = best[:, lo:hi]
         # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1 (dj=2)
-        np.minimum(d[:, 1:-1], d[:, 2:], out=best)
-        np.minimum(best, d[:, :-2], out=best)
-        q = np.where(d[:, 1:-1] == best, p[:, 1:-1], _KEY_INF)
-        np.minimum(q, np.where(d[:, 2:] == best, p[:, 2:] + 1, _KEY_INF), out=q)
-        np.minimum(q, np.where(d[:, :-2] == best, p[:, :-2] + 2, _KEY_INF), out=q)
-        np.bitwise_and(q, 3, out=choices[i], casting="unsafe")
-        np.bitwise_and(q, ~3, out=P4[i % 2, :, 1:-1])
-        P4[i % 2, :, 1:-1] += pen4
-        np.maximum(lc, best, out=D[i % 2, :, 1:-1])
+        np.minimum(d[:, 1:-1], d[:, 2:], out=b)
+        np.minimum(b, d[:, :-2], out=b)
+        q = np.where(d[:, 1:-1] == b, p[:, 1:-1], _KEY_INF)
+        np.minimum(q, np.where(d[:, 2:] == b, p[:, 2:] + 1, _KEY_INF), out=q)
+        np.minimum(q, np.where(d[:, :-2] == b, p[:, :-2] + 2, _KEY_INF), out=q)
+        np.bitwise_and(q, 3, out=choices[i, :, lo:hi], casting="unsafe")
+        np.bitwise_and(q, ~3, out=P4[i % 2, :, lo + 1:hi + 1])
+        P4[i % 2, :, lo + 1:hi + 1] += pen4[lo:hi]
+        np.maximum(lc[:, lo:hi], b, out=D[i % 2, :, lo + 1:hi + 1])
     pin(n - 1)
     d, p = D[(n - 1) % 2, :, 1:-1], P4[(n - 1) % 2, :, 1:-1]
     costs = d.min(axis=1)

@@ -4,7 +4,8 @@ Tasks: check | falsify | equicontinuity | ball-inclusion | constants |
 shadow | entropy | hstar | xdelta. `TASKS` maps each task to its runner
 and the config keys it reads besides flow, scale, seed and out; any other
 key, or a scale key other than T, h, band_width and grid, is an error, and
-so is an eps, delta or scale value that is not a finite number.
+so is a value of the wrong kind: REAL_KEYS and scale values must be finite
+numbers, STEP_KEYS finite numbers > 0 and COUNT_KEYS integers >= 1.
 Reports are deterministic JSON trees plus flat CSV tables; exit code 0 on
 completion, 2 on a falsified property (so CI can assert expected
 falsifications), 1 on error.
@@ -30,6 +31,9 @@ from .flows import flow_from_config
 from .reports import write_csv, write_report
 
 COMMON_KEYS = ("flow", "scale", "seed", "out")
+REAL_KEYS = ("eps", "delta", "T_min", "T_escape")  # finite numbers, as is every scale value
+STEP_KEYS = ("t0_step", "h_shadow", "h_sample", "h_escape")  # finite numbers > 0
+COUNT_KEYS = ("x_grid", "ball_samples", "n_segments")  # integers >= 1
 RANDOMIZED_TASKS = ("shadow",)
 
 SCALE_DEFAULTS = {"T": expa.DEFAULT_T, "h": expa.DEFAULT_H,
@@ -64,12 +68,17 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {'scale.' + key!r}")
         if "flow" not in cfg:
             raise ConfigError("config needs a 'flow' subtree")
-        for path, value in [*((k, cfg[k]) for k in ("eps", "delta") if k in cfg),
+        for path, value in [*((k, cfg[k]) for k in (*REAL_KEYS, *STEP_KEYS, *COUNT_KEYS)
+                              if k in cfg),
                             *(("scale." + k, v) for k, v in scale_cfg.items())]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ConfigError(f"config key {path!r} must be a finite number, "
-                                  f"got {value!r}")
+            if path in COUNT_KEYS:
+                want, ok = "an integer >= 1", isinstance(value, numbers.Integral) and value >= 1
+            else:
+                want = "a finite number" + (" > 0" if path in STEP_KEYS else "")
+                ok = isinstance(value, numbers.Real) and math.isfinite(value) \
+                    and (path not in STEP_KEYS or value > 0)
+            if isinstance(value, bool) or not ok:
+                raise ConfigError(f"config key {path!r} must be {want}, got {value!r}")
         scale = {**SCALE_DEFAULTS, **scale_cfg}
         for key in ("T", "h", "band_width"):
             if not scale[key] >= 0:

@@ -5,7 +5,10 @@ range is symmetric around 0 so the two-sided cumulative clock S(i) keeps
 its meaning. The shadow search anchors the candidate orbit at clock 0 and
 runs a slope-constrained minimax DP outward in both directions; the slope
 set is kept strictly inside [1 - eps, 1 + eps], so every returned
-reparametrization is admissible by construction.
+reparametrization is admissible by construction. Each direction is one
+call of the alignment band kernel (alignment._minimax_band_dp), pinned at
+clock 0, with alignment's tie rule: among equal-cost paths, the one
+closest to the slope-1 path.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .alignment import Reparam
+from .alignment import _BLOCK_VALUES, Reparam, _minimax_band_dp
 from .flows import FlowModel
-from .spaces import CircleUnion, Interval01, Point, as_coords
+from .spaces import CircleUnion, Point, as_coords
 
 
 class ShadowingError(ValueError):
@@ -182,82 +186,51 @@ def _reference_trajectory(flow, po, ts):
     return ref, seg
 
 
-def _sweep(lc_rows, prev=None):
-    """Forward minimax sweep over cone rows; returns terminal costs and choices."""
-    D = lc_rows[0] if prev is None else np.maximum(lc_rows[0], prev)
-    choices = []
-    for r in range(1, len(lc_rows)):
-        width = len(lc_rows[r])
-        prev_w = len(D)
-        cand = np.full((3, width), np.inf)
-        for a, off in enumerate((0, -1, -2)):
-            lo = max(0, -off)
-            hi = min(width, prev_w - off)
-            if lo < hi:
-                cand[a, lo:hi] = D[lo + off:hi + off]
-        pick = np.argmin(cand, axis=0).astype(np.int8)
-        D = np.maximum(lc_rows[r], cand[pick, np.arange(width)])
-        choices.append(pick)
-    return D, choices
+def _cone_search(space, orbit, ref, q):
+    """Minimax Rep(eps) path from clock 0 outward: (cost, orbit cell per row).
 
+    Row r pairs ref[r] with orbit cell r*q + o, where o starts at 0 and
+    moves by -1, 0 or +1 per row (cell steps q - 1, q, q + 1). This is the
+    alignment band DP with W = len(ref) - 1 pinned at row 0, band offset
+    k - W = o. orbit holds cells 0..W*(q + 1).
+    """
+    W = len(ref) - 1
+    width = 2 * W + 1
+    # window r starts at cell r*q - W, so its column k is the offset k - W;
+    # the edge padding left of cell 0 lies outside every row's cone
+    padded = np.pad(orbit, ((W, 0), (0, 0)), mode="edge")
+    windows = np.moveaxis(sliding_window_view(padded, width, axis=0)[::q], -1, 1)
+    step = max(1, _BLOCK_VALUES // width)
 
-def _backtrack(choices, end):
-    path = [end]
-    for pick in reversed(choices):
-        off = (0, -1, -2)[int(pick[path[-1]])]
-        path.append(path[-1] + off)
-    path.reverse()
-    return path
+    def blocks():  # distances only inside the cone of each block's last row
+        for r0 in range(0, W + 1, step):
+            r1 = min(W + 1, r0 + step)
+            cone = slice(W - r1 + 1, W + r1)
+            lc = np.full((1, r1 - r0, width), np.inf)
+            lc[0, :, cone] = space.distance(windows[r0:r1, cone], ref[r0:r1, None])
+            yield lc
+
+    costs, paths = _minimax_band_dp(blocks(), W + 1, W, fix_row=0)
+    return float(costs[0]), np.arange(W + 1) * q + paths[0] - W
 
 
 def _try_candidate(flow, po, z, h, q, ts, ref, seg):
     """Slope-constrained minimax alignment of the z-orbit to the reference."""
     n_lo = int(round(-ts[0] / h))
     n_hi = int(round(ts[-1] / h))
-    a0 = n_lo  # grid index of t = 0
-
     h_u = h / q
     m_lo = -n_lo * (q + 1)
-    m_hi = n_hi * (q + 1)
-    orbit = flow.evaluate(np.arange(m_lo, m_hi + 1) * h_u, z)
-
-    def cone(kdist, sign):
-        center = sign * kdist * q
-        return center - kdist, center + kdist
-
-    def rows(direction):
-        count = n_hi if direction > 0 else n_lo
-        out = []
-        for r in range(count + 1):
-            k = a0 + direction * r
-            lo, hi = cone(r, direction)
-            cells = orbit[lo - m_lo:hi - m_lo + 1]
-            out.append(flow.space.distance(cells, ref[k][None, :]))
-        return out
-
-    fwd_rows = rows(+1)
-    bwd_rows = rows(-1)
-    Df, ch_f = _sweep(fwd_rows)
-    Db, ch_b = _sweep(bwd_rows)
-    end_f = int(np.argmin(Df))
-    end_b = int(np.argmin(Db))
-    max_error = max(float(Df[end_f]), float(Db[end_b]))
-
-    path_f = _backtrack(ch_f, end_f)
-    path_b = _backtrack(ch_b, end_b)
-    m_path = np.empty(len(ts), dtype=np.int64)
-    for r, rel in enumerate(path_f):
-        lo, _ = cone(r, +1)
-        m_path[a0 + r] = lo + rel
-    for r, rel in enumerate(path_b):
-        lo, _ = cone(r, -1)
-        m_path[a0 - r] = lo + rel
+    orbit = flow.evaluate(np.arange(m_lo, n_hi * (q + 1) + 1) * h_u, z)
+    err_f, cells_f = _cone_search(flow.space, orbit[-m_lo:], ref[n_lo:], q)
+    # backward from clock 0 is forward on the reversed orbit and reference
+    err_b, cells_b = _cone_search(flow.space, orbit[-m_lo::-1], ref[n_lo::-1], q)
+    m_path = np.r_[-cells_b[:0:-1], cells_f]
     reparam = Reparam(ts.copy(), m_path * h_u)
 
     per_cell = flow.space.distance(orbit[m_path - m_lo], ref)
     per_segment = tuple(float(per_cell[seg == p].max()) if (seg == p).any()
                         else 0.0 for p in range(len(po.points)))
-    return max_error, reparam, per_segment
+    return max(err_f, err_b), reparam, per_segment
 
 
 def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
@@ -272,6 +245,8 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     """
     if eps <= 0:
         raise ShadowingError("eps must be positive")
+    if mode not in ("first", "best"):
+        raise ShadowingError(f"unknown mode: {mode!r}")
     if flow.forward_only and po.i_min < 0:
         raise ShadowingError(f"{flow.name} is a forward semiflow: it cannot shadow "
                              f"a pseudo-orbit with negative indices (i_min={po.i_min})")

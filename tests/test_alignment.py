@@ -128,22 +128,25 @@ def _ref_minimax_band_dp(lc, W, fix_row=None):
 def _brute_min_sup(lc, W, fix_row):
     """Min over every monotone band path (k moves by -1, 0 or +1) of its max cost."""
     n, width = lc.shape
+    moves = np.array(list(itertools.product((-1, 0, 1), repeat=n - 1)),
+                     dtype=np.int64).reshape(3 ** (n - 1), n - 1)
     best = math.inf
     for start in range(width):
-        for moves in itertools.product((-1, 0, 1), repeat=n - 1):
-            path = np.cumsum((start,) + moves)
-            if path.min() < 0 or path.max() >= width:
-                continue
-            if fix_row is not None and path[fix_row] != W:
-                continue
-            best = min(best, float(lc[np.arange(n), path].max()))
+        paths = start + np.cumsum(np.c_[np.zeros(len(moves), np.int64), moves], axis=1)
+        keep = (paths.min(axis=1) >= 0) & (paths.max(axis=1) < width)
+        if fix_row is not None:
+            keep &= paths[:, fix_row] == W
+        if keep.any():
+            best = min(best, float(lc[np.arange(n), paths[keep]].max(axis=1).min()))
     return best
 
 
 @st.composite
 def _dp_batches(draw):
-    n = draw(st.integers(1, 5))
-    W = draw(st.integers(1, 2))
+    # n up to 7 and W up to 3 draw the shadow cone shape (fix_row 0, W = n - 1)
+    # and rows after the reachable offsets fill the band
+    n = draw(st.integers(1, 7))
+    W = draw(st.integers(1, 3))
     fix_row = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     batch = draw(st.integers(1, 4))
     # small integer costs make ties common; inf marks zero-weight cells
@@ -202,6 +205,40 @@ def test_lift_path_matches_loop(W, start, data, fix):
     fix_idx = n_half if fix else None
     rep = alignment._lift_path(times, path_k, W, 0.05, fix_idx)
     assert rep.knots_s.tobytes() == _ref_lift_knots(times, path_k, W, 0.05, fix_idx).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 20), st.booleans(), st.data())
+def test_lift_path_strictly_increasing_and_anchored(W, n_half, fix, data):
+    moves = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=2 * n_half,
+                               max_size=2 * n_half))
+    # a band path; under fix_idx it passes through the zero offset at t = 0
+    k = np.empty(2 * n_half + 1, dtype=np.int64)
+    k[n_half] = W if fix else data.draw(st.integers(0, 2 * W))
+    for i in range(n_half + 1, len(k)):
+        k[i] = min(max(k[i - 1] + moves[i - 1], 0), 2 * W)
+    for i in range(n_half - 1, -1, -1):
+        k[i] = min(max(k[i + 1] - moves[i], 0), 2 * W)
+    times = np.arange(-n_half, n_half + 1) * 0.05
+    rep = alignment._lift_path(times, k, W, 0.05, n_half if fix else None)
+    assert (np.diff(rep.knots_s) > 0).all()
+    if fix:
+        assert rep.knots_s[n_half] == 0.0 and rep(0.0) == 0.0
+
+
+_RATIO_CELL = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_RATIO_CELL, _RATIO_CELL), min_size=1, max_size=30))
+def test_weighted_ratio_conventions(cells):
+    dists, w = np.array(cells).T
+    ratio = alignment._weighted_ratio(dists, w)
+    zero = w == 0.0
+    assert (ratio[zero & (dists == 0.0)] == 0.0).all()
+    assert (ratio[zero & (dists > 0.0)] == math.inf).all()
+    with np.errstate(over="ignore"):  # tiny weights overflow to inf in both
+        assert ratio[~zero].tobytes() == (dists[~zero] / w[~zero]).tobytes()
 
 
 # ---------------------------------------------------------------- align

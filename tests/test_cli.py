@@ -69,18 +69,25 @@ def test_missing_key_exit_one(tmp_path):
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+_TASK_READING = {"t0_step": "check", "x_grid": "ball-inclusion", "h_shadow": "shadow"}
+
+
 @pytest.mark.parametrize("bad, path", [({"eps": "abc"}, "'eps'"),
                                        ({"delta": math.nan}, "'delta'"),
                                        ({"scale": {"T": "20"}}, "'scale.T'"),
                                        ({"scale": {"h": math.inf}}, "'scale.h'"),
-                                       ({"scale": {"band_width": True}}, "'scale.band_width'")])
+                                       ({"scale": {"band_width": True}}, "'scale.band_width'"),
+                                       ({"t0_step": "abc"}, "'t0_step'"),
+                                       ({"x_grid": -5}, "'x_grid'"),
+                                       ({"h_shadow": 0.0}, "'h_shadow'")])
 def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
+    task = _TASK_READING.get(next(iter(bad)), "equicontinuity")
     cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0},
                                "eps": 0.1, "delta": 1e-3, **bad})
     out = tmp_path / "out"
-    assert main(["equicontinuity", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([task, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert path in err and "finite number" in err
+    assert path in err and ("integer >= 1" if "x_grid" in bad else "finite number") in err
     assert not (out / "report.json").exists()
 
 

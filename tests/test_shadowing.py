@@ -1,10 +1,13 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expanse import shadowing
 from expanse.alignment import rep_epsilon_check
 from expanse.flows import interval_flow, rotation_flow, suspension_doubling
 from expanse.shadowing import (
@@ -186,3 +189,121 @@ def test_find_shadow_forward_semiflow():
     res = find_shadow(flow, one_sided, eps=0.05)
     assert res is not None
     assert res.max_error <= 1e-12
+
+
+def test_find_shadow_unknown_mode():
+    flow = interval_flow(1.0)
+    po = generate_pseudo_orbit(flow, np.array([0.3]), 4, 1e-3, seed=0)
+    # a candidate that cannot even be read: the mode must be rejected first
+    with pytest.raises(ShadowingError, match="'bogus'"):
+        find_shadow(flow, po, eps=0.05, candidate_grid=[object()], mode="bogus")
+
+
+# ------------------------------------------------------ cone search oracle
+
+def _sweep(lc_rows, prev=None):
+    """Forward minimax sweep over cone rows; returns terminal costs and choices."""
+    D = lc_rows[0] if prev is None else np.maximum(lc_rows[0], prev)
+    choices = []
+    for r in range(1, len(lc_rows)):
+        width = len(lc_rows[r])
+        prev_w = len(D)
+        cand = np.full((3, width), np.inf)
+        for a, off in enumerate((0, -1, -2)):
+            lo = max(0, -off)
+            hi = min(width, prev_w - off)
+            if lo < hi:
+                cand[a, lo:hi] = D[lo + off:hi + off]
+        pick = np.argmin(cand, axis=0).astype(np.int8)
+        D = np.maximum(lc_rows[r], cand[pick, np.arange(width)])
+        choices.append(pick)
+    return D, choices
+
+
+def _backtrack(choices, end):
+    path = [end]
+    for pick in reversed(choices):
+        off = (0, -1, -2)[int(pick[path[-1]])]
+        path.append(path[-1] + off)
+    path.reverse()
+    return path
+
+
+def _ref_cone_search(table, n_lo, n_hi, q):
+    """The cone search the band kernel replaced: (max_error, orbit cell per row)."""
+    m_lo = -n_lo * (q + 1)
+    errors, cells = [], np.empty(n_lo + n_hi + 1, dtype=np.int64)
+    for direction, count in ((+1, n_hi), (-1, n_lo)):
+        rows = []
+        for r in range(count + 1):
+            lo = direction * r * q - r
+            rows.append(table[n_lo + direction * r, lo - m_lo:lo + 2 * r + 1 - m_lo])
+        D, choices = _sweep(rows)
+        end = int(np.argmin(D))
+        errors.append(float(D[end]))
+        for r, rel in enumerate(_backtrack(choices, end)):
+            cells[n_lo + direction * r] = direction * r * q - r + rel
+    return max(errors), cells
+
+
+def _brute_cone_search(table, n_lo, n_hi, q):
+    """Per side, the min over every path from cell 0 with steps q-1, q, q+1 of its max."""
+    m_lo = -n_lo * (q + 1)
+    worst = 0.0
+    for direction, count in ((+1, n_hi), (-1, n_lo)):
+        steps = np.array(list(itertools.product((q - 1, q, q + 1), repeat=count)),
+                         dtype=np.int64).reshape(3 ** count, count)
+        cells = direction * np.cumsum(np.c_[np.zeros(len(steps), np.int64), steps], axis=1)
+        rows = n_lo + direction * np.arange(count + 1)
+        worst = max(worst, float(table[rows, cells - m_lo].max(axis=1).min()))
+    return worst
+
+
+class _TableSpace:
+    """Distance from orbit cell m, stored as (m, 0), to reference row a, stored as (a, 1)."""
+
+    def __init__(self, table, m_lo):
+        self.table, self.m_lo = table, m_lo
+
+    def distance(self, a, b):
+        a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+        a_is_ref = a[..., 1] == 1.0
+        row = np.where(a_is_ref, a[..., 0], b[..., 0]).astype(np.int64)
+        cell = np.where(a_is_ref, b[..., 0], a[..., 0]).astype(np.int64)
+        return self.table[row, cell - self.m_lo]
+
+
+@st.composite
+def _cone_tables(draw):
+    q = draw(st.integers(2, 4))
+    n_lo = draw(st.integers(0, 5))
+    n_hi = draw(st.integers(0 if n_lo else 1, 5))  # a reparam needs two knots
+    shape = (n_lo + n_hi + 1, (n_lo + n_hi) * (q + 1) + 1)
+    # small integer costs make ties common
+    vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                         min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return q, n_lo, n_hi, np.array(vals).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_tables())
+def test_cone_search_matches_reference_and_brute_force(case):
+    q, n_lo, n_hi, table = case
+    # with h = q the fine step h/q is 1, so orbit times are the cell indices
+    flow = SimpleNamespace(
+        space=_TableSpace(table, -n_lo * (q + 1)),
+        evaluate=lambda t, z: np.stack([np.asarray(t, float), np.zeros(np.shape(t))], -1))
+    ts = np.arange(-n_lo, n_hi + 1) * float(q)
+    ref = np.stack([np.arange(len(ts), dtype=float), np.ones(len(ts))], -1)
+    err, reparam, per_seg = shadowing._try_candidate(
+        flow, SimpleNamespace(points=[None]), np.zeros(2), float(q), q, ts, ref,
+        np.zeros(len(ts), dtype=np.int64))
+    ref_err, _ = _ref_cone_search(table, n_lo, n_hi, q)
+    assert err == ref_err
+    assert err == _brute_cone_search(table, n_lo, n_hi, q)
+    cells = reparam.knots_s.astype(np.int64)
+    assert reparam.knots_s.tolist() == cells.tolist()
+    assert cells[n_lo] == 0
+    assert set(np.diff(cells).tolist()) <= {q - 1, q, q + 1}
+    assert table[np.arange(len(ts)), cells + n_lo * (q + 1)].max() == err
+    assert per_seg == (err,)
