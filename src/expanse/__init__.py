@@ -8,10 +8,8 @@ from .spaces import (
     SingularSet,
     Space,
     Torus2,
-    dist_point_set,
     exp_radii,
     harmonic_radii,
-    space_diameter,
     space_from_config,
 )
 from .flows import (

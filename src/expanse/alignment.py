@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .flows import FlowModel, OrbitSample
+from .flows import FlowModel, OrbitSample, sample_orbit
 from .spaces import as_coords
 
 _PEN_INF = 2 ** 54  # penalty of masked and out-of-band cells; 4x it fits int64
@@ -102,14 +102,14 @@ class AlignmentResult:
     weight_kind: str
 
 
-def rep_epsilon_check(s: Reparam, eps: float, tol: float = 1e-9) -> bool:
+def rep_epsilon_check(s: Reparam, eps: float) -> bool:
     """True iff every knot-interval slope lies in [1-eps, 1+eps].
 
     For piecewise-linear maps the knot-slope condition is equivalent to the
     bound over all difference quotients. Slopes are compared to within a
     1e-9 cushion so exactly-representable offsets of the identity pass.
     """
-    return bool(np.all(np.abs(s.slopes() - 1.0) <= eps + tol))
+    return bool(np.all(np.abs(s.slopes() - 1.0) <= eps + 1e-9))
 
 
 def _weights(xs: OrbitSample, weight_kind: str) -> np.ndarray:
@@ -287,8 +287,6 @@ def recompute_cost(flow: FlowModel, x, y, times: np.ndarray, reparam: Reparam,
     Used to audit alignment results and recorded witnesses: evaluates both
     flows afresh on the sample grid rather than trusting cached arrays.
     """
-    from .flows import sample_orbit
-
     x = as_coords(x)
     y = as_coords(y)
     T = float(times[-1])

@@ -4,8 +4,8 @@ Tasks: check | falsify | equicontinuity | ball-inclusion | constants |
 shadow | entropy | hstar | xdelta. `TASKS` maps each task to its runner
 and the config keys it reads besides flow, scale, seed and out; any other
 key, or a scale key other than T, h, band_width and grid, is an error, and
-so is a value of the wrong kind: REAL_KEYS and scale values must be finite
-numbers, STEP_KEYS finite numbers > 0 and COUNT_KEYS integers >= 1.
+so is a value of the wrong kind: KEY_KINDS names the kind of each checked
+key (scale values are "real"), and KINDS says what each kind must be.
 Reports are deterministic JSON trees plus flat CSV tables; exit code 0 on
 completion, 2 on a falsified property (so CI can assert expected
 falsifications), 1 on error.
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,11 +27,9 @@ from . import shadowing as shad
 from .alignment import rep_epsilon_check
 from .flows import flow_from_config
 from .reports import write_csv, write_report
+from .spaces import is_finite_number, is_integer, is_point_list
 
 COMMON_KEYS = ("flow", "scale", "seed", "out")
-REAL_KEYS = ("eps", "delta", "T_min", "T_escape")  # finite numbers, as is every scale value
-STEP_KEYS = ("t0_step", "h_shadow", "h_sample", "h_escape")  # finite numbers > 0
-COUNT_KEYS = ("x_grid", "ball_samples", "n_segments")  # integers >= 1
 RANDOMIZED_TASKS = ("shadow",)
 
 SCALE_DEFAULTS = {"T": expa.DEFAULT_T, "h": expa.DEFAULT_H,
@@ -42,6 +38,33 @@ SCALE_DEFAULTS = {"T": expa.DEFAULT_T, "h": expa.DEFAULT_H,
 
 class ConfigError(ValueError):
     pass
+
+
+def _finite_list(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(is_finite_number, v))
+
+
+# value kind -> (what a value must be, its test)
+KINDS = {
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "real": ("a finite number", is_finite_number),
+    "step": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
+    "count": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    "integer": ("an integer", is_integer),
+    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
+    "reals": ("a nonempty list of finite numbers", _finite_list),
+    "points": ("a nonempty list of equal-length lists of finite numbers", is_point_list),
+}
+# config key -> its value kind; every scale value is "real"
+KEY_KINDS = {
+    "flow": "object", "seed": "integer",
+    **dict.fromkeys(("eps", "delta", "T_min", "T_escape"), "real"),
+    **dict.fromkeys(("t0_step", "h_shadow", "h_sample", "h_escape"), "step"),
+    **dict.fromkeys(("x_grid", "ball_samples", "n_segments"), "count"),
+    **dict.fromkeys(("strict_t0", "singular", "return_time"), "boolean"),
+    **dict.fromkeys(("t_ladder", "eps_ladder", "delta_ladder", "x0"), "reals"),
+    "K_grid": "points",
+}
 
 
 @dataclass
@@ -68,16 +91,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {'scale.' + key!r}")
         if "flow" not in cfg:
             raise ConfigError("config needs a 'flow' subtree")
-        for path, value in [*((k, cfg[k]) for k in (*REAL_KEYS, *STEP_KEYS, *COUNT_KEYS)
-                              if k in cfg),
-                            *(("scale." + k, v) for k, v in scale_cfg.items())]:
-            if path in COUNT_KEYS:
-                want, ok = "an integer >= 1", isinstance(value, numbers.Integral) and value >= 1
-            else:
-                want = "a finite number" + (" > 0" if path in STEP_KEYS else "")
-                ok = isinstance(value, numbers.Real) and math.isfinite(value) \
-                    and (path not in STEP_KEYS or value > 0)
-            if isinstance(value, bool) or not ok:
+        for path, value, kind in [*((k, cfg[k], KEY_KINDS[k]) for k in KEY_KINDS if k in cfg),
+                                  *(("scale." + k, v, "real") for k, v in scale_cfg.items())]:
+            want, ok = KINDS[kind]
+            if not ok(value):
                 raise ConfigError(f"config key {path!r} must be {want}, got {value!r}")
         scale = {**SCALE_DEFAULTS, **scale_cfg}
         for key in ("T", "h", "band_width"):
@@ -88,8 +105,7 @@ class ExperimentConfig:
         seed = cfg.get("seed")
         if task in RANDOMIZED_TASKS and seed is None:
             raise ConfigError(f"task {task!r} is randomized: a seed is mandatory")
-        return cls(task=task, flow=cfg["flow"], scale=scale,
-                   seed=None if seed is None else int(seed), raw=dict(cfg))
+        return cls(task=task, flow=cfg["flow"], scale=scale, seed=seed, raw=dict(cfg))
 
     def require(self, *keys):
         for k in keys:
@@ -128,7 +144,7 @@ def _run_property(conf: ExperimentConfig, flow, out_dir: Path):
     rep = expa.check_property(
         flow, prop, float(eps), float(delta),
         T=conf.scale["T"], h=conf.scale["h"], band_width=conf.scale["band_width"],
-        strict_t0=bool(conf.raw.get("strict_t0", False)),
+        strict_t0=conf.raw.get("strict_t0", False),
         t0_step=float(conf.raw.get("t0_step", 0.5)),
         max_pairs=conf.raw.get("max_pairs"))
     return rep.to_dict(), _pair_table(rep.pair_costs)
@@ -137,7 +153,7 @@ def _run_property(conf: ExperimentConfig, flow, out_dir: Path):
 def _run_equicontinuity(conf: ExperimentConfig, flow, out_dir: Path):
     eps, delta = conf.require("eps", "delta")
     rep = expa.check_equicontinuity(
-        flow, bool(conf.raw.get("singular", False)), float(eps), float(delta),
+        flow, conf.raw.get("singular", False), float(eps), float(delta),
         T=conf.scale["T"], h=conf.scale["h"],
         max_pairs=conf.raw.get("max_pairs"))
     return rep.to_dict(), _pair_table(rep.pair_costs)

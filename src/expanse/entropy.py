@@ -1,9 +1,10 @@
 """Spanning-set cardinalities, Bowen entropy ladders, and X_delta sets.
 
-Greedy covers replace exact minimal spanning sets (set cover is NP-hard);
-cardinalities are upper bounds whose approximation factor washes out of
-the ln r(t, eps) / t slopes. Limits are replaced by finite ladders: the
-reports carry ladder statistics, never a claimed limit.
+One cover rule, _min_cover, sizes every (t, eps) cell: exact up to
+EXACT_SMALL_LIMIT points, greedy beyond (set cover is NP-hard), verified
+either way. Greedy cardinalities are upper bounds whose approximation factor
+washes out of the ln r(t, eps) / t slopes. Limits are replaced by finite
+ladders: the reports carry ladder statistics, never a claimed limit.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ def _bowen_matrices(flow, pts, t_ladder, h_sample):
         while next_cp < len(t_ladder) and ts[j] >= t_ladder[next_cp] - 1e-12:
             out[t_ladder[next_cp]] = running.copy()
             next_cp += 1
-    while next_cp < len(t_ladder):
-        out[t_ladder[next_cp]] = running.copy()
-        next_cp += 1
     return out
 
 
@@ -113,28 +111,24 @@ def _exact_minimum_cover(cover: np.ndarray) -> list:
     raise EntropyError("unreachable: full set always covers")
 
 
-def spanning_cardinality(flow: FlowModel, K_grid, t: float, eps: float,
-                         h_sample: float = 0.05,
-                         method: Optional[str] = None) -> SpanningEstimate:
-    """(t, eps)-spanning subset of K_grid via greedy Bowen-ball cover.
+def _min_cover(cover: np.ndarray) -> tuple:
+    """(centers, method): exact up to EXACT_SMALL_LIMIT points, else greedy; verified."""
+    if cover.shape[0] <= EXACT_SMALL_LIMIT:
+        chosen, method = _exact_minimum_cover(cover), "exact_small"
+    else:
+        chosen, method = _greedy_cover(cover), "greedy_cover"
+    if not cover[chosen].any(axis=0).all():
+        raise EntropyError("cover verification failed")
+    return chosen, method
 
-    An upper bound on the true minimal cardinality; grids of at most 20
-    points are solved exactly instead (method exact_small). The returned
-    set is re-verified to cover the grid.
-    """
+
+def spanning_cardinality(flow: FlowModel, K_grid, t: float, eps: float,
+                         h_sample: float = 0.05) -> SpanningEstimate:
+    """(t, eps)-spanning subset of K_grid, chosen and verified by _min_cover."""
     pts = [as_coords(p) for p in K_grid]
     if not pts:
         raise EntropyError("empty grid")
-    mat = _bowen_matrices(flow, pts, [t], h_sample)[t]
-    cover = mat <= eps
-    if method is None:
-        method = "exact_small" if len(pts) <= EXACT_SMALL_LIMIT else "greedy_cover"
-    if method == "exact_small":
-        chosen = _exact_minimum_cover(cover)
-    else:
-        chosen = _greedy_cover(cover)
-    if not cover[chosen].any(axis=0).all():
-        raise EntropyError("cover verification failed")
+    chosen, method = _min_cover(_bowen_matrices(flow, pts, [t], h_sample)[t] <= eps)
     return SpanningEstimate(
         t=float(t), eps=float(eps), cardinality=len(chosen),
         spanning_points=tuple(tuple(pts[c]) for c in chosen), method=method)
@@ -164,14 +158,12 @@ def entropy_estimate(flow: FlowModel, K_grid, t_ladder, eps_ladder,
     if not pts:
         raise EntropyError("empty grid")
     mats = _bowen_matrices(flow, pts, t_ladder, h_sample)
-    use_exact = len(pts) <= EXACT_SMALL_LIMIT
     r_table = []
     slopes = []
     for eps in eps_ladder:
         rs = []
         for t in t_ladder:
-            cover = mats[t] <= eps
-            chosen = _exact_minimum_cover(cover) if use_exact else _greedy_cover(cover)
+            chosen, _ = _min_cover(mats[t] <= eps)
             rs.append(len(chosen))
             r_table.append((t, eps, len(chosen)))
         slopes.append((eps, _slope(t_ladder, np.log(rs))))
@@ -206,7 +198,7 @@ def x_delta_set(flow: FlowModel, delta: float, grid=None,
 
 
 def h_star_estimate(flow: FlowModel, delta_ladder, t_ladder, eps_ladder,
-                    grid=None, T_escape: float = 50.0, h: float = 0.05,
+                    grid=None, T_escape: float = 50.0,
                     h_sample: float = 0.05) -> EntropyEstimate:
     """Bowen entropy of the nonsingular part: max over X_delta grids.
 
@@ -214,18 +206,16 @@ def h_star_estimate(flow: FlowModel, delta_ladder, t_ladder, eps_ladder,
     returns 0 with an emptiness flag when every X_delta grid is empty.
     """
     best = None
-    any_nonempty = False
     for delta in delta_ladder:
-        K = x_delta_set(flow, float(delta), grid=grid, T_escape=T_escape, h=h)
+        K = x_delta_set(flow, float(delta), grid=grid, T_escape=T_escape)
         if not K:
             continue
-        any_nonempty = True
         est = entropy_estimate(flow, K, t_ladder, eps_ladder, h_sample=h_sample,
                                K_descriptor={"delta": float(delta),
                                              "n_points": len(K)})
         if best is None or est.h_estimate > best.h_estimate:
             best = est
-    if not any_nonempty:
+    if best is None:
         return EntropyEstimate(per_eps_slopes=[], h_estimate=0.0,
                                K_descriptor={"empty": True}, all_empty=True)
     return best

@@ -23,7 +23,7 @@ from .alignment import (
     orbit_membership,
     pairs_per_batch,
 )
-from .flows import FlowModel, sample_orbit
+from .flows import FlowModel, field_norm, sample_orbit
 from .spaces import CircleUnion, FiniteSet, Interval01, Point, Torus2, as_coords
 
 DEFAULT_T = 20.0
@@ -89,8 +89,8 @@ class PropertyReport:
 
 # ------------------------------------------------------------- pair grids
 
-def _interval_bases(delta: float, n_uniform: int) -> list:
-    xs = set(np.linspace(0.0, 1.0, n_uniform + 2)[1:-1])
+def _interval_bases(delta: float) -> list:
+    xs = set(np.linspace(0.0, 1.0, 18)[1:-1])
     for c in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         v = delta * c
         if 0.0 < v < 0.5:
@@ -102,8 +102,7 @@ def _interval_bases(delta: float, n_uniform: int) -> list:
     return [np.array([x]) for x in sorted(xs)]
 
 
-def default_pair_grid(flow: FlowModel, delta: float,
-                      n_uniform: int = 16, n_angles: int = 4) -> list:
+def default_pair_grid(flow: FlowModel, delta: float) -> list:
     """Deterministic stratified pair grid for the expansivity falsifiers.
 
     Stratification is orbit-dense near the singular set, where the
@@ -116,7 +115,7 @@ def default_pair_grid(flow: FlowModel, delta: float,
     sp = flow.space
     pairs = []
     if isinstance(sp, CircleUnion):
-        angles = [2.0 * math.pi * k / n_angles for k in range(n_angles)]
+        angles = [2.0 * math.pi * k / 4 for k in range(4)]
         for i in range(len(sp.radii)):
             for ang in angles:
                 x = sp.on_circle(i, ang)
@@ -129,7 +128,7 @@ def default_pair_grid(flow: FlowModel, delta: float,
                 if not flow.forward_only:
                     pairs.append((x, flow.evaluate(0.5, x)))
     elif isinstance(sp, Interval01):
-        for x in _interval_bases(delta, n_uniform):
+        for x in _interval_bases(delta):
             for y in sp.partners(x, delta) + sp.partners(x, 0.5 * delta):
                 pairs.append((x, y))
             if not flow.forward_only:
@@ -155,7 +154,7 @@ def _t0_ladder(T: float, step: float) -> np.ndarray:
     return np.array(out)
 
 
-def _conclusion_holds(flow, x, y, eps, mode, reparam, T, t0_step, tol) -> bool:
+def _conclusion_holds(flow, x, y, eps, mode, reparam, T, t0_step) -> bool:
     """The definition's conclusion: the aligned point lies on the x-orbit.
 
     t0_zero checks phi_{s(0)}(y) in phi_[-eps,eps](x); t0_free scans the
@@ -163,10 +162,10 @@ def _conclusion_holds(flow, x, y, eps, mode, reparam, T, t0_step, tol) -> bool:
     """
     if mode == "t0_zero":
         p = flow.evaluate(reparam(0.0), as_coords(y))
-        return _find_orbit_time(flow, x, p, -eps, eps, tol) is not None
+        return _find_orbit_time(flow, x, p, -eps, eps, TOL_ORBIT) is not None
     for t0 in _t0_ladder(T, t0_step):
         p = flow.evaluate(reparam(float(t0)), as_coords(y))
-        if _find_orbit_time(flow, x, p, t0 - eps, t0 + eps, tol) is not None:
+        if _find_orbit_time(flow, x, p, t0 - eps, t0 + eps, TOL_ORBIT) is not None:
             return True
     return False
 
@@ -239,8 +238,7 @@ def _scale_record(T, h, band_width, n_pairs, **extra) -> dict:
 def check_property(flow: FlowModel, property: str, eps: float, delta: float,
                    pair_grid=None, *, T: float = DEFAULT_T, h: float = DEFAULT_H,
                    band_width: float = DEFAULT_BAND, strict_t0: bool = False,
-                   t0_step: float = 0.5, max_pairs: Optional[int] = None,
-                   tol_orbit: float = TOL_ORBIT) -> PropertyReport:
+                   t0_step: float = 0.5, max_pairs: Optional[int] = None) -> PropertyReport:
     """Falsify or desk-scale-certify one of the four expansivity properties.
 
     For each sampled pair, minimizes the property's weighted separation over
@@ -259,7 +257,7 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
 
     def fails(x, y, res):
         return res.cost <= delta and not _conclusion_holds(
-            flow, x, y, eps, t0_mode, res.reparam, T, t0_step, tol_orbit)
+            flow, x, y, eps, t0_mode, res.reparam, T, t0_step)
 
     verdict, witness, pair_costs = _falsify(
         flow, pairs, max_pairs, T, h, _aligner(weight_kind, fix_zero, band_width), fails,
@@ -269,7 +267,7 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
         witness=witness,
         scale=_scale_record(T, h, band_width, len(pairs), t0_step=t0_step,
                             t0_window=[-T, T], strict_t0=strict_t0,
-                            tol_orbit=tol_orbit),
+                            tol_orbit=TOL_ORBIT),
         stats={"pairs_checked": len(pair_costs), "pairs_total": len(pairs),
                "pairs_below_delta": sum(1 for *_, c in pair_costs if c <= delta)},
         pair_costs=pair_costs,
@@ -278,7 +276,7 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
 
 # -------------------------------------------------------- equicontinuity
 
-def _equicontinuity_pairs(flow, delta, singular_variant, n_uniform=16):
+def _equicontinuity_pairs(flow, delta, singular_variant):
     sp = flow.space
     sing = flow.singular
     pairs = []
@@ -287,9 +285,9 @@ def _equicontinuity_pairs(flow, delta, singular_variant, n_uniform=16):
         return delta * float(sing.distances(as_coords(x))) if singular_variant else delta
 
     if isinstance(sp, Interval01):
-        bases = _interval_bases(delta, n_uniform)
+        bases = _interval_bases(delta)
     elif isinstance(sp, (CircleUnion, FiniteSet, Torus2)):
-        bases = sp.grid(8) if not isinstance(sp, FiniteSet) else sp.grid()
+        bases = sp.grid(8)
     else:
         raise ExpansivityError(f"no pair generator for {sp.kind}")
     for x in bases:
@@ -343,8 +341,7 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
 # -------------------------------------------------------- ball inclusion
 
 def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
-                         x_grid=None, ball_samples: int = 100, *,
-                         tol_orbit: float = TOL_ORBIT) -> PropertyReport:
+                         x_grid=None, ball_samples: int = 100) -> PropertyReport:
     """Verify B[x, delta dist(x, Sing)] subset of phi_[-eps,eps](x) on a grid.
 
     The sufficient condition for singular expansivity and singular
@@ -369,7 +366,7 @@ def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
             ts = np.asarray(flow.transit_time_fn(np.full_like(ys, x), ys))
         else:
             ts = np.array([orbit_membership(flow, np.array([x]), np.array([y]),
-                                            eps, tol_orbit) or math.inf for y in ys])
+                                            eps, TOL_ORBIT) or math.inf for y in ys])
         worst = int(np.argmax(np.abs(ts)))
         if abs(ts[worst]) > max_abs_t:
             max_abs_t = float(abs(ts[worst]))
@@ -412,10 +409,10 @@ def _constants_grid(flow: FlowModel) -> list:
         return [np.array([x]) for x in xs]
     if isinstance(sp, CircleUnion):
         return sp.grid(8, with_origin=False)
-    return sp.grid(16) if not isinstance(sp, FiniteSet) else sp.grid()
+    return sp.grid(16)
 
 
-def comparability_constants(flow: FlowModel, grid=None) -> ConstantsReport:
+def comparability_constants(flow: FlowModel) -> ConstantsReport:
     """Grid maxima of ||V|| / dist(., Sing) and its reciprocal.
 
     B bounds the field by the singular distance (Lipschitz direction); C
@@ -424,10 +421,8 @@ def comparability_constants(flow: FlowModel, grid=None) -> ConstantsReport:
     """
     if flow.vector_field is None:
         raise ExpansivityError(f"{flow.name} has no vector field")
-    pts = np.array([as_coords(p) for p in (grid if grid is not None
-                                           else _constants_grid(flow))])
-    v = np.asarray(flow.vector_field(pts), dtype=float)
-    norms = np.sqrt((v ** 2).sum(axis=-1))
+    pts = np.array([as_coords(p) for p in _constants_grid(flow)])
+    norms = field_norm(flow, pts)
     dists = flow.singular.distances(pts)
     keep = dists > 0.0
     pts, norms, dists = pts[keep], norms[keep], dists[keep]
@@ -447,8 +442,7 @@ def comparability_constants(flow: FlowModel, grid=None) -> ConstantsReport:
     )
 
 
-def local_norm_constant(flow: FlowModel, grid=None, n_pairs: int = 10_000,
-                        seed: int = 0) -> tuple:
+def local_norm_constant(flow: FlowModel, n_pairs: int = 10_000, seed: int = 0) -> tuple:
     """Radius factor c with ||V(y)|| within [1/2, 2] of ||V(x)|| on c||V(x)||-balls.
 
     Starts from c = 1/(4 L) with L the (given or grid-estimated) local
@@ -457,10 +451,8 @@ def local_norm_constant(flow: FlowModel, grid=None, n_pairs: int = 10_000,
     """
     if flow.vector_field is None:
         raise ExpansivityError(f"{flow.name} has no vector field")
-    pts = np.array([as_coords(p) for p in (grid if grid is not None
-                                           else _constants_grid(flow))])
-    v = np.asarray(flow.vector_field(pts), dtype=float)
-    norms = np.sqrt((v ** 2).sum(axis=-1))
+    pts = np.array([as_coords(p) for p in _constants_grid(flow)])
+    norms = field_norm(flow, pts)
     if flow.lipschitz_L is not None:
         L = flow.lipschitz_L
     else:
@@ -482,11 +474,11 @@ def local_norm_constant(flow: FlowModel, grid=None, n_pairs: int = 10_000,
         checked = 0
         for _ in range(n_pairs):
             x = nonsing[rng.integers(len(nonsing))]
-            vx = math.sqrt(float((np.asarray(flow.vector_field(x)) ** 2).sum()))
+            vx = field_norm(flow, x)
             if vx == 0.0:
                 continue
             y = flow.space.sample_near(rng, x, 0.999 * c * vx)
-            vy = math.sqrt(float((np.asarray(flow.vector_field(y)) ** 2).sum()))
+            vy = field_norm(flow, y)
             checked += 1
             if not (0.5 * vx <= vy <= 2.0 * vx):
                 ok = False
@@ -498,12 +490,11 @@ def local_norm_constant(flow: FlowModel, grid=None, n_pairs: int = 10_000,
 
 
 def return_time_bound_check(flow: FlowModel, x_grid=None, delta_grid=None, *,
-                            r_hi: float = 3.0, h: float = 0.002,
-                            iters: int = 20) -> dict:
+                            r_hi: float = 3.0) -> dict:
     """Largest r0 such that returns to delta||V(x)||-balls force |t| < 3 delta.
 
-    Bisects over r candidates; for each, scans sampled x, delta < r/3 and
-    |t| < r for a return d(phi_t x, x) <= delta ||V(x)|| with |t| >= 3 delta.
+    Bisects 20 times over r; for each r, scans sampled x, delta < r/3 and
+    |t| < r (step 0.002) for a return d(phi_t x, x) <= delta ||V(x)|| with |t| >= 3 delta.
     """
     if flow.vector_field is None:
         raise ExpansivityError(f"{flow.name} has no vector field")
@@ -512,13 +503,13 @@ def return_time_bound_check(flow: FlowModel, x_grid=None, delta_grid=None, *,
             if float(flow.singular.distances(as_coords(p))) > 0][:64]
     deltas = np.asarray(delta_grid if delta_grid is not None
                         else np.geomspace(1e-3, r_hi / 3.0 * 0.99, 10))
+    h = 0.002
     ts = np.arange(-int(r_hi / h), int(r_hi / h) + 1) * h
     cache = []
     for x in grid:
         pts = flow.evaluate(ts, x)
         dist_back = flow.space.distance(pts, x[None, :])
-        vx = math.sqrt(float((np.asarray(flow.vector_field(x)) ** 2).sum()))
-        cache.append((x, dist_back, vx))
+        cache.append((x, dist_back, field_norm(flow, x)))
 
     def violation(r):
         for x, dist_back, vx in cache:
@@ -535,7 +526,7 @@ def return_time_bound_check(flow: FlowModel, x_grid=None, delta_grid=None, *,
     if worst is None:
         return {"r0": r_hi, "violation": None, "n_grid": len(grid),
                 "deltas": deltas.tolist(), "h": h}
-    for _ in range(iters):
+    for _ in range(20):
         mid = 0.5 * (lo + hi)
         if violation(mid) is None:
             lo = mid
@@ -576,8 +567,7 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
 
 def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
                T: float = DEFAULT_T, h: float = DEFAULT_H,
-               band_width: float = DEFAULT_BAND, t0_step: float = 0.5,
-               tol_orbit: float = TOL_ORBIT) -> list:
+               band_width: float = DEFAULT_BAND, t0_step: float = 0.5) -> list:
     """delta*(eps) curve: infimum of falsifying costs per eps.
 
     The violation set {delta : some pair has cost <= delta and a failed
@@ -597,6 +587,6 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     for eps in eps_values:
         fail_costs = [res.cost for x, y, res in aligned
                       if not _conclusion_holds(flow, x, y, eps, t0_mode,
-                                               res.reparam, T, t0_step, tol_orbit)]
+                                               res.reparam, T, t0_step)]
         curve.append((float(eps), min(fail_costs) if fail_costs else math.inf))
     return curve

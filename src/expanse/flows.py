@@ -1,7 +1,8 @@
 """Flow catalog: closed-form flows, an RK4 integrator oracle, orbit sampling.
 
 Closed-form evaluators accept a scalar or an array of times and return the
-matching batch of coordinate arrays. All flows are two-sided groups except
+matching batch of coordinate arrays; field_norm, the one field-norm helper,
+likewise takes one point or a batch. All flows are two-sided groups except
 the doubling suspension, which is a forward semiflow (its generating map is
 not invertible).
 """
@@ -15,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .spaces import (
+    SPACE_KEYS,
     CircleUnion,
     FiniteSet,
     Interval01,
@@ -22,6 +24,7 @@ from .spaces import (
     Space,
     Torus2,
     as_coords,
+    is_finite_number,
     space_from_config,
 )
 
@@ -52,11 +55,6 @@ class FlowModel:
         if self.forward_only and np.any(np.asarray(t) < 0):
             raise FlowError(f"{self.name} is a forward semiflow")
         return self.evaluate_fn(t, as_coords(x))
-
-    def field_at(self, x) -> np.ndarray:
-        if self.vector_field is None:
-            raise FlowError(f"{self.name} has no vector field")
-        return np.asarray(self.vector_field(as_coords(x)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def rotation_flow(space: CircleUnion) -> FlowModel:
         name="circles",
         space=space,
         singular=sing,
-        evaluate_fn=lambda t, z: rotation_flow_eval(t, z),
+        evaluate_fn=rotation_flow_eval,
         vector_field=v,
         lipschitz_L=1.0,
         params={"radii": list(space.radii)},
@@ -251,21 +249,21 @@ def sample_orbit(flow: FlowModel, x, T: float, h: float) -> OrbitSample:
     base = as_coords(x)
     times = np.arange(-n_half, n_half + 1, dtype=float) * h
     points = flow.evaluate(times, base)
-    norms = None
-    if flow.vector_field is not None:
-        v = np.asarray(flow.vector_field(points), dtype=float)
-        norms = np.sqrt((v ** 2).sum(axis=-1))
     return OrbitSample(
         flow=flow, base=base, window_T=n_half * h, step_h=h, times=times,
         points=points, sing_dists=flow.singular.distances(points),
-        field_norms=norms,
+        field_norms=None if flow.vector_field is None else field_norm(flow, points),
     )
 
 
-def field_norm(flow: FlowModel, x) -> float:
-    """Euclidean norm of the generating field at x; exactly 0 on Sing members."""
-    v = flow.field_at(x)
-    return float(np.sqrt((v ** 2).sum()))
+def field_norm(flow: FlowModel, x):
+    """Euclidean field norm at one point (a float) or at each row of an (n, d)
+    batch (an array, bitwise equal to per-point calls); exactly 0 on Sing members."""
+    if flow.vector_field is None:
+        raise FlowError(f"{flow.name} has no vector field")
+    v = np.asarray(flow.vector_field(as_coords(x)), dtype=float)
+    norms = np.sqrt((v ** 2).sum(axis=-1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def min_orbit_diameter(flow: FlowModel, grid, T: float, h: float) -> float:
@@ -288,20 +286,33 @@ def min_orbit_diameter(flow: FlowModel, grid, T: float, h: float) -> float:
     return best
 
 
+# flow name -> the config keys it reads besides "name"
+FLOW_KEYS = {"interval": ("lambda",), "circles": SPACE_KEYS["circle_union"],
+             "trivial": ("space",), "suspension_doubling": ()}
+
+
 def flow_from_config(cfg: dict) -> FlowModel:
     """Build a catalog flow from a declarative key-value tree.
 
-    Names: interval (lambda), circles (family exp|harmonic or radii, depth),
-    trivial (space subtree), suspension_doubling.
+    Names and their keys (FLOW_KEYS): interval (lambda, a finite number),
+    circles (family exp|harmonic with depth, or a radii list; see
+    space_from_config), trivial (space subtree), suspension_doubling. Any
+    other key is a FlowError naming it.
     """
     name = cfg.get("name")
+    if not isinstance(name, str) or name not in FLOW_KEYS:
+        raise FlowError(f"unknown flow: {name!r}")
+    unknown = [k for k in cfg if k != "name" and k not in FLOW_KEYS[name]]
+    if unknown:
+        raise FlowError(f"unknown key(s) for flow {name!r}: {', '.join(map(repr, unknown))}")
     if name == "interval":
-        return interval_flow(float(cfg.get("lambda", 1.0)))
+        lam = cfg.get("lambda", 1.0)
+        if not is_finite_number(lam):
+            raise FlowError(f"interval lambda must be a finite number, got {lam!r}")
+        return interval_flow(float(lam))
     if name == "circles":
         sp_cfg = {"kind": "circle_union", **{k: v for k, v in cfg.items() if k != "name"}}
         return rotation_flow(space_from_config(sp_cfg))
     if name == "trivial":
         return trivial_flow(space_from_config(cfg.get("space", {"kind": "interval01"})))
-    if name == "suspension_doubling":
-        return suspension_doubling()
-    raise FlowError(f"unknown flow: {name!r}")
+    return suspension_doubling()

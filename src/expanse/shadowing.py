@@ -57,12 +57,12 @@ class PseudoOrbit:
         p = i - self.i_min
         return np.asarray(self.points[p], dtype=float), float(self.durations[p])
 
-    def validate(self, flow: FlowModel, tol: float = 1e-12) -> None:
+    def validate(self, flow: FlowModel) -> None:
         for i in range(self.i_min, self.i_max):
             x, t = self.entry(i)
             nxt, _ = self.entry(i + 1)
             jump = flow.space.distance(flow.evaluate(t, x), nxt)
-            if jump > self.delta + tol:
+            if jump > self.delta + 1e-12:
                 raise ShadowingError(f"jump {jump} at index {i} exceeds delta")
 
     def save(self, path) -> None:

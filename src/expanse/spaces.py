@@ -8,6 +8,7 @@ in reports and witnesses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +19,23 @@ CONTAIN_TOL = 1e-12
 
 class SpaceError(ValueError):
     pass
+
+
+def is_integer(v) -> bool:
+    """An integer that is not a bool (config value checks)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """A finite real number that is not a bool (config value checks)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def is_point_list(v) -> bool:
+    """A nonempty list of equal-length nonempty lists of finite numbers."""
+    return isinstance(v, list) and len(v) > 0 and all(
+        isinstance(p, list) and len(p) == len(v[0]) > 0 and all(map(is_finite_number, p))
+        for p in v)
 
 
 def as_coords(x) -> np.ndarray:
@@ -108,12 +126,8 @@ class Interval01(Space):
         c = as_coords(coords)
         return c.shape == (1,) and -tol <= c[0] <= 1.0 + tol
 
-    def grid(self, n, interior=True):
-        if interior:
-            xs = np.linspace(0.0, 1.0, n + 2)[1:-1]
-        else:
-            xs = np.linspace(0.0, 1.0, n)
-        return [np.array([x]) for x in xs]
+    def grid(self, n):
+        return [np.array([x]) for x in np.linspace(0.0, 1.0, n + 2)[1:-1]]
 
     def partners(self, center, dist):
         x = as_coords(center)[0]
@@ -304,10 +318,7 @@ class FiniteSet(Space):
 
     @property
     def diameter(self):
-        if self.points_arr.shape[0] == 1:
-            return 0.0
-        diff = self.points_arr[:, None, :] - self.points_arr[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(-1)).max())
+        return float(self.distance(self.points_arr[:, None, :], self.points_arr[None, :, :]).max())
 
     def distance(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -348,10 +359,6 @@ class SingularSet:
     points: tuple = ()
     distance_fn: Optional[Callable] = None
 
-    def member_coords(self) -> np.ndarray:
-        return np.array([as_coords(p) for p in self.points], dtype=float) if self.points \
-            else np.empty((0, max(self.space.dim, 1)))
-
     def distances(self, coords) -> np.ndarray:
         """dist(z, S) for one coordinate array or a batch; diameter if S empty."""
         c = np.asarray(coords, dtype=float)
@@ -362,18 +369,9 @@ class SingularSet:
         elif not self.points:
             out = np.full(batch.shape[0], self.space.diameter)
         else:
-            members = self.member_coords()
+            members = np.array([as_coords(p) for p in self.points], dtype=float)
             out = self.space.distance(batch[:, None, :], members[None, :, :]).min(axis=1)
         return out[0] if single else out
-
-
-def dist_point_set(z, s: SingularSet) -> float:
-    """Distance from a point to a singular set (space diameter when empty)."""
-    return float(s.distances(as_coords(z)))
-
-
-def space_diameter(sp: Space) -> float:
-    return float(sp.diameter)
 
 
 def exp_radii(depth: int) -> tuple:
@@ -386,25 +384,46 @@ def harmonic_radii(depth: int) -> tuple:
     return tuple(1.0 / n for n in range(1, depth + 1))
 
 
+# space kind -> the config keys it reads besides "kind"
+SPACE_KEYS = {"interval01": (), "torus2": (), "finite_set": ("points",),
+              "circle_union": ("radii", "family", "depth", "include_origin")}
+
+
 def space_from_config(cfg: dict) -> Space:
     """Build a space from a declarative key-value tree.
 
-    Recognized kinds: interval01, circle_union (radii list or family
-    exp|harmonic with depth), torus2, finite_set (points).
+    Recognized kinds: interval01, circle_union (a radii list, or family
+    exp|harmonic with an integer depth >= 1; include_origin a boolean),
+    torus2, finite_set (points, a list of equal-length coordinate lists).
+    Any other key is a SpaceError naming it.
     """
+    if not isinstance(cfg, dict):
+        raise SpaceError(f"a space config must be an object, got {cfg!r}")
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in SPACE_KEYS:
+        raise SpaceError(f"unknown space kind: {kind!r}")
+    unknown = [k for k in cfg if k != "kind" and k not in SPACE_KEYS[kind]]
+    if unknown:
+        raise SpaceError(f"unknown key(s) for space {kind!r}: {', '.join(map(repr, unknown))}")
     if kind == "interval01":
         return Interval01()
     if kind == "circle_union":
-        if "radii" in cfg and not isinstance(cfg["radii"], str):
-            radii = cfg["radii"]
-        else:
-            family = cfg.get("family", cfg.get("radii", "exp"))
-            depth = int(cfg.get("depth", 32))
+        family, depth = cfg.get("family", "exp"), cfg.get("depth", 32)
+        if family not in ("exp", "harmonic"):
+            raise SpaceError(f"circle family must be 'exp' or 'harmonic', got {family!r}")
+        if not is_integer(depth) or depth < 1:
+            raise SpaceError(f"circle depth must be an integer >= 1, got {depth!r}")
+        if not isinstance(cfg.get("include_origin", True), bool):
+            raise SpaceError(f"include_origin must be a boolean, got {cfg['include_origin']!r}")
+        radii = cfg.get("radii")
+        if radii is None:
             radii = exp_radii(depth) if family == "exp" else harmonic_radii(depth)
-        return CircleUnion(radii, include_origin=bool(cfg.get("include_origin", True)))
+        elif not isinstance(radii, (list, tuple)) or not all(map(is_finite_number, radii)):
+            raise SpaceError(f"circle radii must be a list of finite numbers, got {radii!r}")
+        return CircleUnion(radii, include_origin=cfg.get("include_origin", True))
     if kind == "torus2":
         return Torus2()
-    if kind == "finite_set":
-        return FiniteSet(cfg["points"])
-    raise SpaceError(f"unknown space kind: {kind!r}")
+    if not is_point_list(cfg.get("points")):
+        raise SpaceError("finite_set points must be a nonempty list of equal-length lists"
+                         f" of finite numbers, got {cfg.get('points')!r}")
+    return FiniteSet(cfg["points"])

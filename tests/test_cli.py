@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from expanse.cli import ConfigError, ExperimentConfig, main, run
+from expanse.cli import TASKS, ConfigError, ExperimentConfig, main, run
 from expanse.reports import dumps_report, load_report, write_report
 
 
@@ -69,7 +69,13 @@ def test_missing_key_exit_one(tmp_path):
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
-_TASK_READING = {"t0_step": "check", "x_grid": "ball-inclusion", "h_shadow": "shadow"}
+_TASK_READING = {"t0_step": "check", "x_grid": "ball-inclusion", "h_shadow": "shadow",
+                 "strict_t0": "check", "return_time": "constants", "x0": "shadow",
+                 "t_ladder": "entropy", "eps_ladder": "entropy", "K_grid": "entropy",
+                 "delta_ladder": "hstar"}
+_WANT = {"x_grid": "integer >= 1", "seed": "an integer", "strict_t0": "a boolean",
+         "singular": "a boolean", "return_time": "a boolean",
+         "K_grid": "equal-length lists"}  # any other key: "finite number"
 
 
 @pytest.mark.parametrize("bad, path", [({"eps": "abc"}, "'eps'"),
@@ -79,15 +85,38 @@ _TASK_READING = {"t0_step": "check", "x_grid": "ball-inclusion", "h_shadow": "sh
                                        ({"scale": {"band_width": True}}, "'scale.band_width'"),
                                        ({"t0_step": "abc"}, "'t0_step'"),
                                        ({"x_grid": -5}, "'x_grid'"),
-                                       ({"h_shadow": 0.0}, "'h_shadow'")])
+                                       ({"h_shadow": 0.0}, "'h_shadow'"),
+                                       ({"seed": True}, "'seed'"),
+                                       ({"seed": 2.7}, "'seed'"),
+                                       ({"strict_t0": "no"}, "'strict_t0'"),  # --override strict_t0=no
+                                       ({"singular": 1}, "'singular'"),
+                                       ({"return_time": "yes"}, "'return_time'"),
+                                       ({"t_ladder": []}, "'t_ladder'"),
+                                       ({"eps_ladder": [0.1, math.inf]}, "'eps_ladder'"),
+                                       ({"delta_ladder": 0.1}, "'delta_ladder'"),
+                                       ({"x0": ["abc"]}, "'x0'"),
+                                       ({"K_grid": [[0.1, 0.5], [0.2]]}, "'K_grid'")])
 def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
     task = _TASK_READING.get(next(iter(bad)), "equicontinuity")
-    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0},
-                               "eps": 0.1, "delta": 1e-3, **bad})
+    base = {k: v for k, v in (("eps", 0.1), ("delta", 1e-3)) if k in TASKS[task][1]}
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, **base, **bad})
     out = tmp_path / "out"
     assert main([task, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert path in err and ("integer >= 1" if "x_grid" in bad else "finite number") in err
+    assert path in err and _WANT.get(next(iter(bad)), "finite number") in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("flow, named", [({"name": "circles", "famliy": "harmonic"}, "'famliy'"),
+                                         ({"name": "circles", "family": "harmonc"}, "'harmonc'"),
+                                         ({"name": "interval", "lamda": 3}, "'lamda'"),
+                                         ({"name": "trivial", "space": "interval01"}, "object"),
+                                         ("interval", "'flow'")])
+def test_bad_flow_exit_one(tmp_path, capsys, flow, named):
+    cfg = write_cfg(tmp_path, {"flow": flow, "eps": 0.1, "delta": 1e-3})
+    out = tmp_path / "out"
+    assert main(["equicontinuity", "--config", str(cfg), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

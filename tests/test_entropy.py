@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expanse import entropy
 from expanse.entropy import (
     EntropyError,
     bowen_ball_test,
@@ -80,13 +81,25 @@ def test_spanning_rotation_constant_in_t_matches_arc_oracle():
 def test_spanning_verifies_cover_and_exact_leq_greedy():
     flow = rotation_flow(CircleUnion([1.0]))
     grid = flow.space.grid(16, with_origin=False)
-    exact = spanning_cardinality(flow, grid, 2.0, 0.5, method="exact_small")
-    greedy = spanning_cardinality(flow, grid, 2.0, 0.5, method="greedy_cover")
-    assert exact.cardinality <= greedy.cardinality
-    # every grid point inside some Bowen ball of the returned set
-    for p in grid:
-        assert any(bowen_ball_test(flow, np.asarray(c), p, 2.0, 0.5)
-                   for c in greedy.spanning_points)
+    cover = entropy._bowen_matrices(flow, grid, [2.0], 0.05)[2.0] <= 0.5
+    exact = entropy._exact_minimum_cover(cover)
+    greedy = entropy._greedy_cover(cover)
+    assert len(exact) <= len(greedy)
+    est = spanning_cardinality(flow, grid, 2.0, 0.5)
+    assert (est.cardinality, est.method) == (len(exact), "exact_small")
+    # every grid point inside some Bowen ball of each chosen set
+    for chosen in (exact, greedy):
+        for p in grid:
+            assert any(bowen_ball_test(flow, grid[c], p, 2.0, 0.5) for c in chosen)
+
+
+def test_entropy_estimate_verifies_cover(monkeypatch):
+    flow = suspension_doubling()
+    grid = section_grid(32)  # over EXACT_SMALL_LIMIT, so the greedy cover runs
+    entropy_estimate(flow, grid, [1.0, 2.0], [0.25])
+    monkeypatch.setattr(entropy, "_greedy_cover", lambda cover: [0])
+    with pytest.raises(EntropyError, match="cover verification failed"):
+        entropy_estimate(flow, grid, [1.0, 2.0], [0.25])
 
 
 def test_spanning_suspension_doubles_per_unit_time():

@@ -20,7 +20,7 @@ from expanse.flows import (
     suspension_doubling,
     trivial_flow,
 )
-from expanse.spaces import CircleUnion, FiniteSet, exp_radii, harmonic_radii
+from expanse.spaces import CircleUnion, FiniteSet, SpaceError, exp_radii, harmonic_radii
 
 
 def logistic(x):
@@ -245,6 +245,18 @@ def test_field_norm_requires_field():
     object.__setattr__(bare, "vector_field", None)
     with pytest.raises(FlowError):
         field_norm(bare, np.array([0.5]))
+    with pytest.raises(FlowError):
+        field_norm(bare, np.array([[0.5], [0.25]]))
+
+
+@pytest.mark.parametrize("flow", [interval_flow(1.0), rotation_flow(CircleUnion(exp_radii(4))),
+                                  suspension_doubling()], ids=lambda f: f.name)
+def test_field_norm_batch_matches_points(flow):
+    rng = np.random.default_rng(5)
+    pts = np.array([flow.space.random_point(rng) for _ in range(50)])
+    batch = field_norm(flow, pts)
+    assert batch.shape == (50,)
+    assert batch.tolist() == [field_norm(flow, p) for p in pts]
 
 
 # ------------------------------------------------------ min orbit diameter
@@ -281,9 +293,25 @@ def test_flow_from_config():
     assert f.name == "interval" and f.params["lambda"] == 1.0
     g = flow_from_config({"name": "circles", "family": "harmonic", "depth": 16})
     assert len(g.space.radii) == 16
+    c = flow_from_config({"name": "circles", "radii": [0.8, 0.82, 0.84]})
+    assert c.space.radii == (0.84, 0.82, 0.8)
     h = flow_from_config({"name": "trivial", "space": {"kind": "finite_set", "points": [[0.0], [1.0]]}})
     assert h.name == "trivial"
     s = flow_from_config({"name": "suspension_doubling"})
     assert s.forward_only
     with pytest.raises(FlowError):
         flow_from_config({"name": "lorenz"})
+
+
+@pytest.mark.parametrize("cfg, error, named", [
+    ({"name": "circles", "famliy": "harmonic"}, FlowError, "'famliy'"),
+    ({"name": "interval", "lamda": 3}, FlowError, "'lamda'"),
+    ({"name": "suspension_doubling", "depth": 2, "radii": [1.0]}, FlowError, "'depth', 'radii'"),
+    ({"name": "interval", "lambda": "3"}, FlowError, "lambda"),
+    ({"name": "circles", "family": "harmonc"}, SpaceError, "'harmonc'"),
+    ({"name": "circles", "depth": -1}, SpaceError, "depth"),
+    ({"name": "trivial", "space": {"kind": "interval01", "radii": [1.0]}}, SpaceError, "'radii'"),
+])
+def test_flow_from_config_rejects_bad_keys(cfg, error, named):
+    with pytest.raises(error, match=named):
+        flow_from_config(cfg)

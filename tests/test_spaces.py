@@ -12,10 +12,8 @@ from expanse.spaces import (
     SingularSet,
     SpaceError,
     Torus2,
-    dist_point_set,
     exp_radii,
     harmonic_radii,
-    space_diameter,
     space_from_config,
 )
 
@@ -35,7 +33,7 @@ def diameter_oracle(pts):
 
 
 def test_interval_diameter():
-    assert space_diameter(Interval01()) == 1.0
+    assert Interval01().diameter == 1.0
 
 
 def test_circle_union_diameter_matches_dense_oracle():
@@ -47,39 +45,39 @@ def test_circle_union_diameter_matches_dense_oracle():
 
 
 def test_finite_singleton_diameter():
-    assert space_diameter(FiniteSet([[0.3, 0.7]])) == 0.0
+    assert FiniteSet([[0.3, 0.7]]).diameter == 0.0
 
 
 def test_dist_point_set_interval_endpoints():
     sp = Interval01()
     sing = SingularSet(sp, points=((0.0,), (1.0,)))
-    assert dist_point_set(np.array([0.3]), sing) == pytest.approx(0.3, abs=1e-15)
+    assert sing.distances(np.array([0.3])) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_dist_point_set_member_is_zero():
     sp = Interval01()
     sing = SingularSet(sp, points=((0.0,), (1.0,)))
-    assert dist_point_set(np.array([1.0]), sing) == 0.0
+    assert sing.distances(np.array([1.0])) == 0.0
 
 
 def test_dist_point_set_gabi_origin():
     sp = CircleUnion(harmonic_radii(16))
     sing = SingularSet(sp, points=((0.0, 0.0),))
     z = np.array([1.0 / 9.0, 0.0])
-    assert dist_point_set(z, sing) == pytest.approx(1.0 / 9.0, abs=1e-15)
+    assert sing.distances(z) == pytest.approx(1.0 / 9.0, abs=1e-15)
 
 
 def test_empty_set_convention_is_diameter():
     for sp in (Interval01(), CircleUnion(exp_radii(4)), Torus2()):
         sing = SingularSet(sp)
         z = sp.grid(4)[0] if not isinstance(sp, Interval01) else np.array([0.25])
-        assert dist_point_set(z, sing) == sp.diameter
+        assert sing.distances(z) == sp.diameter
 
 
 def test_distance_override_wins():
     sp = Interval01()
     sing = SingularSet(sp, points=(), distance_fn=lambda b: np.zeros(b.shape[0]))
-    assert dist_point_set(np.array([0.4]), sing) == 0.0
+    assert sing.distances(np.array([0.4])) == 0.0
 
 
 SPACES = [
@@ -127,7 +125,7 @@ def test_dist_point_set_is_1_lipschitz(sp):
     sing = SingularSet(sp, points=(tuple(pts[0]), tuple(pts[1])))
     for _ in range(500):
         a, b = rng.integers(0, 50, size=2)
-        lhs = abs(dist_point_set(pts[a], sing) - dist_point_set(pts[b], sing))
+        lhs = abs(sing.distances(pts[a]) - sing.distances(pts[b]))
         assert lhs <= sp.distance(pts[a], pts[b]) + 1e-12
 
 
@@ -172,3 +170,21 @@ def test_space_from_config():
     assert fs.diameter == 1.0
     with pytest.raises(SpaceError):
         space_from_config({"kind": "moebius"})
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"kind": "circle_union", "famliy": "harmonic"}, "'famliy'"),
+    ({"kind": "interval01", "lambda": 3, "depth": 2}, "'lambda', 'depth'"),
+    ({"kind": "circle_union", "family": "harmonc"}, "'harmonc'"),
+    ({"kind": "circle_union", "radii": "harmonic"}, "'harmonic'"),
+    ({"kind": "circle_union", "radii": [0.5, math.nan]}, "nan"),
+    ({"kind": "circle_union", "depth": 0}, "depth"),
+    ({"kind": "circle_union", "depth": 16.0}, "depth"),
+    ({"kind": "circle_union", "include_origin": "no"}, "include_origin"),
+    ({"kind": "finite_set", "points": "abc"}, "points"),
+    ({"kind": "finite_set", "points": [[0.0], [1.0, 2.0]]}, "points"),
+    ("interval01", "object"),
+])
+def test_space_from_config_rejects_bad_keys(cfg, named):
+    with pytest.raises(SpaceError, match=named):
+        space_from_config(cfg)
