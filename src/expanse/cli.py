@@ -124,8 +124,11 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         value = raw_val
     node = cfg
     keys = dotted.split(".")
-    for k in keys[:-1]:
+    for i, k in enumerate(keys[:-1]):
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {dotted!r}: {'.'.join(keys[:i + 1])!r} is"
+                              f" {node!r}, not an object")
     node[keys[-1]] = value
 
 

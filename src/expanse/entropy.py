@@ -9,7 +9,6 @@ ladders: the reports carry ladder statistics, never a claimed limit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,6 +19,7 @@ from .flows import FlowModel, sample_orbit
 from .spaces import as_coords
 
 EXACT_SMALL_LIMIT = 20
+BOWEN_BLOCK_ROWS = 128  # rows of the Bowen upper half filled per distance call
 
 
 class EntropyError(ValueError):
@@ -67,22 +67,28 @@ def _bowen_matrices(flow, pts, t_ladder, h_sample):
     """Pairwise running-max distances at each ladder horizon.
 
     Returns {t: (m, m) matrix}; one pass over the time grid with the
-    running max checkpointed at the ladder values.
+    running max checkpointed at the ladder values. Each time step fills only
+    the upper half, diagonal included, in cache-sized blocks of
+    BOWEN_BLOCK_ROWS rows; each checkpoint mirrors it. The mirror is exact
+    because every space's metric is nonnegative and symmetric bit for bit.
     """
     pts = np.array([as_coords(p) for p in pts])
     m = pts.shape[0]
     t_ladder = sorted(t_ladder)
     ts = _forward_times(t_ladder[-1], h_sample)
-    orbits = np.stack([flow.evaluate(ts, p) for p in pts])  # (m, n_t, d)
+    orbits = np.stack([flow.evaluate(ts, p) for p in pts], axis=1)  # (n_t, m, d)
     out = {}
-    running = np.zeros((m, m))
+    running = np.zeros((m, m))  # upper half; the lower-left stays 0
     next_cp = 0
     for j in range(len(ts)):
-        snap = orbits[:, j, :]
-        d = flow.space.distance(snap[:, None, :], snap[None, :, :])
-        np.maximum(running, d, out=running)
+        snap = orbits[j]
+        for i0 in range(0, m, BOWEN_BLOCK_ROWS):
+            i1 = min(i0 + BOWEN_BLOCK_ROWS, m)
+            block = running[i0:i1, i0:]
+            np.maximum(block, flow.space.distance(snap[i0:i1, None], snap[None, i0:]),
+                       out=block)
         while next_cp < len(t_ladder) and ts[j] >= t_ladder[next_cp] - 1e-12:
-            out[t_ladder[next_cp]] = running.copy()
+            out[t_ladder[next_cp]] = np.maximum(running, running.T)
             next_cp += 1
     return out
 
@@ -103,12 +109,46 @@ def _greedy_cover(cover: np.ndarray) -> list:
 
 
 def _exact_minimum_cover(cover: np.ndarray) -> list:
+    """First minimum cover in itertools.combinations order, on int bitmasks.
+
+    Bit p of rows[c] says centre c covers point p. The minimum size comes
+    from branching on the coverers of the lowest uncovered point; the
+    centres then come from a search in lexicographic order, pruned when the
+    union of all centres still allowed cannot finish the cover.
+    """
     m = cover.shape[0]
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            if cover[list(combo)].any(axis=0).all():
-                return list(combo)
-    raise EntropyError("unreachable: full set always covers")
+    rows = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+            for r in cover]
+    full = (1 << m) - 1
+    coverers = [[c for c in range(m) if rows[c] >> p & 1] for p in range(m)]
+
+    def coverable(covered: int, k: int) -> bool:
+        if covered == full:
+            return True
+        if k == 0:
+            return False
+        p = (~covered & (covered + 1)).bit_length() - 1  # lowest uncovered point
+        return any(coverable(covered | rows[c], k - 1) for c in coverers[p])
+
+    size = next((k for k in range(1, m + 1) if coverable(0, k)), None)
+    if size is None:
+        raise EntropyError("grid point not coverable (should cover itself)")
+    suffix = [0] * (m + 1)  # suffix[c]: union of rows[c:]
+    for c in range(m - 1, -1, -1):
+        suffix[c] = suffix[c + 1] | rows[c]
+
+    def first(covered: int, start: int, k: int):
+        if k == 0:
+            return [] if covered == full else None
+        for c in range(start, m - k + 1):
+            if covered | suffix[c] != full:
+                return None
+            rest = first(covered | rows[c], c + 1, k - 1)
+            if rest is not None:
+                return [c] + rest
+        return None
+
+    return first(0, 0, size)
 
 
 def _min_cover(cover: np.ndarray) -> tuple:

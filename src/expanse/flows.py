@@ -217,19 +217,23 @@ def suspension_doubling() -> FlowModel:
     )
 
 
-def integrate_flow(vector_field: Callable, t: float, x, step: float) -> np.ndarray:
+def integrate_flow(vector_field: Callable, t, x, step: float) -> np.ndarray:
     """Classical fixed-step RK4 endpoint of x' = V(x) after time t.
 
-    The step count is ceil(|t| / step); the per-unit-time error is O(step^4).
-    Broadcasts over a batch of initial points (n, d).
+    t is a scalar, or one time per row of a batch x of shape (n, d). All
+    rows take n = ceil(max |t| / step) steps of their own dt = t / n, so no
+    step exceeds `step`; the per-unit-time error is O(step^4). A scalar t
+    also broadcasts over a batch of initial points.
     """
     x = np.asarray(x, dtype=float).copy()
-    if t == 0.0:
+    t = np.asarray(t, dtype=float)
+    t_max = float(np.max(np.abs(t)))
+    if t_max == 0.0:
         return x
-    n = int(math.ceil(abs(t) / step))
+    n = int(math.ceil(t_max / step))
     if n > MAX_RK4_STEPS:
         raise FlowError(f"step-count overflow: {n} > {MAX_RK4_STEPS}")
-    dt = t / n
+    dt = t / n if t.ndim == 0 else (t / n)[:, None]
     for _ in range(n):
         k1 = np.asarray(vector_field(x), dtype=float)
         k2 = np.asarray(vector_field(x + 0.5 * dt * k1), dtype=float)

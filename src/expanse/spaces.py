@@ -250,7 +250,13 @@ class CircleUnion(Space):
 
 
 class Torus2(Space):
-    """Flat 2-torus [0,1)^2 with the quotient Euclidean metric (plumbing)."""
+    """Flat 2-torus [0,1)^2 with the quotient Euclidean metric (plumbing).
+
+    Each coordinate difference u wraps to |u - rint(u)|, its distance to the
+    nearest integer, in place on the difference arrays. u - rint(u) is exact,
+    and its absolute value equals min(|u| mod 1, 1 - |u| mod 1) bit for bit;
+    rint is odd, so d(a, b) == d(b, a) bitwise.
+    """
 
     kind = "torus2"
     dim = 2
@@ -265,15 +271,17 @@ class Torus2(Space):
 
     @staticmethod
     def _wrap(u):
-        u = np.abs(u) % 1.0
-        return np.minimum(u, 1.0 - u)
+        if not u.ndim:  # a numpy scalar: u -= ... would rebind, not write
+            return abs(u - np.rint(u))
+        u -= np.rint(u)
+        return np.abs(u, out=u)
 
     def distance(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         d0 = self._wrap(a[..., 0] - b[..., 0])
         d1 = self._wrap(a[..., 1] - b[..., 1])
-        return np.hypot(d0, d1)
+        return np.hypot(d0, d1, out=d0 if d0.ndim else None)
 
     def contains(self, coords, tol=CONTAIN_TOL):
         c = as_coords(coords)

@@ -131,6 +131,19 @@ def test_unknown_config_key_exit_one(tmp_path, capsys, typo, path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("override, path", [("eps.x=1", "'eps'"),
+                                            ("flow.name.kind=1", "'flow.name'")])
+def test_override_through_non_object_exit_one(tmp_path, capsys, override, path):
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0},
+                               "eps": 0.1, "delta": 1e-3})
+    out = tmp_path / "out"
+    assert main(["equicontinuity", "--config", str(cfg), "--out", str(out),
+                 "--override", override]) == 1
+    err = capsys.readouterr().err
+    assert path in err and "not an object" in err
+    assert not (out / "report.json").exists()
+
+
 def test_shadow_requires_seed(tmp_path):
     cfg = {"flow": {"name": "interval"}, "eps": 0.05, "x0": [0.3],
            "n_segments": 4, "delta": 1e-3}

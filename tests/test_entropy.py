@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanse import entropy
 from expanse.entropy import (
@@ -18,7 +21,7 @@ from expanse.flows import (
     suspension_doubling,
     trivial_flow,
 )
-from expanse.spaces import CircleUnion, FiniteSet, exp_radii
+from expanse.spaces import CircleUnion, FiniteSet, Interval01, as_coords, exp_radii
 
 
 def section_grid(m):
@@ -91,6 +94,77 @@ def test_spanning_verifies_cover_and_exact_leq_greedy():
     for chosen in (exact, greedy):
         for p in grid:
             assert any(bowen_ball_test(flow, grid[c], p, 2.0, 0.5) for c in chosen)
+
+
+def bowen_matrices_reference(flow, pts, t_ladder, h_sample):
+    # the earlier full-matrix loop, kept verbatim as the oracle for the half-matrix sweep
+    pts = np.array([as_coords(p) for p in pts])
+    m = pts.shape[0]
+    t_ladder = sorted(t_ladder)
+    ts = entropy._forward_times(t_ladder[-1], h_sample)
+    orbits = np.stack([flow.evaluate(ts, p) for p in pts])  # (m, n_t, d)
+    out = {}
+    running = np.zeros((m, m))
+    next_cp = 0
+    for j in range(len(ts)):
+        snap = orbits[:, j, :]
+        d = flow.space.distance(snap[:, None, :], snap[None, :, :])
+        np.maximum(running, d, out=running)
+        while next_cp < len(t_ladder) and ts[j] >= t_ladder[next_cp] - 1e-12:
+            out[t_ladder[next_cp]] = running.copy()
+            next_cp += 1
+    return out
+
+
+@pytest.mark.parametrize("flow, grid, t_ladder", [
+    *[(suspension_doubling(), section_grid(m), [2.0, 3.0, 4.0]) for m in (1, 127, 128, 129, 300)],
+    (suspension_doubling(), [np.array([k / 64 + 1 / 3, 0.25]) for k in range(64)], [0.5, 1.7]),
+    (rotation_flow(CircleUnion(exp_radii(4))), CircleUnion(exp_radii(4)).grid(40), [1.0, 2.5]),
+    (interval_flow(1.0), Interval01().grid(200), [1.0, 2.0, 3.0]),
+], ids=["doubling-1", "doubling-127", "doubling-128", "doubling-129", "doubling-300",
+        "doubling-offgrid", "circles-exp4", "interval"])
+def test_bowen_matrices_match_full_matrix_reference(flow, grid, t_ladder):
+    got = entropy._bowen_matrices(flow, grid, t_ladder, 0.05)
+    want = bowen_matrices_reference(flow, grid, t_ladder, 0.05)
+    assert list(got) == list(want) == sorted(t_ladder)
+    for t in t_ladder:
+        assert got[t].shape == (len(grid), len(grid))
+        assert np.array_equal(got[t], want[t])
+
+
+def exact_cover_reference(cover):
+    # the earlier exhaustive scan: first covering combination of the smallest size
+    m = cover.shape[0]
+    for size in range(1, m + 1):
+        for combo in itertools.combinations(range(m), size):
+            if cover[list(combo)].any(axis=0).all():
+                return list(combo)
+    raise AssertionError("unreachable: full set always covers")
+
+
+@st.composite
+def cover_matrices(draw):
+    m = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cover = rng.random((m, m)) < density
+    if draw(st.booleans()):
+        cover |= cover.T  # Bowen covers are symmetric; the search must not rely on it
+    np.fill_diagonal(cover, True)
+    return cover
+
+
+@settings(max_examples=400, deadline=None)
+@given(cover_matrices())
+def test_exact_cover_matches_itertools_reference(cover):
+    assert entropy._exact_minimum_cover(cover) == exact_cover_reference(cover)
+
+
+def test_exact_cover_matches_reference_on_doubling_sections():
+    flow = suspension_doubling()
+    for m, t, eps in ((12, 2.0, 0.25), (20, 1.0, 0.3), (20, 2.0, 0.3)):  # r = 12, 4, 7
+        cover = entropy._bowen_matrices(flow, section_grid(m), [t], 0.05)[t] <= eps
+        assert entropy._exact_minimum_cover(cover) == exact_cover_reference(cover)
 
 
 def test_entropy_estimate_verifies_cover(monkeypatch):

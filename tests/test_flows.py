@@ -142,6 +142,21 @@ def test_integrate_rotation_periodicity():
 def test_integrate_step_budget():
     with pytest.raises(FlowError):
         integrate_flow(logistic, 1e6, np.array([0.5]), 1e-6)
+    with pytest.raises(FlowError):
+        integrate_flow(logistic, np.array([0.1, -1e6]), np.array([[0.5], [0.5]]), 1e-6)
+
+
+def test_integrate_per_row_times():
+    x = np.array([[1.0 / 3.0, 0.0], [0.0, 0.5], [0.2, 0.1], [0.3, 0.4]])
+    t = np.array([1.5, -1.5, 1.5, 0.0])
+    out = integrate_flow(rotation_field, t, x, 1e-3)
+    # rows with |t| = max |t| take the scalar call's steps, so their bits match
+    for i in range(3):
+        assert np.array_equal(out[i], integrate_flow(rotation_field, t[i], x[i], 1e-3))
+    assert np.array_equal(out[3], x[3])
+    # a shorter time takes more, smaller steps than its own scalar call
+    short = integrate_flow(rotation_field, np.array([1.5, 0.4]), x[:2], 1e-3)[1]
+    assert np.allclose(short, rotation_flow_eval(0.4, x[1]), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["interval", "circles"])
@@ -154,12 +169,16 @@ def test_closed_form_vs_integrator_catalog(name):
         pts = [np.array([math.exp(-1), 0.0]), np.array([0.5 * math.exp(-1), 0.5 * math.exp(-1) * math.sqrt(3)])]
         pts[1] = pts[1] / np.hypot(*pts[1]) * math.exp(-2)
     rng = np.random.default_rng(7)
+    xs, ts = [], []
     for x in pts:
         for _ in range(4):
-            t = rng.uniform(-10, 10)
-            closed = flow.evaluate(t, x)
-            rk4 = integrate_flow(flow.vector_field, t, x, 1e-4)
-            assert flow.space.distance(closed, rk4) <= 1e-6
+            xs.append(x)
+            ts.append(rng.uniform(-10, 10))
+    closed = np.array([flow.evaluate(t, x) for t, x in zip(ts, xs)])
+    # one RK4 loop for all 4 x |pts| target times
+    rk4 = integrate_flow(flow.vector_field, np.array(ts), np.array(xs), 1e-4)
+    assert rk4.shape == closed.shape
+    assert (flow.space.distance(closed, rk4) <= 1e-6).all()
 
 
 @pytest.mark.parametrize("make", [

@@ -129,6 +129,67 @@ def test_dist_point_set_is_1_lipschitz(sp):
         assert lhs <= sp.distance(pts[a], pts[b]) + 1e-12
 
 
+def wrap_reference(u):
+    # the earlier torus wrap: fold |u| into [0, 1), then take the shorter way round
+    u = np.abs(u) % 1.0
+    return np.minimum(u, 1.0 - u)
+
+
+def torus_distance_reference(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.hypot(wrap_reference(a[..., 0] - b[..., 0]),
+                    wrap_reference(a[..., 1] - b[..., 1]))
+
+
+# in and outside [0, 1), negatives, and quarter steps whose differences hit |u| = 0.5
+torus_coord = st.one_of(st.floats(-3.0, 3.0, exclude_max=True),
+                        st.integers(-12, 11).map(lambda k: k / 4.0))
+torus_points = st.lists(st.tuples(torus_coord, torus_coord), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(torus_points, torus_points)
+def test_torus_distance_matches_wrap_reference_bitwise(ps, qs):
+    sp = Torus2()
+    a, b = np.array(ps), np.array(qs)
+    # 0-d: one point against one point, same type and bits
+    got, want = sp.distance(a[0], b[0]), torus_distance_reference(a[0], b[0])
+    assert type(got) is type(want) and got == want
+    # batched: row against row, and every row against every row
+    n = min(len(a), len(b))
+    assert np.array_equal(sp.distance(a[:n], b[:n]), torus_distance_reference(a[:n], b[:n]))
+    got = sp.distance(a[:, None, :], b[None, :, :])
+    assert got.shape == (len(a), len(b))
+    assert np.array_equal(got, torus_distance_reference(a[:, None, :], b[None, :, :]))
+    # a point against a batch
+    assert np.array_equal(sp.distance(a[0], b), torus_distance_reference(a[0], b))
+
+
+def test_torus_distance_exact_half_periods():
+    sp = Torus2()
+    a = np.array([[0.0, 0.0], [0.25, 0.75], [-0.5, 0.0], [2.5, -1.5]])
+    b = np.array([[0.5, 0.5], [0.75, 0.25], [0.0, 0.5], [0.0, 0.0]])
+    assert np.array_equal(sp.distance(a, b), np.full(4, np.hypot(0.5, 0.5)))
+    assert np.array_equal(sp.distance(a, b), torus_distance_reference(a, b))
+    assert sp.distance(np.array([0.0, 0.0]), np.array([0.5, 0.0])) == 0.5
+
+
+@pytest.mark.parametrize("sp", SPACES, ids=lambda s: s.space_id)
+def test_distance_symmetric_bitwise(sp):
+    rng = np.random.default_rng(3)
+    pts = np.array([sp.random_point(rng) for _ in range(80)])
+    if isinstance(sp, Torus2):
+        # off-lattice and half-period differences as well
+        pts = np.concatenate([pts, rng.uniform(-3.0, 3.0, size=(40, 2)),
+                              np.arange(-12, 12).reshape(12, 2) / 4.0])
+    d = sp.distance(pts[:, None, :], pts[None, :, :])
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(np.diag(d), np.zeros(len(pts)))
+    for i, j in ((0, 1), (5, 17), (len(pts) - 1, 2)):
+        assert sp.distance(pts[i], pts[j]) == sp.distance(pts[j], pts[i])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_interval_triangle_inequality_property(x, y, z):
