@@ -2,10 +2,10 @@
 
 Tasks: check | falsify | equicontinuity | ball-inclusion | constants |
 shadow | entropy | hstar | xdelta. `TASKS` maps each task to its runner
-and the config keys it reads besides flow, scale, seed and out; any other
-key, or a scale key other than T, h, band_width and grid, is an error, and
-so is a value of the wrong kind: KEY_KINDS names the kind of each checked
-key (scale values are "real"), and KINDS says what each kind must be.
+and the config keys it reads besides flow, scale, seed and out. KEY_KINDS
+gives each key its kind and SCALE_KINDS each scale key its kind, in the
+vocabulary of expanse.config; config.check rejects any other key, or a
+value of the wrong kind, by its key path before a flow is built.
 Reports are deterministic JSON trees plus flat CSV tables; exit code 0 on
 completion, 2 on a falsified property (so CI can assert expected
 falsifications), 1 on error.
@@ -19,15 +19,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import entropy as entropy_mod
 from . import expansivity as expa
 from . import shadowing as shad
 from .alignment import rep_epsilon_check
+from .config import check
 from .flows import flow_from_config
 from .reports import write_csv, write_report
-from .spaces import is_finite_number, is_integer, is_point_list
 
 COMMON_KEYS = ("flow", "scale", "seed", "out")
 RANDOMIZED_TASKS = ("shadow",)
@@ -40,31 +38,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _finite_list(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(map(is_finite_number, v))
-
-
-# value kind -> (what a value must be, its test)
-KINDS = {
-    "object": ("an object", lambda v: isinstance(v, dict)),
-    "real": ("a finite number", is_finite_number),
-    "step": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
-    "count": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
-    "integer": ("an integer", is_integer),
-    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
-    "reals": ("a nonempty list of finite numbers", _finite_list),
-    "points": ("a nonempty list of equal-length lists of finite numbers", is_point_list),
-}
-# config key -> its value kind; every scale value is "real"
+# config key -> its value kind (expanse.config); scale is its own level
 KEY_KINDS = {
-    "flow": "object", "seed": "integer",
-    **dict.fromkeys(("eps", "delta", "T_min", "T_escape"), "real"),
-    **dict.fromkeys(("t0_step", "h_shadow", "h_sample", "h_escape"), "step"),
-    **dict.fromkeys(("x_grid", "ball_samples", "n_segments"), "count"),
+    "flow": "object", "scale": "object", "seed": "integer", "out": "text",
+    "property": tuple(expa.PROPERTY_RULES), "pseudo_orbit_file": "text",
+    **dict.fromkeys(("eps", "delta", "T_min"), "real"),
+    **dict.fromkeys(("t0_step", "h_shadow", "h_sample", "h_escape", "T_escape"), "positive"),
+    **dict.fromkeys(("x_grid", "ball_samples", "n_segments", "max_pairs"), "count"),
     **dict.fromkeys(("strict_t0", "singular", "return_time"), "boolean"),
-    **dict.fromkeys(("t_ladder", "eps_ladder", "delta_ladder", "x0"), "reals"),
-    "K_grid": "points",
+    **dict.fromkeys(("t_ladder", "eps_ladder", "delta_ladder"), "positives"),
+    "x0": "reals", "K_grid": "points",
 }
+SCALE_KINDS = {"T": "positive", "h": "positive", "band_width": "real", "grid": "count"}
 
 
 @dataclass
@@ -79,29 +64,13 @@ class ExperimentConfig:
     def from_dict(cls, task: str, cfg: dict) -> "ExperimentConfig":
         if task not in TASKS:
             raise ConfigError(f"unknown task: {task!r}")
-        task_keys = TASKS[task][1]
-        for key in cfg:
-            if key not in COMMON_KEYS and key not in task_keys:
-                raise ConfigError(f"unknown config key {key!r} for task {task!r}")
-        scale_cfg = cfg.get("scale", {})
-        if not isinstance(scale_cfg, dict):
-            raise ConfigError("config key 'scale' must be an object")
-        for key in scale_cfg:
-            if key not in SCALE_DEFAULTS:
-                raise ConfigError(f"unknown config key {'scale.' + key!r}")
+        check(cfg, {k: KEY_KINDS[k] for k in (*COMMON_KEYS, *TASKS[task][1])}, ConfigError)
         if "flow" not in cfg:
             raise ConfigError("config needs a 'flow' subtree")
-        for path, value, kind in [*((k, cfg[k], KEY_KINDS[k]) for k in KEY_KINDS if k in cfg),
-                                  *(("scale." + k, v, "real") for k, v in scale_cfg.items())]:
-            want, ok = KINDS[kind]
-            if not ok(value):
-                raise ConfigError(f"config key {path!r} must be {want}, got {value!r}")
-        scale = {**SCALE_DEFAULTS, **scale_cfg}
-        for key in ("T", "h", "band_width"):
-            if not scale[key] >= 0:
-                raise ConfigError(f"scale.{key} must be nonnegative")
-        if scale["T"] <= 0 or scale["h"] <= 0:
-            raise ConfigError("scale.T and scale.h must be positive")
+        scale = {**SCALE_DEFAULTS, **cfg.get("scale", {})}
+        check(scale, SCALE_KINDS, ConfigError, "scale.")
+        if scale["band_width"] < 0:
+            raise ConfigError("scale.band_width must be nonnegative")
         seed = cfg.get("seed")
         if task in RANDOMIZED_TASKS and seed is None:
             raise ConfigError(f"task {task!r} is randomized: a seed is mandatory")
@@ -142,8 +111,7 @@ def _pair_table(pair_costs) -> dict:
 # Each runner returns (report subtree, {csv file name: (header, rows)}).
 
 def _run_property(conf: ExperimentConfig, flow, out_dir: Path):
-    (prop,) = conf.require("property")
-    eps, delta = conf.require("eps", "delta")
+    prop, eps, delta = conf.require("property", "eps", "delta")
     rep = expa.check_property(
         flow, prop, float(eps), float(delta),
         T=conf.scale["T"], h=conf.scale["h"], band_width=conf.scale["band_width"],
@@ -192,7 +160,7 @@ def _run_shadow(conf: ExperimentConfig, flow, out_dir: Path):
     else:
         x0, n_seg, delta = conf.require("x0", "n_segments", "delta")
         po = shad.generate_pseudo_orbit(
-            flow, np.asarray(x0, dtype=float), int(n_seg), float(delta),
+            flow, x0, int(n_seg), float(delta),
             T_min=float(conf.raw.get("T_min", 1.0)), seed=conf.seed)
     po.save(out_dir / "pseudo_orbit.txt")
     result = shad.find_shadow(flow, po, eps, h=float(conf.raw.get("h_shadow", 0.02)))
@@ -208,7 +176,7 @@ def _run_shadow(conf: ExperimentConfig, flow, out_dir: Path):
 
 
 def _entropy_grid(conf: ExperimentConfig, flow):
-    n = int(conf.scale["grid"])
+    n = conf.scale["grid"]
     if hasattr(flow.space, "radii"):
         return flow.space.grid(n_angles=max(4, n // max(1, len(flow.space.radii))))
     return flow.space.grid(n)
@@ -228,8 +196,7 @@ def _run_entropy(conf: ExperimentConfig, flow, out_dir: Path):
     t_ladder, eps_ladder = conf.require("t_ladder", "eps_ladder")
     grid = conf.raw.get("K_grid") or _entropy_grid(conf, flow)
     est = entropy_mod.entropy_estimate(
-        flow, [np.asarray(p, dtype=float) for p in grid],
-        t_ladder, eps_ladder, h_sample=float(conf.raw.get("h_sample", 0.05)))
+        flow, grid, t_ladder, eps_ladder, h_sample=float(conf.raw.get("h_sample", 0.05)))
     return _entropy_report(est, "h_estimate")
 
 

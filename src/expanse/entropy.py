@@ -164,8 +164,8 @@ def _min_cover(cover: np.ndarray) -> tuple:
 
 def spanning_cardinality(flow: FlowModel, K_grid, t: float, eps: float,
                          h_sample: float = 0.05) -> SpanningEstimate:
-    """(t, eps)-spanning subset of K_grid, chosen and verified by _min_cover."""
-    pts = [as_coords(p) for p in K_grid]
+    """(t, eps)-spanning subset of K_grid (points of flow.space), verified by _min_cover."""
+    pts = [flow.space.point(p).vec for p in K_grid]
     if not pts:
         raise EntropyError("empty grid")
     chosen, method = _min_cover(_bowen_matrices(flow, pts, [t], h_sample)[t] <= eps)
@@ -188,13 +188,14 @@ def entropy_estimate(flow: FlowModel, K_grid, t_ladder, eps_ladder,
     """Least-squares slopes of ln r(t, eps) over the t ladder, per eps.
 
     h_estimate is the slope at the smallest eps; greedy covers keep the
-    slope honest since ln(approximation factor) / t vanishes.
+    slope honest since ln(approximation factor) / t vanishes. A K_grid point
+    outside flow.space raises SpaceError.
     """
     t_ladder = sorted(float(t) for t in t_ladder)
     eps_ladder = sorted((float(e) for e in eps_ladder), reverse=True)
     if len(t_ladder) < 2:
         raise EntropyError("degenerate t ladder")
-    pts = [as_coords(p) for p in K_grid]
+    pts = [flow.space.point(p).vec for p in K_grid]
     if not pts:
         raise EntropyError("empty grid")
     mats = _bowen_matrices(flow, pts, t_ladder, h_sample)

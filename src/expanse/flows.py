@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import check
 from .spaces import (
     SPACE_KEYS,
     CircleUnion,
@@ -24,7 +25,6 @@ from .spaces import (
     Space,
     Torus2,
     as_coords,
-    is_finite_number,
     space_from_config,
 )
 
@@ -290,9 +290,11 @@ def min_orbit_diameter(flow: FlowModel, grid, T: float, h: float) -> float:
     return best
 
 
-# flow name -> the config keys it reads besides "name"
-FLOW_KEYS = {"interval": ("lambda",), "circles": SPACE_KEYS["circle_union"],
-             "trivial": ("space",), "suspension_doubling": ()}
+# flow name -> {config key besides "name": its kind (expanse.config)}; the
+# circles keys are the circle_union space keys, which space_from_config checks
+FLOW_KEYS = {"interval": {"lambda": "real"},
+             "circles": dict.fromkeys(SPACE_KEYS["circle_union"]),
+             "trivial": {"space": "object"}, "suspension_doubling": {}}
 
 
 def flow_from_config(cfg: dict) -> FlowModel:
@@ -300,20 +302,16 @@ def flow_from_config(cfg: dict) -> FlowModel:
 
     Names and their keys (FLOW_KEYS): interval (lambda, a finite number),
     circles (family exp|harmonic with depth, or a radii list; see
-    space_from_config), trivial (space subtree), suspension_doubling. Any
-    other key is a FlowError naming it.
+    space_from_config), trivial (space subtree), suspension_doubling. An
+    unknown name or key, or a value of the wrong kind, is a FlowError
+    naming it; a bad circles or space value is a SpaceError.
     """
     name = cfg.get("name")
     if not isinstance(name, str) or name not in FLOW_KEYS:
         raise FlowError(f"unknown flow: {name!r}")
-    unknown = [k for k in cfg if k != "name" and k not in FLOW_KEYS[name]]
-    if unknown:
-        raise FlowError(f"unknown key(s) for flow {name!r}: {', '.join(map(repr, unknown))}")
+    check(cfg, {"name": None, **FLOW_KEYS[name]}, FlowError)
     if name == "interval":
-        lam = cfg.get("lambda", 1.0)
-        if not is_finite_number(lam):
-            raise FlowError(f"interval lambda must be a finite number, got {lam!r}")
-        return interval_flow(float(lam))
+        return interval_flow(float(cfg.get("lambda", 1.0)))
     if name == "circles":
         sp_cfg = {"kind": "circle_union", **{k: v for k, v in cfg.items() if k != "name"}}
         return rotation_flow(space_from_config(sp_cfg))

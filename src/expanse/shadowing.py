@@ -113,15 +113,15 @@ def generate_pseudo_orbit(flow: FlowModel, x0, n_segments: int, delta: float,
 
     Durations are uniform in [T_min, 2 T_min]; jumps are uniform over the
     delta-ball intersected with the space. x0 starts the chain at the
-    leftmost index -floor(n/2); deterministic under the seed. A jump ball
-    that misses the space raises SpaceError.
+    leftmost index -floor(n/2); deterministic under the seed. An x0 outside
+    the space, or a jump ball that misses it, raises SpaceError.
     """
     if delta < 0:
         raise ShadowingError("delta must be nonnegative")
     if T_min < 1.0:
         raise ShadowingError("T_min must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = [as_coords(x0)]
+    pts = [flow.space.point(x0).vec]
     durs = [float(rng.uniform(T_min, 2.0 * T_min)) for _ in range(n_segments)]
     for k in range(n_segments - 1):
         tip = flow.evaluate(durs[k], pts[-1])
@@ -241,7 +241,8 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     Candidates are scanned in grid order; mode "first" returns the first
     one with max_error <= eps (None when none succeeds), mode "best" the
     smallest-error result regardless of success. The shadowing inequality
-    is evaluated one-sidedly (left limit) at segment-boundary times.
+    is evaluated one-sidedly (left limit) at segment-boundary times. A
+    pseudo-orbit point outside flow.space raises SpaceError.
     """
     if eps <= 0:
         raise ShadowingError("eps must be positive")
@@ -250,6 +251,8 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     if flow.forward_only and po.i_min < 0:
         raise ShadowingError(f"{flow.name} is a forward semiflow: it cannot shadow "
                              f"a pseudo-orbit with negative indices (i_min={po.i_min})")
+    for p in po.points:
+        flow.space.point(p)
     q = max(2, int(math.ceil(1.25 / eps)))
     candidates = list(candidate_grid) if candidate_grid is not None \
         else default_candidates(flow, po, eps)

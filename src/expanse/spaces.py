@@ -8,34 +8,18 @@ in reports and witnesses.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .config import check
 
 CONTAIN_TOL = 1e-12
 
 
 class SpaceError(ValueError):
     pass
-
-
-def is_integer(v) -> bool:
-    """An integer that is not a bool (config value checks)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def is_finite_number(v) -> bool:
-    """A finite real number that is not a bool (config value checks)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def is_point_list(v) -> bool:
-    """A nonempty list of equal-length nonempty lists of finite numbers."""
-    return isinstance(v, list) and len(v) > 0 and all(
-        isinstance(p, list) and len(p) == len(v[0]) > 0 and all(map(is_finite_number, p))
-        for p in v)
 
 
 def as_coords(x) -> np.ndarray:
@@ -84,7 +68,7 @@ class Space:
     def point(self, *coords) -> Point:
         c = as_coords(coords if len(coords) > 1 else coords[0])
         if not self.contains(c):
-            raise SpaceError(f"{tuple(c)} not in {self.space_id}")
+            raise SpaceError(f"{tuple(map(float, c))} not in {self.space_id}")
         return Point(tuple(float(v) for v in c), self.space_id)
 
     def grid(self, n: int) -> list:
@@ -315,8 +299,8 @@ class FiniteSet(Space):
 
     def __init__(self, points: Sequence[Sequence[float]]):
         arr = np.atleast_2d(np.asarray(points, dtype=float))
-        if arr.shape[0] == 0:
-            raise SpaceError("empty finite set")
+        if arr.size == 0:
+            raise SpaceError("a finite set needs points")
         self.points_arr = arr
         self.dim = arr.shape[1]
 
@@ -392,46 +376,34 @@ def harmonic_radii(depth: int) -> tuple:
     return tuple(1.0 / n for n in range(1, depth + 1))
 
 
-# space kind -> the config keys it reads besides "kind"
-SPACE_KEYS = {"interval01": (), "torus2": (), "finite_set": ("points",),
-              "circle_union": ("radii", "family", "depth", "include_origin")}
+# space kind -> {config key besides "kind": its kind (expanse.config)}
+SPACE_KEYS = {"interval01": {}, "torus2": {}, "finite_set": {"points": "points"},
+              "circle_union": {"radii": "reals", "family": ("exp", "harmonic"),
+                               "depth": "count", "include_origin": "boolean"}}
 
 
 def space_from_config(cfg: dict) -> Space:
     """Build a space from a declarative key-value tree.
 
-    Recognized kinds: interval01, circle_union (a radii list, or family
-    exp|harmonic with an integer depth >= 1; include_origin a boolean),
-    torus2, finite_set (points, a list of equal-length coordinate lists).
-    Any other key is a SpaceError naming it.
+    Recognized kinds and their keys (SPACE_KEYS): interval01, circle_union
+    (a radii list, or family exp|harmonic with an integer depth >= 1;
+    include_origin a boolean), torus2, finite_set (points, a list of
+    equal-length coordinate lists). An unknown kind or key, or a value of
+    the wrong kind, is a SpaceError naming it.
     """
     if not isinstance(cfg, dict):
         raise SpaceError(f"a space config must be an object, got {cfg!r}")
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in SPACE_KEYS:
         raise SpaceError(f"unknown space kind: {kind!r}")
-    unknown = [k for k in cfg if k != "kind" and k not in SPACE_KEYS[kind]]
-    if unknown:
-        raise SpaceError(f"unknown key(s) for space {kind!r}: {', '.join(map(repr, unknown))}")
+    check(cfg, {"kind": None, **SPACE_KEYS[kind]}, SpaceError)
     if kind == "interval01":
         return Interval01()
     if kind == "circle_union":
-        family, depth = cfg.get("family", "exp"), cfg.get("depth", 32)
-        if family not in ("exp", "harmonic"):
-            raise SpaceError(f"circle family must be 'exp' or 'harmonic', got {family!r}")
-        if not is_integer(depth) or depth < 1:
-            raise SpaceError(f"circle depth must be an integer >= 1, got {depth!r}")
-        if not isinstance(cfg.get("include_origin", True), bool):
-            raise SpaceError(f"include_origin must be a boolean, got {cfg['include_origin']!r}")
-        radii = cfg.get("radii")
-        if radii is None:
-            radii = exp_radii(depth) if family == "exp" else harmonic_radii(depth)
-        elif not isinstance(radii, (list, tuple)) or not all(map(is_finite_number, radii)):
-            raise SpaceError(f"circle radii must be a list of finite numbers, got {radii!r}")
+        depth = cfg.get("depth", 32)
+        radii = cfg.get("radii") or (
+            harmonic_radii(depth) if cfg.get("family") == "harmonic" else exp_radii(depth))
         return CircleUnion(radii, include_origin=cfg.get("include_origin", True))
     if kind == "torus2":
         return Torus2()
-    if not is_point_list(cfg.get("points")):
-        raise SpaceError("finite_set points must be a nonempty list of equal-length lists"
-                         f" of finite numbers, got {cfg.get('points')!r}")
-    return FiniteSet(cfg["points"])
+    return FiniteSet(cfg.get("points", []))

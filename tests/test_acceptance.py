@@ -5,6 +5,7 @@ with ``pytest -s`` or in captured output). Scales not pinned by a
 criterion are recorded in the produced reports.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -257,6 +258,41 @@ def test_criterion_9_hierarchy_invariant():
             assert rep["violations"] == [], flow.name
 
 
+# sha256 of every criterion-10 output file, recorded before the one config
+# schema (expanse.config) landed, on Python 3.11 with numpy 2.4: a change
+# that moves any report or CSV byte fails here
+CRITERION_10_SHA256 = {
+    "falsify/pairs.csv":
+        "3c4e4451c920287845741fd4d6cd1195c5dcf1defaf5e971b1361f8989057c59",
+    "falsify/report.json":
+        "9ca5e3a0b04ae743979a09955cfcb6f502049b33d30dca0805e29e592999950b",
+    "ball-inclusion/report.json":
+        "18f1015840945fe5526af0a37beb73c4dd355f02666e234aa375d7a4c678aaed",
+    "equicontinuity/pairs.csv":
+        "bf33e625d5a60ffe1a5a6ff0cad860e69db742f5e82b2ef06ca1adcc83135246",
+    "equicontinuity/report.json":
+        "825c7b67cb05e74bd4540a8c7f67465de15a8a1ad4c474232b36942618f4a7e2",
+    "constants/report.json":
+        "4b4fa49e88d0c579c0c1a872523ce4e9cd11ea14e2c415ff9aaa44b2d12c43d5",
+    "shadow/pseudo_orbit.txt":
+        "0977fde58fd289d2fbfae4aa861904fca2a691b75201cc680253c4a26d73cc14",
+    "shadow/report.json":
+        "24007d6910370fc1a8ad95c15a166bd13becd78712f4118e81d6927404b7a653",
+    "entropy/report.json":
+        "f00fd9a3a96115f1cab68fde6ff65fcdd859aef4506956749c53268d7bd0e3de",
+    "entropy/triples.csv":
+        "9864afc96669e8a19c274de7de0f1db9515c04378bb1a9fd413c82edb6a1e607",
+    "hstar/report.json":
+        "96b3dec19828b0b9ee257f908c2ca42f56ebe163dbd7288bdabbd9fd61db1c7f",
+    "hstar/triples.csv":
+        "b3430aad553a81acb4b3214e1d02bdcab558719f749044708f590073ce772b77",
+    "xdelta/points.csv":
+        "af802a0eff28d68c967f15ddda8b4b9c0e5b51ed655b2d5c58e28b46810ad4b1",
+    "xdelta/report.json":
+        "9cd76fe3671d9891980c0219a6e6b93bfe39554d12e17995da942b71dc8cf1bd",
+}
+
+
 def test_criterion_10_determinism(tmp_path):
     with criterion(10, "byte-identical reports under identical seeds"):
         configs = {
@@ -296,6 +332,7 @@ def test_criterion_10_determinism(tmp_path):
                 "delta": 0.2, "T_escape": 10.0,
             },
         }
+        written = {}
         for task, cfg in configs.items():
             cfg_path = tmp_path / f"{task}.json"
             cfg_path.write_text(json.dumps(cfg))
@@ -312,3 +349,5 @@ def test_criterion_10_determinism(tmp_path):
                 assert a.exists() == b.exists()
                 if a.exists():
                     assert a.read_bytes() == b.read_bytes(), f"{task}/{name}"
+                    written[f"{task}/{name}"] = hashlib.sha256(a.read_bytes()).hexdigest()
+        assert written == CRITERION_10_SHA256

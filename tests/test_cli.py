@@ -1,10 +1,23 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from expanse.cli import TASKS, ConfigError, ExperimentConfig, main, run
+from expanse.cli import (
+    COMMON_KEYS,
+    KEY_KINDS,
+    SCALE_KINDS,
+    TASKS,
+    ConfigError,
+    ExperimentConfig,
+    main,
+    run,
+)
+from expanse.config import KINDS
+from expanse.flows import FLOW_KEYS, flow_from_config
 from expanse.reports import dumps_report, load_report, write_report
+from expanse.spaces import SPACE_KEYS
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -72,10 +85,13 @@ def test_missing_key_exit_one(tmp_path):
 _TASK_READING = {"t0_step": "check", "x_grid": "ball-inclusion", "h_shadow": "shadow",
                  "strict_t0": "check", "return_time": "constants", "x0": "shadow",
                  "t_ladder": "entropy", "eps_ladder": "entropy", "K_grid": "entropy",
-                 "delta_ladder": "hstar"}
+                 "delta_ladder": "hstar", "property": "check", "pseudo_orbit_file": "shadow",
+                 "T_escape": "xdelta"}
 _WANT = {"x_grid": "integer >= 1", "seed": "an integer", "strict_t0": "a boolean",
          "singular": "a boolean", "return_time": "a boolean",
-         "K_grid": "equal-length lists"}  # any other key: "finite number"
+         "K_grid": "equal-length lists", "property": "one of 'expansive', 'kstar'",
+         "pseudo_orbit_file": "a nonempty string", "out": "a nonempty string",
+         "scale.grid": "integer >= 1"}  # any other key path: "finite number"
 
 
 @pytest.mark.parametrize("bad, path", [({"eps": "abc"}, "'eps'"),
@@ -95,7 +111,16 @@ _WANT = {"x_grid": "integer >= 1", "seed": "an integer", "strict_t0": "a boolean
                                        ({"eps_ladder": [0.1, math.inf]}, "'eps_ladder'"),
                                        ({"delta_ladder": 0.1}, "'delta_ladder'"),
                                        ({"x0": ["abc"]}, "'x0'"),
-                                       ({"K_grid": [[0.1, 0.5], [0.2]]}, "'K_grid'")])
+                                       ({"K_grid": [[0.1, 0.5], [0.2]]}, "'K_grid'"),
+                                       ({"property": []}, "'property'"),
+                                       ({"pseudo_orbit_file": 5}, "'pseudo_orbit_file'"),
+                                       ({"out": 5}, "'out'"),
+                                       ({"scale": {"grid": 2.5}}, "'scale.grid'"),
+                                       ({"scale": {"grid": -5}}, "'scale.grid'"),
+                                       ({"t_ladder": [-1, 2]}, "'t_ladder'"),
+                                       ({"eps_ladder": [-0.5]}, "'eps_ladder'"),
+                                       ({"delta_ladder": [0.0]}, "'delta_ladder'"),
+                                       ({"T_escape": -5}, "'T_escape'")])
 def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
     task = _TASK_READING.get(next(iter(bad)), "equicontinuity")
     base = {k: v for k, v in (("eps", 0.1), ("delta", 1e-3)) if k in TASKS[task][1]}
@@ -103,7 +128,7 @@ def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
     out = tmp_path / "out"
     assert main([task, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert path in err and _WANT.get(next(iter(bad)), "finite number") in err
+    assert path in err and _WANT.get(path.strip("'"), "finite number") in err
     assert not (out / "report.json").exists()
 
 
@@ -151,6 +176,16 @@ def test_shadow_requires_seed(tmp_path):
         ExperimentConfig.from_dict("shadow", cfg)
     cfg["seed"] = 7
     ExperimentConfig.from_dict("shadow", cfg)
+
+
+@pytest.mark.parametrize("x0", [[1.7], [0.3, 0.4]])
+def test_shadow_x0_off_space_exit_one(tmp_path, capsys, x0):
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, "eps": 0.05,
+                               "x0": x0, "n_segments": 4, "delta": 1e-3, "seed": 3})
+    out = tmp_path / "out"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "not in interval01" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_shadow_task_roundtrip(tmp_path):
@@ -216,3 +251,22 @@ def test_config_validation():
         ExperimentConfig.from_dict("check", {})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict("check", {"flow": {}, "scale": {"h": -1}})
+
+
+def test_every_key_has_a_kind():
+    for task, (_, keys) in TASKS.items():
+        for key in (*COMMON_KEYS, *keys):
+            assert key in KEY_KINDS, (task, key)
+    tables = [KEY_KINDS, SCALE_KINDS, *FLOW_KEYS.values(), *SPACE_KEYS.values()]
+    for table in tables:
+        for kind in table.values():
+            assert kind is None or isinstance(kind, tuple) or kind in KINDS, kind
+
+
+def test_readme_cli_example_is_a_valid_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    conf = ExperimentConfig.from_dict("falsify", example)
+    flow = flow_from_config(conf.flow)
+    assert flow.name == "circles" and len(flow.space.radii) == 16

@@ -21,7 +21,14 @@ from expanse.flows import (
     suspension_doubling,
     trivial_flow,
 )
-from expanse.spaces import CircleUnion, FiniteSet, Interval01, as_coords, exp_radii
+from expanse.spaces import (
+    CircleUnion,
+    FiniteSet,
+    Interval01,
+    SpaceError,
+    as_coords,
+    exp_radii,
+)
 
 
 def section_grid(m):
@@ -199,6 +206,17 @@ def test_spanning_monotonicity_in_t_and_eps():
 def test_spanning_empty_grid():
     with pytest.raises(EntropyError):
         spanning_cardinality(interval_flow(1.0), [], 1.0, 0.1)
+
+
+@pytest.mark.parametrize("flow, grid", [
+    (interval_flow(1.0), [[5.0], [7.0]]),
+    (trivial_flow(FiniteSet([[0.0], [1.0]])), [[0.1, 0.2]]),
+])
+def test_grid_off_space_rejected(flow, grid):
+    with pytest.raises(SpaceError, match="not in"):
+        spanning_cardinality(flow, grid, 1.0, 0.1)
+    with pytest.raises(SpaceError, match="not in"):
+        entropy_estimate(flow, grid, [1.0, 2.0], [0.1])
 
 
 # ------------------------------------------------------ entropy estimates

@@ -18,7 +18,7 @@ from expanse.shadowing import (
     find_shadow,
     generate_pseudo_orbit,
 )
-from expanse.spaces import CircleUnion
+from expanse.spaces import CircleUnion, SpaceError
 
 
 def make_po(durations, points=None, i_min=None):
@@ -176,6 +176,13 @@ def test_find_shadow_validation():
     po = generate_pseudo_orbit(flow, np.array([0.3]), 4, 1e-3, seed=0)
     with pytest.raises(ShadowingError):
         find_shadow(flow, po, eps=0.0)
+
+
+def test_find_shadow_rejects_loaded_off_space_point(tmp_path):
+    path = tmp_path / "po.txt"
+    make_po([1.0, 1.0, 1.0], points=[(0.3,), (1.7,), (0.3,)]).save(path)
+    with pytest.raises(SpaceError, match=r"\(1\.7,\) not in interval01"):
+        find_shadow(interval_flow(1.0), PseudoOrbit.load(path), eps=0.05)
 
 
 def test_find_shadow_forward_semiflow():

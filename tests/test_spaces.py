@@ -244,6 +244,7 @@ def test_space_from_config():
     ({"kind": "circle_union", "include_origin": "no"}, "include_origin"),
     ({"kind": "finite_set", "points": "abc"}, "points"),
     ({"kind": "finite_set", "points": [[0.0], [1.0, 2.0]]}, "points"),
+    ({"kind": "finite_set"}, "points"),
     ("interval01", "object"),
 ])
 def test_space_from_config_rejects_bad_keys(cfg, named):
