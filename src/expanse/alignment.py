@@ -135,7 +135,8 @@ def _weighted_ratio(dists: np.ndarray, w: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None):
+def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None,
+                     abandon_above: Optional[float] = None):
     """Minimax DP over monotone lattice paths in an offset band, B pairs at once.
 
     blocks yields local-cost arrays of shape (B, rows, 2W+1) that cover rows
@@ -147,6 +148,13 @@ def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None):
     whose cost equals the row minimum. After fix_row only the offsets
     |k - W| <= i - fix_row can be reached, so a row updates just those and
     ignores its other local costs. Returns (costs (B,), k-paths (B, n)).
+
+    With abandon_above the call decides cost <= abandon_above: a swept
+    row's minimum is a lower bound on the final cost, so a member whose
+    cost exceeds the threshold gets cost +inf and a path of -1s, and the
+    call returns as soon as every member's row minimum exceeds it, pulling
+    no further blocks. A member within the threshold keeps exactly the cost
+    and path of a call without one.
     """
     width = 2 * W + 1
     pen4 = 4 * np.abs(np.arange(width, dtype=np.int64) - W)
@@ -185,6 +193,9 @@ def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None):
         np.bitwise_and(q, ~3, out=P4[i % 2, :, lo + 1:hi + 1])
         P4[i % 2, :, lo + 1:hi + 1] += pen4[lo:hi]
         np.maximum(lc[:, lo:hi], b, out=D[i % 2, :, lo + 1:hi + 1])
+        # cells outside lo:hi hold +inf, so this is every member's row minimum
+        if abandon_above is not None and D[i % 2, :, lo + 1:hi + 1].min() > abandon_above:
+            return np.full(B, np.inf), np.full((B, n), -1, dtype=np.int64)
     pin(n - 1)
     d, p = D[(n - 1) % 2, :, 1:-1], P4[(n - 1) % 2, :, 1:-1]
     costs = d.min(axis=1)
@@ -195,6 +206,10 @@ def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None):
     for i in range(n - 1, 0, -1):
         k = k + _STEP[choices[i, pairs, k]]
         paths[i - 1] = k
+    if abandon_above is not None:
+        dead = costs > abandon_above
+        costs[dead] = np.inf
+        paths[:, dead] = -1
     return costs, paths.T
 
 

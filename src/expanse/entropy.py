@@ -219,12 +219,13 @@ def x_delta_set(flow: FlowModel, delta: float, grid=None,
 
     Over-approximates the maximal invariant set outside U_delta(Sing) and
     shrinks as T_escape grows. Membership in U_delta is strict (< delta).
+    A grid point outside flow.space raises SpaceError.
     """
     if delta <= 0:
         raise EntropyError("delta must be positive")
     if grid is None:
         grid = flow.space.grid(16) if hasattr(flow.space, "radii") else flow.space.grid(64)
-    pts = [as_coords(p) for p in grid]
+    pts = [flow.space.point(p).vec for p in grid]
     if flow.singular.distance_fn is None and not flow.singular.points:
         # empty singular set: dist is identically the diameter
         return [p for p in pts if flow.space.diameter >= delta]

@@ -178,9 +178,10 @@ def _scan_pairs(flow, pairs, T, h, cost, batch=1):
     pairs after the one being yielded may already be costed. Each base point
     is sampled once over [-T, T] with step h, however many pairs share it.
     A pair listed more than once is costed once; its cost is held only
-    until its last listing, since a cost may carry a full path.
+    until its last listing, since a cost may carry a full path. A point
+    outside flow.space raises SpaceError before any pair is costed.
     """
-    pairs = [(as_coords(x), as_coords(y)) for x, y in pairs]
+    pairs = [(flow.space.point(x).vec, flow.space.point(y).vec) for x, y in pairs]
     keys = [(tuple(x), tuple(y)) for x, y in pairs]
     listings = Counter(keys)
     todo = list(listings)  # distinct pairs, in first-listing order

@@ -9,6 +9,14 @@ reparametrization is admissible by construction. Each direction is one
 call of the alignment band kernel (alignment._minimax_band_dp), pinned at
 clock 0, with alignment's tie rule: among equal-cost paths, the one
 closest to the slope-1 path.
+
+Mode "first" only decides whether a candidate's error is <= eps, so it
+passes eps to the kernel as its abandon_above threshold: the minimax value
+of the rows swept so far never decreases, so a direction stops at the
+first row whose minimum exceeds eps, and a candidate that fails forward
+never runs its backward search. A candidate that passes gets the same
+result, bit for bit, as a search without the threshold. Mode "best" needs
+every error and sweeps every row.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .alignment import _BLOCK_VALUES, Reparam, _minimax_band_dp
 from .flows import FlowModel
-from .spaces import CircleUnion, Point, as_coords
+from .spaces import CircleUnion, Point
 
 
 class ShadowingError(ValueError):
@@ -186,13 +194,14 @@ def _reference_trajectory(flow, po, ts):
     return ref, seg
 
 
-def _cone_search(space, orbit, ref, q):
+def _cone_search(space, orbit, ref, q, abandon_above):
     """Minimax Rep(eps) path from clock 0 outward: (cost, orbit cell per row).
 
     Row r pairs ref[r] with orbit cell r*q + o, where o starts at 0 and
     moves by -1, 0 or +1 per row (cell steps q - 1, q, q + 1). This is the
     alignment band DP with W = len(ref) - 1 pinned at row 0, band offset
-    k - W = o. orbit holds cells 0..W*(q + 1).
+    k - W = o. orbit holds cells 0..W*(q + 1). A search whose cost exceeds
+    abandon_above stops early and returns None.
     """
     W = len(ref) - 1
     width = 2 * W + 1
@@ -210,20 +219,32 @@ def _cone_search(space, orbit, ref, q):
             lc[0, :, cone] = space.distance(windows[r0:r1, cone], ref[r0:r1, None])
             yield lc
 
-    costs, paths = _minimax_band_dp(blocks(), W + 1, W, fix_row=0)
+    costs, paths = _minimax_band_dp(blocks(), W + 1, W, fix_row=0,
+                                    abandon_above=abandon_above)
+    if paths[0, 0] < 0:  # abandoned: no path
+        return None
     return float(costs[0]), np.arange(W + 1) * q + paths[0] - W
 
 
-def _try_candidate(flow, po, z, h, q, ts, ref, seg):
-    """Slope-constrained minimax alignment of the z-orbit to the reference."""
+def _try_candidate(flow, po, z, h, q, ts, ref, seg, abandon_above=None):
+    """Slope-constrained minimax alignment of the z-orbit to the reference.
+
+    Returns (max error, reparam, per-segment errors), or None as soon as
+    one direction's error exceeds abandon_above.
+    """
     n_lo = int(round(-ts[0] / h))
     n_hi = int(round(ts[-1] / h))
     h_u = h / q
     m_lo = -n_lo * (q + 1)
     orbit = flow.evaluate(np.arange(m_lo, n_hi * (q + 1) + 1) * h_u, z)
-    err_f, cells_f = _cone_search(flow.space, orbit[-m_lo:], ref[n_lo:], q)
+    forward = _cone_search(flow.space, orbit[-m_lo:], ref[n_lo:], q, abandon_above)
+    if forward is None:
+        return None
     # backward from clock 0 is forward on the reversed orbit and reference
-    err_b, cells_b = _cone_search(flow.space, orbit[-m_lo::-1], ref[n_lo::-1], q)
+    backward = _cone_search(flow.space, orbit[-m_lo::-1], ref[n_lo::-1], q, abandon_above)
+    if backward is None:
+        return None
+    (err_f, cells_f), (err_b, cells_b) = forward, backward
     m_path = np.r_[-cells_b[:0:-1], cells_f]
     reparam = Reparam(ts.copy(), m_path * h_u)
 
@@ -242,7 +263,8 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     one with max_error <= eps (None when none succeeds), mode "best" the
     smallest-error result regardless of success. The shadowing inequality
     is evaluated one-sidedly (left limit) at segment-boundary times. A
-    pseudo-orbit point outside flow.space raises SpaceError.
+    pseudo-orbit point or candidate outside flow.space raises SpaceError
+    before any search runs.
     """
     if eps <= 0:
         raise ShadowingError("eps must be positive")
@@ -254,24 +276,27 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     for p in po.points:
         flow.space.point(p)
     q = max(2, int(math.ceil(1.25 / eps)))
-    candidates = list(candidate_grid) if candidate_grid is not None \
+    grid = candidate_grid if candidate_grid is not None \
         else default_candidates(flow, po, eps)
+    candidates = [flow.space.point(z) for z in grid]
     s_min = cumulative_clock(po, po.i_min)
     s_max = cumulative_clock(po, po.i_max + 1)
     n_lo = int(math.floor(-s_min / h + 1e-9))
     n_hi = int(math.floor(s_max / h + 1e-9))
     ts = np.arange(-n_lo, n_hi + 1) * h
     ref, seg = _reference_trajectory(flow, po, ts)
+    # mode "first" needs only err <= eps, so a failing candidate stops early
+    abandon_above = eps if mode == "first" else None
     best = None
     for z in candidates:
-        err, reparam, per_seg = _try_candidate(flow, po, as_coords(z), h, q, ts, ref, seg)
-        res = ShadowResult(
-            shadow_point=flow.space.point(*as_coords(z)), reparam=reparam,
-            max_error=err, per_segment_errors=per_seg)
+        tried = _try_candidate(flow, po, z.vec, h, q, ts, ref, seg, abandon_above)
+        if tried is None:
+            continue
+        err, reparam, per_seg = tried
+        res = ShadowResult(shadow_point=z, reparam=reparam, max_error=err,
+                           per_segment_errors=per_seg)
         if mode == "first":
-            if err <= eps:
-                return res
-        else:
-            if best is None or err < best.max_error:
-                best = res
-    return best if mode == "best" else None
+            return res
+        if best is None or err < best.max_error:
+            best = res
+    return best

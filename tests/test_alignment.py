@@ -153,24 +153,57 @@ def _dp_batches(draw):
     cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
     vals = draw(st.lists(cell, min_size=batch * n * (2 * W + 1),
                          max_size=batch * n * (2 * W + 1)))
-    return np.array(vals).reshape(batch, n, 2 * W + 1), W, fix_row
+    # an abandon threshold from the same alphabet, so costs often equal it
+    threshold = draw(st.one_of(st.none(), cell))
+    return np.array(vals).reshape(batch, n, 2 * W + 1), W, fix_row, threshold
 
 
 @settings(max_examples=300, deadline=None)
 @given(_dp_batches(), st.integers(1, 3))
 def test_minimax_kernel_matches_oracle(case, block_rows):
-    lc, W, fix_row = case
+    lc, W, fix_row, threshold = case
     n = lc.shape[1]
     blocks = [lc[:, i:i + block_rows] for i in range(0, n, block_rows)]
-    costs, paths = _minimax_band_dp(blocks, n, W, fix_row)
+    costs, paths = _minimax_band_dp(blocks, n, W, fix_row, abandon_above=threshold)
     for b in range(lc.shape[0]):
-        assert costs[b] == _brute_min_sup(lc[b], W, fix_row)
+        brute = _brute_min_sup(lc[b], W, fix_row)
         ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
+        assert ref_cost == brute
+        if threshold is not None and brute > threshold:
+            ref_cost, ref_path = math.inf, np.full(n, -1)
         assert costs[b] == ref_cost
         assert paths[b].tolist() == ref_path.tolist()
-        single_cost, single_path = _minimax_band_dp([lc[b:b + 1]], n, W, fix_row)
+        single_cost, single_path = _minimax_band_dp([lc[b:b + 1]], n, W, fix_row,
+                                                    abandon_above=threshold)
         assert single_cost[0] == ref_cost
         assert single_path[0].tolist() == ref_path.tolist()
+
+
+def test_minimax_kernel_abandons_without_more_blocks():
+    n, W = 40, 2
+    lc = np.zeros((3, n, 2 * W + 1))
+    lc[1:, 5:] = 3.0  # members 1 and 2 cost 3 from row 5 on; member 0 costs 0
+    pulled = []
+
+    def blocks(members):
+        for i in range(0, n, 2):
+            pulled.append(i)
+            yield lc[members, i:i + 2]
+
+    free_costs, free_paths = _minimax_band_dp(blocks([0, 1, 2]), n, W)
+    # a mixed batch sweeps every row and keeps the survivor's cost and path
+    pulled.clear()
+    costs, paths = _minimax_band_dp(blocks([0, 1, 2]), n, W, abandon_above=2.0)
+    assert len(pulled) == n // 2
+    assert costs.tolist() == [free_costs[0], math.inf, math.inf]
+    assert paths[0].tolist() == free_paths[0].tolist()
+    assert (paths[1:] == -1).all()
+    # once every member is dead the kernel pulls no further block: row 5 is in the third
+    pulled.clear()
+    costs, paths = _minimax_band_dp(blocks([1, 2]), n, W, fix_row=0, abandon_above=2.0)
+    assert pulled == [0, 2, 4]
+    assert costs.tolist() == [math.inf, math.inf]
+    assert (paths == -1).all()
 
 
 def _ref_lift_knots(times, path_k, W, h, fix_idx):

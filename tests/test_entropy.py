@@ -219,6 +219,17 @@ def test_grid_off_space_rejected(flow, grid):
         entropy_estimate(flow, grid, [1.0, 2.0], [0.1])
 
 
+@pytest.mark.parametrize("run", [
+    lambda flow, grid: x_delta_set(flow, 0.2, grid=grid, T_escape=2.0),
+    lambda flow, grid: h_star_estimate(flow, [0.2], [1.0, 2.0], [0.1], grid=grid,
+                                       T_escape=2.0),
+], ids=["x_delta_set", "h_star_estimate"])
+def test_x_delta_grid_off_space_rejected(run):
+    # x_delta_set used to keep (5, 0), which lies on no circle of exp(4)
+    with pytest.raises(SpaceError, match=r"\(5\.0, 0\.0\) not in"):
+        run(rotation_flow(CircleUnion(exp_radii(4))), [[1.0, 0.0], [5.0, 0.0]])
+
+
 # ------------------------------------------------------ entropy estimates
 
 def test_entropy_trivial_is_zero():

@@ -18,7 +18,7 @@ from expanse.expansivity import (
 )
 from expanse.alignment import align_batch, recompute_cost
 from expanse.flows import interval_flow, rotation_flow, trivial_flow
-from expanse.spaces import CircleUnion, FiniteSet, exp_radii, harmonic_radii
+from expanse.spaces import CircleUnion, FiniteSet, SpaceError, exp_radii, harmonic_radii
 
 FAST = dict(T=6.0, h=0.05, band_width=1.0)
 
@@ -91,7 +91,8 @@ def test_check_property_budget_inconclusive(harmonic_rot):
     assert rep.verdict == "inconclusive"
     assert rep.stats["pairs_checked"] == 3
     # an isometry never separates the pairs, so only the budget stops the scan
-    pairs = [(np.array([0.5, 0.0]), np.array([0.5, 0.01 * k])) for k in (1, 2, 3)]
+    pairs = [(np.array([0.5, 0.0]), 0.5 * np.array([math.cos(0.02 * k), math.sin(0.02 * k)]))
+             for k in (1, 2, 3)]
     equi = check_equicontinuity(harmonic_rot, False, eps=0.1, delta=0.05,
                                 pair_grid=pairs, T=6.0, h=0.05, max_pairs=2)
     assert equi.verdict == "inconclusive"
@@ -322,6 +323,24 @@ def test_repeated_pairs_aligned_once(monkeypatch):
     assert sorted(costed) == sorted((w, tuple(x), tuple(y)) for w in ("sing_dist", "unit")
                                     for x, y in [(a, b), (b, b)])
     assert rep["pairs"][0] == rep["pairs"][2]
+
+
+# a pair off exp(4)'s circles, which every pair scan used to cost and certify
+OFF_SPACE_PAIRS = [([5.0, 0.0], [5.0, 0.0005])]
+
+
+@pytest.mark.parametrize("scan", [
+    lambda flow: check_property(flow, "expansive", 0.1, 1e-3, OFF_SPACE_PAIRS,
+                                T=2.0, h=0.1, band_width=0.5),
+    lambda flow: check_equicontinuity(flow, False, 0.1, 1e-3, OFF_SPACE_PAIRS,
+                                      T=2.0, h=0.1),
+    lambda flow: hierarchy_check(flow, OFF_SPACE_PAIRS, T=2.0, h=0.1, band_width=0.5),
+    lambda flow: delta_star(flow, "expansive", [0.1], OFF_SPACE_PAIRS,
+                            T=2.0, h=0.1, band_width=0.5),
+], ids=["check_property", "check_equicontinuity", "hierarchy_check", "delta_star"])
+def test_pair_grid_off_space_rejected(scan):
+    with pytest.raises(SpaceError, match=r"\(5\.0, 0\.0\) not in"):
+        scan(rotation_flow(CircleUnion(exp_radii(4))))
 
 
 # --------------------------------------------------------- delta search

@@ -18,7 +18,7 @@ from expanse.shadowing import (
     find_shadow,
     generate_pseudo_orbit,
 )
-from expanse.spaces import CircleUnion, SpaceError
+from expanse.spaces import CircleUnion, SpaceError, exp_radii
 
 
 def make_po(durations, points=None, i_min=None):
@@ -161,6 +161,52 @@ def test_radial_drift_not_shadowed():
     assert best.max_error >= 0.1 - 1e-9
 
 
+def _first_without_threshold(flow, po, eps):
+    """Mode "first" as a scan of single-candidate "best" searches, which sweep every row."""
+    for z in default_candidates(flow, po, eps):
+        res = find_shadow(flow, po, eps, candidate_grid=[z], mode="best")
+        if res.max_error <= eps:
+            return res
+    return None
+
+
+def _interval_po(seed):
+    return interval_flow(1.0), generate_pseudo_orbit(
+        interval_flow(1.0), np.array([0.3]), 10, delta=1e-3, seed=seed)
+
+
+def _exp4_po():
+    flow = rotation_flow(CircleUnion(exp_radii(4)))
+    return flow, generate_pseudo_orbit(flow, np.array([1.0, 0.0]), 6, 1e-3, seed=7)
+
+
+def _drift_po():
+    radii = [0.8 + 0.02 * k for k in range(11)]
+    return rotation_flow(CircleUnion(radii)), radial_drift_po(radii)
+
+
+def _digest(res):
+    if res is None:
+        return None
+    return (res.shadow_point, res.max_error, res.per_segment_errors,
+            res.reparam.knots_t.tolist(), res.reparam.knots_s.tolist())
+
+
+# criterion 8's seeds 0 and 2 pass on their first candidate, 4 and 13 on their
+# second, after the first is abandoned; every drift candidate is abandoned
+@pytest.mark.parametrize("make, shadowed", [
+    (lambda: _interval_po(0), True), (lambda: _interval_po(2), True),
+    (lambda: _interval_po(4), True), (lambda: _interval_po(13), True),
+    (_exp4_po, True), (_drift_po, False),
+], ids=["interval-seed0", "interval-seed2", "interval-seed4", "interval-seed13",
+        "exp4-seed7", "drift"])
+def test_first_mode_threshold_keeps_results(make, shadowed):
+    flow, po = make()
+    res = find_shadow(flow, po, eps=0.05)
+    assert (res is not None) == shadowed
+    assert _digest(res) == _digest(_first_without_threshold(flow, po, 0.05))
+
+
 def test_shadow_error_monotone_under_candidate_refinement():
     flow = interval_flow(1.0)
     po = generate_pseudo_orbit(flow, np.array([0.3]), 8, delta=5e-3, seed=11)
@@ -183,6 +229,16 @@ def test_find_shadow_rejects_loaded_off_space_point(tmp_path):
     make_po([1.0, 1.0, 1.0], points=[(0.3,), (1.7,), (0.3,)]).save(path)
     with pytest.raises(SpaceError, match=r"\(1\.7,\) not in interval01"):
         find_shadow(interval_flow(1.0), PseudoOrbit.load(path), eps=0.05)
+
+
+def test_find_shadow_rejects_off_space_candidate():
+    radii = [0.8 + 0.02 * k for k in range(11)]
+    flow = rotation_flow(CircleUnion(radii))
+    po = radial_drift_po(radii)
+    # the first candidate lies on the orbit; the second on no circle
+    for mode in ("first", "best"):
+        with pytest.raises(SpaceError, match=r"\(5\.0, 0\.0\) not in"):
+            find_shadow(flow, po, 0.05, candidate_grid=[[0.8, 0.0], [5.0, 0.0]], mode=mode)
 
 
 def test_find_shadow_forward_semiflow():
