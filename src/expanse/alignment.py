@@ -9,14 +9,19 @@ definitions; ties are broken toward the path closest to the identity.
 Lattice paths are lifted to strictly increasing piecewise-linear maps.
 
 One kernel runs this bottleneck DP for a batch of pairs on (pairs, band)
-rows. Local costs are streamed to it in row blocks from a strided window
-view of each extended y-orbit, so no pair's full cost tensor is built. A
-kernel call holds at most BATCH_CELLS int8 path choices (about 20 pairs at
-T = 20, h = 0.01, band 2); align_batch splits longer lists, and align is
-the batch of one. The shadow cone search in shadowing runs on this kernel
-too, so both share one tie rule: among equal-cost paths the smallest sum
-of |offset|, then the diagonal step. Rows after a pinned row update only
-the offsets it can reach.
+rows. It asks a callable for the local costs of a row block at a column
+range, computed from a strided window view of each extended y-orbit, so no
+pair's full cost tensor is built. The zero-offset path is always
+admissible, so its cost bounds each pair's optimum: cells above the bound
+are set to +inf, and each row sweeps only the columns next to the previous
+row's finite cells (about a third of the band at T = 20, h = 0.01, band
+2). Costs, paths and ties are those of the full sweep. A kernel call holds
+at most BATCH_CELLS int8 path choices (about 20 pairs at that scale);
+align_batch splits longer lists, and align is the batch of one. The shadow
+cone search in shadowing runs on this kernel too, so both share one tie
+rule: among equal-cost paths the smallest sum of |offset|, then the
+diagonal step. Rows after a pinned row update only the offsets it can
+reach.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ _KEY_INF = 2 ** 62  # packed key of a candidate above the row's minimum cost
 _STEP = np.array([0, 1, -1])  # k of the predecessor minus k, by tie priority
 BATCH_CELLS = 2 ** 25  # int8 path choices one kernel call may hold
 _BLOCK_VALUES = 2 ** 17  # local costs built per row block
+_BLOCK_MARGIN = 8  # columns a row block adds either side of its first row's range
+_BLOCK_ROWS = 32  # rows per block at most, so a growing range wastes few cells
 _FLAT_SLOPE = 1e-12  # spread applied to flat runs so knots stay strictly monotone
 
 
@@ -135,71 +142,107 @@ def _weighted_ratio(dists: np.ndarray, w: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _minimax_band_dp(blocks, n: int, W: int, fix_row: Optional[int] = None,
+def _minimax_band_dp(local_cost, n: int, W: int, fix_row: Optional[int] = None,
                      abandon_above: Optional[float] = None):
     """Minimax DP over monotone lattice paths in an offset band, B pairs at once.
 
-    blocks yields local-cost arrays of shape (B, rows, 2W+1) that cover rows
-    0..n-1 in order; lc[b, i, k] is the cost of pairing x-time i with
-    y-offset k - W cells, and j advances by 0, 1 or 2 per i step. Ties in
-    cost go to the smaller sum of |offset|, then to the diagonal, k+1 and
-    k-1 predecessor in that order: each candidate's (penalty, priority) is
-    packed as 4 * penalty + priority and compared only among candidates
-    whose cost equals the row minimum. After fix_row only the offsets
-    |k - W| <= i - fix_row can be reached, so a row updates just those and
-    ignores its other local costs. Returns (costs (B,), k-paths (B, n)).
+    local_cost(i0, i1, lo, hi) returns the local costs of rows i0..i1-1 at
+    band columns lo..hi-1, shape (B, i1 - i0, hi - lo); lc[b, i, k] is the
+    cost of pairing x-time i with y-offset k - W cells, and j advances by
+    0, 1 or 2 per i step. Ties in cost go to the smaller sum of |offset|,
+    then to the diagonal, k+1 and k-1 predecessor in that order: each
+    candidate's (penalty, priority) is packed as 4 * penalty + priority and
+    compared only among candidates whose cost equals the row minimum. After
+    fix_row only the offsets |k - W| <= i - fix_row can be reached (the pin
+    cone). Returns (costs (B,), k-paths (B, n)).
 
-    With abandon_above the call decides cost <= abandon_above: a swept
-    row's minimum is a lower bound on the final cost, so a member whose
-    cost exceeds the threshold gets cost +inf and a path of -1s, and the
-    call returns as soon as every member's row minimum exceeds it, pulling
-    no further blocks. A member within the threshold keeps exactly the cost
-    and path of a call without one.
+    The zero-offset path (column W in every row) passes through the pinned
+    row and lies in the cone, so its cost bounds member b's optimum; a cell
+    whose running value exceeds that bound lies on no optimal path and is
+    set to +inf, which changes no cost, path or tie. Each row then updates
+    only the columns between the first and last finite cell of the row
+    before, widened by one and clipped to the cone, and asks local_cost for
+    little more than those. A member whose bound is +inf keeps every cell.
+
+    With abandon_above the call decides cost <= abandon_above, and the
+    threshold is the bound; the zero-offset cost is not computed, since it
+    needs every row and an abandoned call asks for no row past the one
+    where it stops. A member whose cost exceeds the threshold gets cost +inf
+    and a path of -1s, and the call returns as soon as a row has no finite
+    cell left. A member within the threshold keeps exactly the cost and
+    path of a call without one.
     """
     width = 2 * W + 1
     pen4 = 4 * np.abs(np.arange(width, dtype=np.int64) - W)
-    off_band = np.arange(width) != W
-    rows = (block[:, r] for block in blocks for r in range(block.shape[1]))
-    first = next(rows)
-    B = first.shape[0]
-    # two padded row buffers; the pad columns stay out of band for good
-    D = np.full((2, B, width + 2), np.inf)
-    P4 = np.full((2, B, width + 2), 4 * _PEN_INF, dtype=np.int64)
-    D[0, :, 1:-1] = first
-    P4[0, :, 1:-1] = pen4
+
+    def cone(i):
+        r = W if fix_row is None or i < fix_row else min(W, i - fix_row)
+        return W - r, W + r + 1
+
+    lo, hi = cone(0)
+    row0 = local_cost(0, 1, lo, hi)
+    B = row0.shape[0]
+    if abandon_above is None:
+        step = max(1, _BLOCK_VALUES // B)
+        bound = np.max([local_cost(i, min(n, i + step), W, W + 1).max(axis=1, keepdims=True)
+                        for i in range(0, n, step)], axis=0)
+    else:
+        bound = np.full((B, 1, 1), float(abandon_above))
+    # a kept cell is within its member's bound, so a column keeps one iff its min <= top
+    top = bound.max()
+
+    def pruned(lc):
+        return np.where(lc > bound, np.inf, lc)
+
+    # two row buffers with two pad columns a side; column k sits at k + 2,
+    # and a cell outside the previous row's range reads as (+inf, 4 * _PEN_INF)
+    D = np.full((2, B, width + 4), np.inf)
+    P4 = np.full((2, B, width + 4), 4 * _PEN_INF, dtype=np.int64)
+    D[0, :, lo + 2:hi + 2] = pruned(row0)[:, 0]
+    P4[0, :, lo + 2:hi + 2] = pen4[lo:hi]
     choices = np.empty((n, B, width), dtype=np.int8)
     best = np.empty((B, width))
-
-    def pin(i):  # a fixed row keeps only the zero offset; the next row starts empty
-        if i == fix_row:
-            D[i % 2, :, 1:-1][:, off_band] = np.inf
-            P4[i % 2, :, 1:-1][:, off_band] = 4 * _PEN_INF
-            D[(i + 1) % 2] = np.inf
-            P4[(i + 1) % 2] = 4 * _PEN_INF
-
-    for i, lc in enumerate(rows, 1):
-        pin(i - 1)
-        r = W if fix_row is None or i <= fix_row else min(W, i - fix_row)
-        lo, hi = W - r, W + r + 1  # the band columns this row updates
-        d, p = D[(i - 1) % 2, :, lo:hi + 2], P4[(i - 1) % 2, :, lo:hi + 2]
-        b = best[:, lo:hi]
-        # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1 (dj=2)
-        np.minimum(d[:, 1:-1], d[:, 2:], out=b)
-        np.minimum(b, d[:, :-2], out=b)
-        q = np.where(d[:, 1:-1] == b, p[:, 1:-1], _KEY_INF)
-        np.minimum(q, np.where(d[:, 2:] == b, p[:, 2:] + 1, _KEY_INF), out=q)
-        np.minimum(q, np.where(d[:, :-2] == b, p[:, :-2] + 2, _KEY_INF), out=q)
-        np.bitwise_and(q, 3, out=choices[i, :, lo:hi], casting="unsafe")
-        np.bitwise_and(q, ~3, out=P4[i % 2, :, lo + 1:hi + 1])
-        P4[i % 2, :, lo + 1:hi + 1] += pen4[lo:hi]
-        np.maximum(lc[:, lo:hi], b, out=D[i % 2, :, lo + 1:hi + 1])
-        # cells outside lo:hi hold +inf, so this is every member's row minimum
-        if abandon_above is not None and D[i % 2, :, lo + 1:hi + 1].min() > abandon_above:
+    blk, b0, b1, c0, c1 = None, 0, 0, 0, 0
+    written = [None, None]
+    for i in range(n):
+        if i:
+            if not (i < b1 and c0 <= lo and hi <= c1):
+                # a block of rows at this row's columns widened by _BLOCK_MARGIN
+                b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, width)
+                rows = _BLOCK_VALUES // (B * (c1 - c0))
+                b1 = min(n, i + max(1, min(_BLOCK_ROWS, rows)))
+                blk = pruned(local_cost(b0, b1, c0, c1))
+            lc = blk[:, i - b0, lo - c0:hi - c0]
+            d, p = D[(i - 1) % 2, :, lo + 1:hi + 3], P4[(i - 1) % 2, :, lo + 1:hi + 3]
+            b = best[:, lo:hi]
+            # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1 (dj=2)
+            np.minimum(d[:, 1:-1], d[:, 2:], out=b)
+            np.minimum(b, d[:, :-2], out=b)
+            q = np.where(d[:, 1:-1] == b, p[:, 1:-1], _KEY_INF)
+            np.minimum(q, np.where(d[:, 2:] == b, p[:, 2:] + 1, _KEY_INF), out=q)
+            np.minimum(q, np.where(d[:, :-2] == b, p[:, :-2] + 2, _KEY_INF), out=q)
+            np.bitwise_and(q, 3, out=choices[i, :, lo:hi], casting="unsafe")
+            np.bitwise_and(q, ~3, out=P4[i % 2, :, lo + 2:hi + 2])
+            P4[i % 2, :, lo + 2:hi + 2] += pen4[lo:hi]
+            # a pruned predecessor is +inf, so the max is <= the bound or +inf
+            np.maximum(lc, b, out=D[i % 2, :, lo + 2:hi + 2])
+        # the next row reads at most two cells past this row's range; clear
+        # them unless this buffer's last row had the same range and cleared them
+        if written[i % 2] != (lo, hi):
+            D[i % 2, :, lo:lo + 2] = D[i % 2, :, hi + 2:hi + 4] = np.inf
+            P4[i % 2, :, lo:lo + 2] = P4[i % 2, :, hi + 2:hi + 4] = 4 * _PEN_INF
+            written[i % 2] = lo, hi
+        live = D[i % 2, :, lo + 2:hi + 2].min(axis=0) <= top
+        left, right = int(live.argmax()), int(live[::-1].argmax())
+        k_lo, k_hi = cone(i + 1)
+        last_lo, last_hi = lo, hi
+        lo, hi = max(lo + left - 1, k_lo), min(hi - right + 1, k_hi)
+        if not live[left] or lo >= hi:  # no cell left, or none next to the pinned offset
             return np.full(B, np.inf), np.full((B, n), -1, dtype=np.int64)
-    pin(n - 1)
-    d, p = D[(n - 1) % 2, :, 1:-1], P4[(n - 1) % 2, :, 1:-1]
+    d = D[(n - 1) % 2, :, last_lo + 2:last_hi + 2]
+    p = P4[(n - 1) % 2, :, last_lo + 2:last_hi + 2]
     costs = d.min(axis=1)
-    k = np.where(d == costs[:, None], p, _KEY_INF).argmin(axis=1)
+    k = np.where(d == costs[:, None], p, _KEY_INF).argmin(axis=1) + last_lo
     paths = np.empty((n, B), dtype=np.int64)
     paths[-1] = k
     pairs = np.arange(B)
@@ -280,12 +323,13 @@ def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
     w = np.stack([_weights(xs, weight_kind) for xs, _ in pairs])
     # windows[b, i, k] = y_ext[b, i + k]: a strided view, never materialized
     windows = np.moveaxis(sliding_window_view(y_ext, 2 * W + 1, axis=1), -1, 2)
-    step = max(1, _BLOCK_VALUES // (len(pairs) * (2 * W + 1)))
-    local_costs = (_weighted_ratio(space.distance(x_pts[:, i:i + step, None, :],
-                                                  windows[:, i:i + step]),
-                                   w[:, i:i + step, None]) for i in range(0, n, step))
+
+    def local_cost(i0, i1, lo, hi):
+        return _weighted_ratio(space.distance(x_pts[:, i0:i1, None, :], windows[:, i0:i1, lo:hi]),
+                               w[:, i0:i1, None])
+
     fix_idx = n_half if fix_zero else None
-    costs, paths = _minimax_band_dp(local_costs, n, W, fix_row=fix_idx)
+    costs, paths = _minimax_band_dp(local_cost, n, W, fix_row=fix_idx)
     # the local costs along each chosen path, recomputed to locate its max
     along = _weighted_ratio(space.distance(
         x_pts, y_ext[np.arange(len(pairs))[:, None], np.arange(n) + paths]), w)

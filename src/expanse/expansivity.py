@@ -496,12 +496,13 @@ def return_time_bound_check(flow: FlowModel, x_grid=None, delta_grid=None, *,
 
     Bisects 20 times over r; for each r, scans sampled x, delta < r/3 and
     |t| < r (step 0.002) for a return d(phi_t x, x) <= delta ||V(x)|| with |t| >= 3 delta.
+    A grid point outside flow.space raises SpaceError.
     """
     if flow.vector_field is None:
         raise ExpansivityError(f"{flow.name} has no vector field")
     grid = x_grid if x_grid is not None else _constants_grid(flow)
-    grid = [as_coords(p) for p in grid
-            if float(flow.singular.distances(as_coords(p))) > 0][:64]
+    grid = [x for x in (flow.space.point(p).vec for p in grid)
+            if float(flow.singular.distances(x)) > 0][:64]
     deltas = np.asarray(delta_grid if delta_grid is not None
                         else np.geomspace(1e-3, r_hi / 3.0 * 0.99, 10))
     h = 0.002

@@ -11,12 +11,14 @@ clock 0, with alignment's tie rule: among equal-cost paths, the one
 closest to the slope-1 path.
 
 Mode "first" only decides whether a candidate's error is <= eps, so it
-passes eps to the kernel as its abandon_above threshold: the minimax value
-of the rows swept so far never decreases, so a direction stops at the
-first row whose minimum exceeds eps, and a candidate that fails forward
-never runs its backward search. A candidate that passes gets the same
-result, bit for bit, as a search without the threshold. Mode "best" needs
-every error and sweeps every row.
+passes eps to the kernel as its abandon_above threshold, and the kernel
+prunes at eps: a cell whose running minimax value exceeds eps is dropped,
+so each row sweeps only the offsets next to the cells still within eps, a
+direction stops at the first row with none left, and a candidate that
+fails forward never runs its backward search. A candidate that passes
+gets the same result, bit for bit, as a search without the threshold.
+Mode "best" needs every error; it prunes at the cost of the zero-offset
+path, which every direction admits.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .alignment import _BLOCK_VALUES, Reparam, _minimax_band_dp
+from .alignment import Reparam, _minimax_band_dp
 from .flows import FlowModel
 from .spaces import CircleUnion, Point
 
@@ -209,17 +211,11 @@ def _cone_search(space, orbit, ref, q, abandon_above):
     # the edge padding left of cell 0 lies outside every row's cone
     padded = np.pad(orbit, ((W, 0), (0, 0)), mode="edge")
     windows = np.moveaxis(sliding_window_view(padded, width, axis=0)[::q], -1, 1)
-    step = max(1, _BLOCK_VALUES // width)
 
-    def blocks():  # distances only inside the cone of each block's last row
-        for r0 in range(0, W + 1, step):
-            r1 = min(W + 1, r0 + step)
-            cone = slice(W - r1 + 1, W + r1)
-            lc = np.full((1, r1 - r0, width), np.inf)
-            lc[0, :, cone] = space.distance(windows[r0:r1, cone], ref[r0:r1, None])
-            yield lc
+    def local_cost(r0, r1, lo, hi):
+        return space.distance(windows[r0:r1, lo:hi], ref[r0:r1, None])[None]
 
-    costs, paths = _minimax_band_dp(blocks(), W + 1, W, fix_row=0,
+    costs, paths = _minimax_band_dp(local_cost, W + 1, W, fix_row=0,
                                     abandon_above=abandon_above)
     if paths[0, 0] < 0:  # abandoned: no path
         return None

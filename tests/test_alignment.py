@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,55 +154,88 @@ def _dp_batches(draw):
     cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
     vals = draw(st.lists(cell, min_size=batch * n * (2 * W + 1),
                          max_size=batch * n * (2 * W + 1)))
+    lc = np.array(vals).reshape(batch, n, 2 * W + 1)
+    if draw(st.booleans()):
+        # a cheap zero-offset column beside costlier cells: its cost prunes them
+        centre = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=batch * n,
+                               max_size=batch * n))
+        lc[:, :, W] = np.array(centre).reshape(batch, n)
     # an abandon threshold from the same alphabet, so costs often equal it
     threshold = draw(st.one_of(st.none(), cell))
-    return np.array(vals).reshape(batch, n, 2 * W + 1), W, fix_row, threshold
+    return lc, W, fix_row, threshold
+
+
+def _local_cost(lc, log=None):
+    """The kernel's local-cost callable over a dense (B, n, 2W+1) array."""
+    def local_cost(i0, i1, lo, hi):
+        assert 0 <= i0 < i1 <= lc.shape[1] and 0 <= lo < hi <= lc.shape[2]
+        if log is not None:
+            log.append((i0, i1))
+        return lc[:, i0:i1, lo:hi]
+    return local_cost
 
 
 @settings(max_examples=300, deadline=None)
-@given(_dp_batches(), st.integers(1, 3))
-def test_minimax_kernel_matches_oracle(case, block_rows):
+@given(_dp_batches(), st.integers(1, 40), st.integers(0, 2))
+def test_minimax_kernel_matches_oracle(case, block_values, margin):
     lc, W, fix_row, threshold = case
     n = lc.shape[1]
-    blocks = [lc[:, i:i + block_rows] for i in range(0, n, block_rows)]
-    costs, paths = _minimax_band_dp(blocks, n, W, fix_row, abandon_above=threshold)
-    for b in range(lc.shape[0]):
-        brute = _brute_min_sup(lc[b], W, fix_row)
+    # small blocks and margins make the kernel ask again whenever its range moves
+    with mock.patch.object(alignment, "_BLOCK_VALUES", block_values), \
+            mock.patch.object(alignment, "_BLOCK_MARGIN", margin):
+        costs, paths = _minimax_band_dp(_local_cost(lc), n, W, fix_row,
+                                        abandon_above=threshold)
+        for b in range(lc.shape[0]):
+            brute = _brute_min_sup(lc[b], W, fix_row)
+            ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
+            assert ref_cost == brute
+            if threshold is not None and brute > threshold:
+                ref_cost, ref_path = math.inf, np.full(n, -1)
+            assert costs[b] == ref_cost
+            assert paths[b].tolist() == ref_path.tolist()
+            single_cost, single_path = _minimax_band_dp(_local_cost(lc[b:b + 1]), n, W,
+                                                        fix_row, abandon_above=threshold)
+            assert single_cost[0] == ref_cost
+            assert single_path[0].tolist() == ref_path.tolist()
+
+
+@pytest.mark.parametrize("fix_row", [None, 0, 3])
+def test_minimax_kernel_keeps_infinite_members_path(fix_row):
+    # member 0 has no finite path (row 4 is all inf), so nothing is pruned
+    # for it; member 1's cheap zero-offset column prunes its costly cells
+    n, W = 9, 3
+    rng = np.random.default_rng(7)
+    lc = rng.integers(0, 4, size=(2, n, 2 * W + 1)).astype(float)
+    lc[0, 4] = math.inf
+    lc[1, :, W] = 0.5
+    costs, paths = _minimax_band_dp(_local_cost(lc), n, W, fix_row)
+    for b in range(2):
         ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
-        assert ref_cost == brute
-        if threshold is not None and brute > threshold:
-            ref_cost, ref_path = math.inf, np.full(n, -1)
         assert costs[b] == ref_cost
         assert paths[b].tolist() == ref_path.tolist()
-        single_cost, single_path = _minimax_band_dp([lc[b:b + 1]], n, W, fix_row,
-                                                    abandon_above=threshold)
-        assert single_cost[0] == ref_cost
-        assert single_path[0].tolist() == ref_path.tolist()
+    assert costs[0] == math.inf and (paths[0] >= 0).all()
+    alone_cost, alone_path = _minimax_band_dp(_local_cost(lc[:1]), n, W, fix_row)
+    assert alone_cost[0] == math.inf and alone_path[0].tolist() == paths[0].tolist()
 
 
-def test_minimax_kernel_abandons_without_more_blocks():
+def test_minimax_kernel_abandons_without_more_blocks(monkeypatch):
     n, W = 40, 2
     lc = np.zeros((3, n, 2 * W + 1))
     lc[1:, 5:] = 3.0  # members 1 and 2 cost 3 from row 5 on; member 0 costs 0
+    monkeypatch.setattr(alignment, "_BLOCK_VALUES", 1)  # one row per request
     pulled = []
-
-    def blocks(members):
-        for i in range(0, n, 2):
-            pulled.append(i)
-            yield lc[members, i:i + 2]
-
-    free_costs, free_paths = _minimax_band_dp(blocks([0, 1, 2]), n, W)
+    free_costs, free_paths = _minimax_band_dp(_local_cost(lc), n, W)
     # a mixed batch sweeps every row and keeps the survivor's cost and path
-    pulled.clear()
-    costs, paths = _minimax_band_dp(blocks([0, 1, 2]), n, W, abandon_above=2.0)
-    assert len(pulled) == n // 2
+    costs, paths = _minimax_band_dp(_local_cost(lc, pulled), n, W, abandon_above=2.0)
+    assert pulled == [(i, i + 1) for i in range(n)]
     assert costs.tolist() == [free_costs[0], math.inf, math.inf]
     assert paths[0].tolist() == free_paths[0].tolist()
     assert (paths[1:] == -1).all()
-    # once every member is dead the kernel pulls no further block: row 5 is in the third
+    # once every member is dead the kernel asks for no further row: row 5 is the last
     pulled.clear()
-    costs, paths = _minimax_band_dp(blocks([1, 2]), n, W, fix_row=0, abandon_above=2.0)
-    assert pulled == [0, 2, 4]
+    costs, paths = _minimax_band_dp(_local_cost(lc[1:], pulled), n, W, fix_row=0,
+                                    abandon_above=2.0)
+    assert pulled == [(i, i + 1) for i in range(6)]
     assert costs.tolist() == [math.inf, math.inf]
     assert (paths == -1).all()
 
@@ -358,6 +392,52 @@ def test_align_batch_matches_single_pairs(harmonic_rot, monkeypatch, fix_zero):
     for one, res in zip(singles, align_batch(pairs, "sing_dist", fix_zero, 1.0)):
         assert res.cost == one.cost and res.argmax_t == one.argmax_t
         assert np.array_equal(res.reparam.knots_s, one.reparam.knots_s)
+
+
+def _dense_local_costs(xs, ys, weight, W):
+    """Every band cell's weighted separation, (n, 2W+1), on the y orbit widened by W a side."""
+    n, h = len(xs.times), xs.step_h
+    n_half = (n - 1) // 2
+    ext = np.r_[-(n_half + W):-n_half, n_half + 1:n_half + W + 1] * h
+    tails = ys.flow.evaluate(ext, ys.base)
+    y_ext = np.concatenate([tails[:W], ys.points, tails[W:]])
+    cells = y_ext[np.arange(n)[:, None] + np.arange(2 * W + 1)]
+    return alignment._weighted_ratio(xs.flow.space.distance(xs.points[:, None], cells),
+                                     alignment._weights(xs, weight)[:, None])
+
+
+def _real_orbit_pairs(flow):
+    if isinstance(flow.space, CircleUnion):
+        bases = [np.array([r, 0.0]) for r in flow.space.radii[:4]]
+        bases.append(flow.evaluate(0.3, bases[1]))
+        bases.append(flow.space.on_circle(2, 2.0))
+    else:
+        bases = [np.array([v]) for v in (0.2, 0.27, 0.5, 0.52, 0.9)]
+    orbits = [sample_orbit(flow, b, T=2.0, h=0.05) for b in bases]
+    return [(orbits[i], orbits[j]) for i in range(len(orbits))
+            for j in range(len(orbits)) if abs(i - j) <= 2]
+
+
+@pytest.mark.parametrize("flow", [rotation_flow(CircleUnion(exp_radii(8))),
+                                  rotation_flow(CircleUnion(harmonic_radii(6))),
+                                  interval_flow(1.0)], ids=["exp8", "harmonic6", "interval"])
+@pytest.mark.parametrize("weight", ["unit", "sing_dist", "field_norm"])
+@pytest.mark.parametrize("fix_zero", [False, True])
+def test_align_batch_matches_dense_oracle(flow, weight, fix_zero):
+    # the pruned kernel on real orbits against the per-pair recurrence on
+    # every band cell: same cost, path and argmax_t
+    pairs = _real_orbit_pairs(flow)
+    band = 0.5
+    W = int(math.floor(band / 0.05 + 1e-9))
+    n_half = (len(pairs[0][0].times) - 1) // 2
+    fix_idx = n_half if fix_zero else None
+    for (xs, ys), res in zip(pairs, align_batch(pairs, weight, fix_zero, band)):
+        lc = _dense_local_costs(xs, ys, weight, W)
+        cost, path = _ref_minimax_band_dp(lc, W, fix_idx)
+        assert res.cost == cost
+        lifted = alignment._lift_path(xs.times, path, W, 0.05, fix_idx)
+        assert res.reparam.knots_s.tobytes() == lifted.knots_s.tobytes()
+        assert res.argmax_t == xs.times[int(np.argmax(lc[np.arange(len(path)), path]))]
 
 
 def test_align_batch_needs_shared_grid(harmonic_rot):

@@ -284,6 +284,12 @@ def test_return_time_full_period_violates():
     assert rep["r0"] < 2.0 * math.pi
 
 
+def test_return_time_bound_rejects_off_space_grid():
+    flow = rotation_flow(CircleUnion(exp_radii(4)))
+    with pytest.raises(SpaceError, match=r"\(5\.0, 0\.0\) not in"):
+        return_time_bound_check(flow, x_grid=[[5.0, 0.0]], delta_grid=[0.1])
+
+
 # ------------------------------------------------------------ hierarchy
 
 @pytest.mark.parametrize("make", [
