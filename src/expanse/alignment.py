@@ -11,17 +11,20 @@ Lattice paths are lifted to strictly increasing piecewise-linear maps.
 One kernel runs this bottleneck DP for a batch of pairs on (pairs, band)
 rows. It asks a callable for the local costs of a row block at a column
 range, computed from a strided window view of each extended y-orbit, so no
-pair's full cost tensor is built. The zero-offset path is always
-admissible, so its cost bounds each pair's optimum: cells above the bound
-are set to +inf, and each row sweeps only the columns next to the previous
-row's finite cells (about a third of the band at T = 20, h = 0.01, band
-2). Costs, paths and ties are those of the full sweep. A kernel call holds
-at most BATCH_CELLS int8 path choices (about 20 pairs at that scale);
-align_batch splits longer lists, and align is the batch of one. The shadow
-cone search in shadowing runs on this kernel too, so both share one tie
-rule: among equal-cost paths the smallest sum of |offset|, then the
-diagonal step. Rows after a pinned row update only the offsets it can
-reach.
+pair's full cost tensor is built. Each pair comes with a bound, the cost
+of its cheapest reference path (constant offsets: zero, and the cheapest
+column of three sampled rows); a cell above the bound lies on no optimal
+path and is set to +inf. Each pair's columns are shifted so that its
+cheapest reference sits on one shared column, unless that fails to narrow
+the cells within the bounds on the sampled rows. Each row then sweeps only
+the columns next to the previous row's finite cells, and stores its path
+choices for those columns only: at T = 20, h = 0.01, band 2 about 1/20 of
+the band. Costs, paths and ties are those of the full sweep. BATCH_CELLS
+caps the cells of a full sweep (about 20 pairs at that scale); align_batch
+splits longer lists, and align is the batch of one. The shadow cone search
+in shadowing runs on this kernel too, so both share one tie rule: among
+equal-cost paths the smallest sum of |offset|, then the diagonal step.
+Rows after a pinned row update only the offsets it can reach.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .spaces import as_coords
 _PEN_INF = 2 ** 54  # penalty of masked and out-of-band cells; 4x it fits int64
 _KEY_INF = 2 ** 62  # packed key of a candidate above the row's minimum cost
 _STEP = np.array([0, 1, -1])  # k of the predecessor minus k, by tie priority
-BATCH_CELLS = 2 ** 25  # int8 path choices one kernel call may hold
+BATCH_CELLS = 2 ** 25  # band cells of one kernel call, as if none were pruned
 _BLOCK_VALUES = 2 ** 17  # local costs built per row block
 _BLOCK_MARGIN = 8  # columns a row block adds either side of its first row's range
 _BLOCK_ROWS = 32  # rows per block at most, so a growing range wastes few cells
@@ -142,65 +145,70 @@ def _weighted_ratio(dists: np.ndarray, w: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _minimax_band_dp(local_cost, n: int, W: int, fix_row: Optional[int] = None,
-                     abandon_above: Optional[float] = None):
+def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] = None,
+                     shift=None):
     """Minimax DP over monotone lattice paths in an offset band, B pairs at once.
 
-    local_cost(i0, i1, lo, hi) returns the local costs of rows i0..i1-1 at
-    band columns lo..hi-1, shape (B, i1 - i0, hi - lo); lc[b, i, k] is the
-    cost of pairing x-time i with y-offset k - W cells, and j advances by
-    0, 1 or 2 per i step. Ties in cost go to the smaller sum of |offset|,
-    then to the diagonal, k+1 and k-1 predecessor in that order: each
-    candidate's (penalty, priority) is packed as 4 * penalty + priority and
-    compared only among candidates whose cost equals the row minimum. After
-    fix_row only the offsets |k - W| <= i - fix_row can be reached (the pin
-    cone). Returns (costs (B,), k-paths (B, n)).
+    lc[b, i, k] is the cost of pairing x-time i with y-offset k - W cells,
+    for band columns 0 <= k <= 2W, and j advances by 0, 1 or 2 per i step.
+    Ties in cost go to the smaller sum of |offset|, then to the diagonal,
+    k+1 and k-1 predecessor in that order: each candidate's (penalty,
+    priority) is packed as 4 * penalty + priority and compared only among
+    candidates whose cost equals the row minimum. After fix_row only the
+    offsets |k - W| <= i - fix_row can be reached (the pin cone). Returns
+    (costs (B,), k-paths (B, n)).
 
-    The zero-offset path (column W in every row) passes through the pinned
-    row and lies in the cone, so its cost bounds member b's optimum; a cell
-    whose running value exceeds that bound lies on no optimal path and is
-    set to +inf, which changes no cost, path or tie. Each row then updates
-    only the columns between the first and last finite cell of the row
-    before, widened by one and clipped to the cone, and asks local_cost for
-    little more than those. A member whose bound is +inf keeps every cell.
+    bound (B,) caps each member: a cell whose running value exceeds its
+    member's bound is +inf, and a member whose cost exceeds its bound gets
+    cost +inf and a path of -1s. The cost of any admissible path is a
+    bound that never fires, and a cell above it lies on no optimal path,
+    so the cap changes no cost, path or tie; a member whose bound is +inf
+    keeps every cell. Each row updates only the columns between the first
+    and last finite cell of the row before, widened by one and clipped to
+    the cone, asks local_cost for little more than those, and keeps its
+    path choices for those columns only. The call returns as soon as a row
+    has no finite cell left.
 
-    With abandon_above the call decides cost <= abandon_above, and the
-    threshold is the bound; the zero-offset cost is not computed, since it
-    needs every row and an abandoned call asks for no row past the one
-    where it stops. A member whose cost exceeds the threshold gets cost +inf
-    and a path of -1s, and the call returns as soon as a row has no finite
-    cell left. A member within the threshold keeps exactly the cost and
-    path of a call without one.
+    shift (B,) centres each member's corridor: member b's column k sits at
+    buffer column k + max(shift) - shift[b], so the buffer is 2W + 1 +
+    (max(shift) - min(shift)) columns wide and members whose best paths
+    lie at different offsets share one narrow column range. Buffer columns
+    outside a member's band are +inf. local_cost(i0, i1, lo, hi) returns
+    the local costs of rows i0..i1-1 at buffer columns lo..hi-1, shape
+    (B, i1 - i0, hi - lo); its values outside a member's band are ignored.
+    Under a pin every shift must be equal.
     """
-    width = 2 * W + 1
-    pen4 = 4 * np.abs(np.arange(width, dtype=np.int64) - W)
-
-    def cone(i):
-        r = W if fix_row is None or i < fix_row else min(W, i - fix_row)
-        return W - r, W + r + 1
-
-    lo, hi = cone(0)
-    row0 = local_cost(0, 1, lo, hi)
-    B = row0.shape[0]
-    if abandon_above is None:
-        step = max(1, _BLOCK_VALUES // B)
-        bound = np.max([local_cost(i, min(n, i + step), W, W + 1).max(axis=1, keepdims=True)
-                        for i in range(0, n, step)], axis=0)
-    else:
-        bound = np.full((B, 1, 1), float(abandon_above))
+    bound = np.asarray(bound, dtype=float)
+    B = len(bound)
+    shift = np.zeros(B, dtype=np.int64) if shift is None else np.asarray(shift, np.int64)
+    s_hi, spread = int(shift.max()), int(np.ptp(shift))
+    if fix_row is not None and spread:
+        raise AlignmentError("a pinned call cannot shift its members apart")
+    width = 2 * W + 1 + spread
+    k_of = np.arange(width) - s_hi + shift[:, None]  # member b's band column at each buffer column
+    in_band = (k_of >= 0) & (k_of <= 2 * W)
+    pen4 = np.where(in_band, 4 * np.abs(k_of - W), 4 * _PEN_INF)
+    # a cell above its member's cap is +inf; the cap is -inf outside the band
+    cap = np.where(in_band, bound[:, None], -np.inf)[:, None]
     # a kept cell is within its member's bound, so a column keeps one iff its min <= top
     top = bound.max()
 
-    def pruned(lc):
-        return np.where(lc > bound, np.inf, lc)
+    def pruned(i0, i1, lo, hi):
+        lc = local_cost(i0, i1, lo, hi)
+        return np.where(lc > cap[:, :, lo:hi], np.inf, lc)
 
-    # two row buffers with two pad columns a side; column k sits at k + 2,
+    def cone(i):
+        r = W if fix_row is None or i < fix_row else min(W, i - fix_row)
+        return W - r, W + r + 1 + spread
+
+    # two row buffers with two pad columns a side; column c sits at c + 2,
     # and a cell outside the previous row's range reads as (+inf, 4 * _PEN_INF)
+    lo, hi = cone(0)
     D = np.full((2, B, width + 4), np.inf)
     P4 = np.full((2, B, width + 4), 4 * _PEN_INF, dtype=np.int64)
-    D[0, :, lo + 2:hi + 2] = pruned(row0)[:, 0]
-    P4[0, :, lo + 2:hi + 2] = pen4[lo:hi]
-    choices = np.empty((n, B, width), dtype=np.int8)
+    D[0, :, lo + 2:hi + 2] = pruned(0, 1, lo, hi)[:, 0]
+    P4[0, :, lo + 2:hi + 2] = pen4[:, lo:hi]
+    choices = [None] * n  # (lo, (B, hi - lo) int8 choices) per swept row
     best = np.empty((B, width))
     blk, b0, b1, c0, c1 = None, 0, 0, 0, 0
     written = [None, None]
@@ -211,7 +219,7 @@ def _minimax_band_dp(local_cost, n: int, W: int, fix_row: Optional[int] = None,
                 b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, width)
                 rows = _BLOCK_VALUES // (B * (c1 - c0))
                 b1 = min(n, i + max(1, min(_BLOCK_ROWS, rows)))
-                blk = pruned(local_cost(b0, b1, c0, c1))
+                blk = pruned(b0, b1, c0, c1)
             lc = blk[:, i - b0, lo - c0:hi - c0]
             d, p = D[(i - 1) % 2, :, lo + 1:hi + 3], P4[(i - 1) % 2, :, lo + 1:hi + 3]
             b = best[:, lo:hi]
@@ -221,9 +229,13 @@ def _minimax_band_dp(local_cost, n: int, W: int, fix_row: Optional[int] = None,
             q = np.where(d[:, 1:-1] == b, p[:, 1:-1], _KEY_INF)
             np.minimum(q, np.where(d[:, 2:] == b, p[:, 2:] + 1, _KEY_INF), out=q)
             np.minimum(q, np.where(d[:, :-2] == b, p[:, :-2] + 2, _KEY_INF), out=q)
-            np.bitwise_and(q, 3, out=choices[i, :, lo:hi], casting="unsafe")
-            np.bitwise_and(q, ~3, out=P4[i % 2, :, lo + 2:hi + 2])
-            P4[i % 2, :, lo + 2:hi + 2] += pen4[lo:hi]
+            choices[i] = lo, np.empty((B, hi - lo), dtype=np.int8)
+            np.bitwise_and(q, 3, out=choices[i][1], casting="unsafe")
+            pk = P4[i % 2, :, lo + 2:hi + 2]
+            np.bitwise_and(q, ~3, out=pk)
+            pk += pen4[:, lo:hi]
+            if spread:  # out-of-band keys would grow a column at a time and overflow
+                np.minimum(pk, 4 * _PEN_INF, out=pk)
             # a pruned predecessor is +inf, so the max is <= the bound or +inf
             np.maximum(lc, b, out=D[i % 2, :, lo + 2:hi + 2])
         # the next row reads at most two cells past this row's range; clear
@@ -243,17 +255,19 @@ def _minimax_band_dp(local_cost, n: int, W: int, fix_row: Optional[int] = None,
     p = P4[(n - 1) % 2, :, last_lo + 2:last_hi + 2]
     costs = d.min(axis=1)
     k = np.where(d == costs[:, None], p, _KEY_INF).argmin(axis=1) + last_lo
-    paths = np.empty((n, B), dtype=np.int64)
-    paths[-1] = k
-    pairs = np.arange(B)
+    # a dead member's walk could leave the kept cells, and its path is -1s anyway
+    alive = np.flatnonzero(costs <= bound)
+    k = k[alive]
+    kept = np.empty((n, len(alive)), dtype=np.int64)
+    kept[-1] = k
     for i in range(n - 1, 0, -1):
-        k = k + _STEP[choices[i, pairs, k]]
-        paths[i - 1] = k
-    if abandon_above is not None:
-        dead = costs > abandon_above
-        costs[dead] = np.inf
-        paths[:, dead] = -1
-    return costs, paths.T
+        row_lo, ch = choices[i]
+        k = k + _STEP[ch[alive, k - row_lo]]
+        kept[i - 1] = k
+    paths = np.full((B, n), -1, dtype=np.int64)
+    paths[alive] = kept.T + (shift[alive] - s_hi)[:, None]
+    costs[costs > bound] = np.inf
+    return costs, paths
 
 
 def _lift_path(times: np.ndarray, path_k: np.ndarray, W: int, h: float,
@@ -287,7 +301,12 @@ def align(xs: OrbitSample, ys: OrbitSample, weight_kind: str = "unit",
 
 
 def pairs_per_batch(T: float, h: float, band_width: float) -> int:
-    """How many pairs sampled over [-T, T] with step h one kernel call holds."""
+    """How many pairs sampled over [-T, T] with step h one kernel call takes.
+
+    The cap counts every band cell, pruned or not, so it bounds the memory
+    of a call that prunes nothing; the drivers also batch their pair scans
+    by it.
+    """
     n = 2 * int(round(T / h)) + 1
     return max(1, BATCH_CELLS // (n * (2 * int(math.floor(band_width / h + 1e-9)) + 1)))
 
@@ -321,22 +340,73 @@ def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
                       for m, (_, ys) in zip(margins, pairs)])
     x_pts = np.stack([xs.points for xs, _ in pairs])
     w = np.stack([_weights(xs, weight_kind) for xs, _ in pairs])
-    # windows[b, i, k] = y_ext[b, i + k]: a strided view, never materialized
-    windows = np.moveaxis(sliding_window_view(y_ext, 2 * W + 1, axis=1), -1, 2)
+    members = np.arange(len(pairs))
+
+    def cells(y, rows=slice(None), of=slice(None)):
+        """Local costs of the x-points of members `of` at `rows` against y[member, row, ...]."""
+        at = (of, rows) + (None,) * (y.ndim - 3)
+        return _weighted_ratio(space.distance(x_pts[at], y), w[at])
+
+    # band[b, i, k] = y_ext[b, i + k]: a strided view, never materialized
+    band = np.moveaxis(sliding_window_view(y_ext, 2 * W + 1, axis=1), -1, 2)
+    fix_idx = n_half if fix_zero else None
+    bound, shift = _reference_bound(cells, band, fix_idx)
+    windows = band
+    if shift.any():
+        # member b's column k sits at buffer column k + max(shift) - shift[b];
+        # the edge-padded cells outside its band are masked by the kernel
+        width = 2 * W + 1 + int(np.ptp(shift))
+        cols = np.arange(n + width - 1) + (shift - shift.max())[:, None]
+        y_buf = y_ext[members[:, None], np.clip(cols, 0, n + 2 * W - 1)]
+        windows = np.moveaxis(sliding_window_view(y_buf, width, axis=1), -1, 2)
 
     def local_cost(i0, i1, lo, hi):
-        return _weighted_ratio(space.distance(x_pts[:, i0:i1, None, :], windows[:, i0:i1, lo:hi]),
-                               w[:, i0:i1, None])
+        return cells(windows[:, i0:i1, lo:hi], slice(i0, i1))
 
-    fix_idx = n_half if fix_zero else None
-    costs, paths = _minimax_band_dp(local_cost, n, W, fix_row=fix_idx)
+    costs, paths = _minimax_band_dp(local_cost, n, W, bound, fix_idx, shift)
     # the local costs along each chosen path, recomputed to locate its max
-    along = _weighted_ratio(space.distance(
-        x_pts, y_ext[np.arange(len(pairs))[:, None], np.arange(n) + paths]), w)
+    along = cells(y_ext[members[:, None], np.arange(n) + paths])
     return [AlignmentResult(cost=float(c), reparam=_lift_path(xs.times, path, W, h, fix_idx),
                             argmax_t=float(xs.times[int(np.argmax(a))]),
                             weight_kind=weight_kind)
             for (xs, _), c, path, a in zip(pairs, costs, paths, along)]
+
+
+def _reference_bound(cells, band, fix_idx: Optional[int]):
+    """Each member's cheapest reference path: (its cost as the bound, shift).
+
+    The references are constant offsets: zero, and each member's cheapest
+    column at rows 0, n // 2 and n - 1. A pin admits only the zero offset.
+    The shift puts the cheapest reference on one buffer column, unless
+    that fails to narrow the union of the cells within the bound on those
+    three rows, or the bound is +inf.
+    """
+    B, n, width = band.shape[:3]
+    W = width // 2
+    rows = [0, n // 2, n - 1]
+    sampled = cells(band[:, rows], rows)  # (B, 3, 2W + 1)
+    cand = np.full((B, 1), W)
+    if fix_idx is None:
+        cand = np.concatenate([cand, sampled.argmin(axis=2)], axis=1)
+    # each distinct column once; a repeat keeps +inf, so argmin picks its first
+    path_costs = np.full(cand.shape, np.inf)
+    for c in range(cand.shape[1]):
+        of = np.flatnonzero((cand[:, :c] != cand[:, c:c + 1]).all(axis=1))
+        path_costs[of, c] = cells(band[of, :, cand[of, c]], of=of).max(axis=1)
+    best = path_costs.argmin(axis=1)[:, None]
+    bound = np.take_along_axis(path_costs, best, axis=1)[:, 0]
+    shift = np.where(np.isfinite(bound), np.take_along_axis(cand, best, axis=1)[:, 0] - W, 0)
+    # the span of the kept cells on the sampled rows, with and without the shift
+    kept = sampled <= bound[:, None, None]
+    first = kept.argmax(axis=2)
+    last = 2 * W - kept[:, :, ::-1].argmax(axis=2)
+
+    def span(s):
+        return int(((last - s[:, None]).max(axis=0) - (first - s[:, None]).min(axis=0)).sum())
+
+    if span(shift) >= span(np.zeros_like(shift)):
+        shift = np.zeros_like(shift)
+    return bound, shift
 
 
 def recompute_cost(flow: FlowModel, x, y, times: np.ndarray, reparam: Reparam,

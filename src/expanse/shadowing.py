@@ -11,14 +11,14 @@ clock 0, with alignment's tie rule: among equal-cost paths, the one
 closest to the slope-1 path.
 
 Mode "first" only decides whether a candidate's error is <= eps, so it
-passes eps to the kernel as its abandon_above threshold, and the kernel
-prunes at eps: a cell whose running minimax value exceeds eps is dropped,
-so each row sweeps only the offsets next to the cells still within eps, a
-direction stops at the first row with none left, and a candidate that
-fails forward never runs its backward search. A candidate that passes
-gets the same result, bit for bit, as a search without the threshold.
-Mode "best" needs every error; it prunes at the cost of the zero-offset
-path, which every direction admits.
+passes eps to the kernel as its bound, and the kernel prunes at eps: a
+cell whose running minimax value exceeds eps is dropped, so each row
+sweeps only the offsets next to the cells still within eps, a direction
+stops at the first row with none left, and a candidate that fails forward
+never evaluates or searches its backward half. A candidate that passes
+gets the same result, bit for bit, as a search bound by the cost of an
+admissible path. Mode "best" needs every error; it bounds each direction
+by the cost of its zero-offset path.
 """
 
 from __future__ import annotations
@@ -196,14 +196,15 @@ def _reference_trajectory(flow, po, ts):
     return ref, seg
 
 
-def _cone_search(space, orbit, ref, q, abandon_above):
+def _cone_search(space, orbit, ref, q, threshold):
     """Minimax Rep(eps) path from clock 0 outward: (cost, orbit cell per row).
 
     Row r pairs ref[r] with orbit cell r*q + o, where o starts at 0 and
     moves by -1, 0 or +1 per row (cell steps q - 1, q, q + 1). This is the
     alignment band DP with W = len(ref) - 1 pinned at row 0, band offset
     k - W = o. orbit holds cells 0..W*(q + 1). A search whose cost exceeds
-    abandon_above stops early and returns None.
+    threshold stops early and returns None; without a threshold the kernel
+    is bound by the zero-offset path, cells r*q.
     """
     W = len(ref) - 1
     width = 2 * W + 1
@@ -215,35 +216,43 @@ def _cone_search(space, orbit, ref, q, abandon_above):
     def local_cost(r0, r1, lo, hi):
         return space.distance(windows[r0:r1, lo:hi], ref[r0:r1, None])[None]
 
-    costs, paths = _minimax_band_dp(local_cost, W + 1, W, fix_row=0,
-                                    abandon_above=abandon_above)
+    bound = threshold if threshold is not None else space.distance(windows[:, W], ref).max()
+    costs, paths = _minimax_band_dp(local_cost, W + 1, W, [bound], fix_row=0)
     if paths[0, 0] < 0:  # abandoned: no path
         return None
     return float(costs[0]), np.arange(W + 1) * q + paths[0] - W
 
 
-def _try_candidate(flow, po, z, h, q, ts, ref, seg, abandon_above=None):
+def _orbit_cells(flow, z, c0, c1, h_u):
+    """phi_{c h_u}(z) for the cells c = c0..c1, in one elementwise flow call."""
+    return flow.evaluate(np.arange(c0, c1 + 1) * h_u, z)
+
+
+def _try_candidate(flow, po, z, h, q, ts, ref, seg, threshold=None):
     """Slope-constrained minimax alignment of the z-orbit to the reference.
 
     Returns (max error, reparam, per-segment errors), or None as soon as
-    one direction's error exceeds abandon_above.
+    one direction's error exceeds threshold. The backward half of the orbit
+    is evaluated only once the forward search passes.
     """
     n_lo = int(round(-ts[0] / h))
     n_hi = int(round(ts[-1] / h))
     h_u = h / q
     m_lo = -n_lo * (q + 1)
-    orbit = flow.evaluate(np.arange(m_lo, n_hi * (q + 1) + 1) * h_u, z)
-    forward = _cone_search(flow.space, orbit[-m_lo:], ref[n_lo:], q, abandon_above)
+    ahead = _orbit_cells(flow, z, 0, n_hi * (q + 1), h_u)
+    forward = _cone_search(flow.space, ahead, ref[n_lo:], q, threshold)
     if forward is None:
         return None
     # backward from clock 0 is forward on the reversed orbit and reference
-    backward = _cone_search(flow.space, orbit[-m_lo::-1], ref[n_lo::-1], q, abandon_above)
+    behind = _orbit_cells(flow, z, m_lo, 0, h_u)
+    backward = _cone_search(flow.space, behind[::-1], ref[n_lo::-1], q, threshold)
     if backward is None:
         return None
     (err_f, cells_f), (err_b, cells_b) = forward, backward
     m_path = np.r_[-cells_b[:0:-1], cells_f]
     reparam = Reparam(ts.copy(), m_path * h_u)
 
+    orbit = np.concatenate([behind[:-1], ahead])
     per_cell = flow.space.distance(orbit[m_path - m_lo], ref)
     per_segment = tuple(float(per_cell[seg == p].max()) if (seg == p).any()
                         else 0.0 for p in range(len(po.points)))
@@ -282,10 +291,10 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     ts = np.arange(-n_lo, n_hi + 1) * h
     ref, seg = _reference_trajectory(flow, po, ts)
     # mode "first" needs only err <= eps, so a failing candidate stops early
-    abandon_above = eps if mode == "first" else None
+    threshold = eps if mode == "first" else None
     best = None
     for z in candidates:
-        tried = _try_candidate(flow, po, z.vec, h, q, ts, ref, seg, abandon_above)
+        tried = _try_candidate(flow, po, z.vec, h, q, ts, ref, seg, threshold)
         if tried is None:
             continue
         err, reparam, per_seg = tried

@@ -18,6 +18,7 @@ from expanse.alignment import (
     recompute_cost,
     rep_epsilon_check,
 )
+from expanse.expansivity import default_pair_grid
 from expanse.flows import interval_flow, rotation_flow, sample_orbit
 from expanse.spaces import CircleUnion, exp_radii, harmonic_radii
 
@@ -160,62 +161,109 @@ def _dp_batches(draw):
         centre = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=batch * n,
                                max_size=batch * n))
         lc[:, :, W] = np.array(centre).reshape(batch, n)
-    # an abandon threshold from the same alphabet, so costs often equal it
-    threshold = draw(st.one_of(st.none(), cell))
-    return lc, W, fix_row, threshold
+    # each member's bound lies this far above its optimum, or below it when
+    # negative; the alphabet makes bounds often equal the optimum or +inf
+    slack = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, math.inf, -0.5, -1.0]),
+                          min_size=batch, max_size=batch))
+    # per-member shifts, which only an unpinned call can take
+    shift = draw(st.lists(st.integers(-3, 3), min_size=batch, max_size=batch))
+    if fix_row is not None or draw(st.booleans()):
+        shift = [0] * batch
+    return lc, W, fix_row, slack, np.array(shift)
 
 
-def _local_cost(lc, log=None):
+def _buffer(lc, shift):
+    """lc laid out on the kernel's shifted buffer; cells outside a member's band cost 0."""
+    B, n, width = lc.shape
+    spread = int(np.ptp(shift))
+    buf = np.zeros((B, n, width + spread))
+    for b in range(B):
+        c0 = int(shift.max() - shift[b])
+        buf[b, :, c0:c0 + width] = lc[b]
+    return buf
+
+
+def _local_cost(lc, log=None, shift=None):
     """The kernel's local-cost callable over a dense (B, n, 2W+1) array."""
+    buf = lc if shift is None else _buffer(lc, shift)
+
     def local_cost(i0, i1, lo, hi):
-        assert 0 <= i0 < i1 <= lc.shape[1] and 0 <= lo < hi <= lc.shape[2]
+        assert 0 <= i0 < i1 <= buf.shape[1] and 0 <= lo < hi <= buf.shape[2]
         if log is not None:
             log.append((i0, i1))
-        return lc[:, i0:i1, lo:hi]
+        return buf[:, i0:i1, lo:hi]
     return local_cost
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_dp_batches(), st.integers(1, 40), st.integers(0, 2))
 def test_minimax_kernel_matches_oracle(case, block_values, margin):
-    lc, W, fix_row, threshold = case
+    lc, W, fix_row, slack, shift = case
     n = lc.shape[1]
+    brute = [_brute_min_sup(m, W, fix_row) for m in lc]
+    # a bound below an infinite optimum is any finite one
+    bound = np.array([c + s if s >= 0 else (c + s if math.isfinite(c) else 2.0)
+                      for c, s in zip(brute, slack)])
     # small blocks and margins make the kernel ask again whenever its range moves
     with mock.patch.object(alignment, "_BLOCK_VALUES", block_values), \
             mock.patch.object(alignment, "_BLOCK_MARGIN", margin):
-        costs, paths = _minimax_band_dp(_local_cost(lc), n, W, fix_row,
-                                        abandon_above=threshold)
+        costs, paths = _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, fix_row,
+                                        shift)
         for b in range(lc.shape[0]):
-            brute = _brute_min_sup(lc[b], W, fix_row)
             ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
-            assert ref_cost == brute
-            if threshold is not None and brute > threshold:
+            assert ref_cost == brute[b]
+            if bound[b] < brute[b]:
                 ref_cost, ref_path = math.inf, np.full(n, -1)
             assert costs[b] == ref_cost
             assert paths[b].tolist() == ref_path.tolist()
             single_cost, single_path = _minimax_band_dp(_local_cost(lc[b:b + 1]), n, W,
-                                                        fix_row, abandon_above=threshold)
+                                                        bound[b:b + 1], fix_row)
             assert single_cost[0] == ref_cost
             assert single_path[0].tolist() == ref_path.tolist()
 
 
 @pytest.mark.parametrize("fix_row", [None, 0, 3])
 def test_minimax_kernel_keeps_infinite_members_path(fix_row):
-    # member 0 has no finite path (row 4 is all inf), so nothing is pruned
-    # for it; member 1's cheap zero-offset column prunes its costly cells
+    # member 0 has no finite path (row 4 is all inf), so its zero-offset
+    # bound is +inf and nothing is pruned for it; member 1's cheap
+    # zero-offset column prunes its costly cells
     n, W = 9, 3
     rng = np.random.default_rng(7)
     lc = rng.integers(0, 4, size=(2, n, 2 * W + 1)).astype(float)
     lc[0, 4] = math.inf
     lc[1, :, W] = 0.5
-    costs, paths = _minimax_band_dp(_local_cost(lc), n, W, fix_row)
+    bound = lc[:, :, W].max(axis=1)
+    costs, paths = _minimax_band_dp(_local_cost(lc), n, W, bound, fix_row)
     for b in range(2):
         ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
         assert costs[b] == ref_cost
         assert paths[b].tolist() == ref_path.tolist()
     assert costs[0] == math.inf and (paths[0] >= 0).all()
-    alone_cost, alone_path = _minimax_band_dp(_local_cost(lc[:1]), n, W, fix_row)
+    alone_cost, alone_path = _minimax_band_dp(_local_cost(lc[:1]), n, W, bound[:1], fix_row)
     assert alone_cost[0] == math.inf and alone_path[0].tolist() == paths[0].tolist()
+
+
+def test_minimax_kernel_keeps_infinite_member_in_shifted_batch():
+    # the infinite member 0 sits 260 columns right of member 2, so 260 of
+    # its buffer columns lie outside its band: keys there that grew by
+    # 4 * _PEN_INF a column would overflow, flow back into member 0's band
+    # over the rows, and pull its path out of the band
+    n, W = 300, 130
+    rng = np.random.default_rng(11)
+    lc = rng.integers(0, 4, size=(3, n, 2 * W + 1)).astype(float)
+    lc[0, 4] = math.inf
+    lc[1, :, W + 2] = 0.5
+    lc[2, :, 0] = 0.0
+    shift = np.array([W, 2, -W])
+    bound = np.array([math.inf, 0.5, 0.0])
+    costs, paths = _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, shift=shift)
+    for b in range(3):
+        ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W)
+        assert costs[b] == ref_cost
+        assert paths[b].tolist() == ref_path.tolist()
+    assert costs[0] == math.inf and ((paths[0] >= 0) & (paths[0] <= 2 * W)).all()
+    with pytest.raises(AlignmentError):
+        _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, fix_row=0, shift=shift)
 
 
 def test_minimax_kernel_abandons_without_more_blocks(monkeypatch):
@@ -224,17 +272,17 @@ def test_minimax_kernel_abandons_without_more_blocks(monkeypatch):
     lc[1:, 5:] = 3.0  # members 1 and 2 cost 3 from row 5 on; member 0 costs 0
     monkeypatch.setattr(alignment, "_BLOCK_VALUES", 1)  # one row per request
     pulled = []
-    free_costs, free_paths = _minimax_band_dp(_local_cost(lc), n, W)
+    free_costs, free_paths = _minimax_band_dp(_local_cost(lc), n, W, np.full(3, math.inf))
     # a mixed batch sweeps every row and keeps the survivor's cost and path
-    costs, paths = _minimax_band_dp(_local_cost(lc, pulled), n, W, abandon_above=2.0)
+    costs, paths = _minimax_band_dp(_local_cost(lc, pulled), n, W, np.full(3, 2.0))
     assert pulled == [(i, i + 1) for i in range(n)]
     assert costs.tolist() == [free_costs[0], math.inf, math.inf]
     assert paths[0].tolist() == free_paths[0].tolist()
     assert (paths[1:] == -1).all()
     # once every member is dead the kernel asks for no further row: row 5 is the last
     pulled.clear()
-    costs, paths = _minimax_band_dp(_local_cost(lc[1:], pulled), n, W, fix_row=0,
-                                    abandon_above=2.0)
+    costs, paths = _minimax_band_dp(_local_cost(lc[1:], pulled), n, W, np.full(2, 2.0),
+                                    fix_row=0)
     assert pulled == [(i, i + 1) for i in range(6)]
     assert costs.tolist() == [math.inf, math.inf]
     assert (paths == -1).all()
@@ -438,6 +486,83 @@ def test_align_batch_matches_dense_oracle(flow, weight, fix_zero):
         lifted = alignment._lift_path(xs.times, path, W, 0.05, fix_idx)
         assert res.reparam.knots_s.tobytes() == lifted.knots_s.tobytes()
         assert res.argmax_t == xs.times[int(np.argmax(lc[np.arange(len(path)), path]))]
+
+
+def _mixed_offset_pairs(flow, extra):
+    """Radial, same-circle rotated and phi_0.5 pairs (best offsets 0, -3 and -10
+    cells at h = 0.05), plus antipodal pairs or an origin pair."""
+    sp = flow.space
+    pairs = []
+    for i in range(3):
+        for ang in (0.0, 1.0, 2.5):
+            x = sp.on_circle(i, ang)
+            pairs += [(x, sp.on_circle(i + 1, ang)), (x, sp.on_circle(i, ang + 0.15)),
+                      (x, flow.evaluate(0.5, x))]
+            if extra == "antipodal":
+                pairs.append((x, sp.on_circle(i, ang + math.pi)))
+    if extra == "origin":
+        pairs.append((np.zeros(2), sp.on_circle(5, 0.3)))
+    return pairs
+
+
+@pytest.mark.parametrize("extra", [None, "antipodal", "origin"])
+@pytest.mark.parametrize("weight", ["unit", "sing_dist"])
+@pytest.mark.parametrize("fix_zero", [False, True])
+def test_align_batch_mixed_offsets_match_dense_oracle(monkeypatch, extra, weight, fix_zero):
+    # pairs whose best paths lie at different offsets share one centred sweep
+    flow = rotation_flow(CircleUnion(harmonic_radii(6)))
+    T, h, band = 2.0, 0.05, 1.0
+    W = int(math.floor(band / h + 1e-9))
+    pairs = [(sample_orbit(flow, x, T, h), sample_orbit(flow, y, T, h))
+             for x, y in _mixed_offset_pairs(flow, extra)]
+    shifts = []
+    kernel = alignment._minimax_band_dp
+
+    def spy(local_cost, n, W, bound, fix_row=None, shift=None):
+        shifts.append(shift)
+        return kernel(local_cost, n, W, bound, fix_row, shift)
+
+    monkeypatch.setattr(alignment, "_minimax_band_dp", spy)
+    n_half = (len(pairs[0][0].times) - 1) // 2
+    fix_idx = n_half if fix_zero else None
+    results = align_batch(pairs, weight, fix_zero, band)
+    # an antipodal pair's cheapest cells lie at both band edges, and the
+    # origin pair's at every column (under sing_dist its bound is +inf), so
+    # centring would not narrow the sweep: the layout rule keeps the band
+    assert bool(shifts[0].any()) == (not fix_zero and extra is None)
+    for (xs, ys), res in zip(pairs, results):
+        lc = _dense_local_costs(xs, ys, weight, W)
+        cost, path = _ref_minimax_band_dp(lc, W, fix_idx)
+        assert res.cost == cost
+        lifted = alignment._lift_path(xs.times, path, W, h, fix_idx)
+        assert res.reparam.knots_s.tobytes() == lifted.knots_s.tobytes()
+        assert res.argmax_t == xs.times[int(np.argmax(lc[np.arange(len(path)), path]))]
+    if extra == "origin" and weight == "sing_dist":
+        assert results[-1].cost == math.inf
+
+
+def test_align_batch_sweeps_few_cells_on_falsify_grid(monkeypatch):
+    # criterion 1's first 20 pairs at its scale: the centred sweep asks for
+    # under 1/8 of the band's local costs (about 1/21; a sweep pruned by the
+    # zero-offset bound alone asks for about 3/10)
+    flow = rotation_flow(CircleUnion(harmonic_radii(16)))
+    T, h, band = 20.0, 0.01, 2.0
+    pairs = [(sample_orbit(flow, x, T, h), sample_orbit(flow, y, T, h))
+             for x, y in default_pair_grid(flow, 0.1)[:20]]
+    asked = []
+    kernel = alignment._minimax_band_dp
+
+    def counting(local_cost, *args):
+        def counted(i0, i1, lo, hi):
+            out = local_cost(i0, i1, lo, hi)
+            asked.append(out.size)
+            return out
+        return kernel(counted, *args)
+
+    monkeypatch.setattr(alignment, "_minimax_band_dp", counting)
+    align_batch(pairs, "sing_dist", False, band)
+    n, W = 2 * int(round(T / h)) + 1, int(math.floor(band / h + 1e-9))
+    assert sum(asked) < len(pairs) * n * (2 * W + 1) / 8
 
 
 def test_align_batch_needs_shared_grid(harmonic_rot):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from expanse import shadowing
 from expanse.alignment import rep_epsilon_check
-from expanse.flows import interval_flow, rotation_flow, suspension_doubling
+from expanse.flows import interval_flow, rotation_flow, suspension_doubling, trivial_flow
 from expanse.shadowing import (
     PseudoOrbit,
     ShadowingError,
@@ -18,7 +18,7 @@ from expanse.shadowing import (
     find_shadow,
     generate_pseudo_orbit,
 )
-from expanse.spaces import CircleUnion, SpaceError, exp_radii
+from expanse.spaces import CircleUnion, Interval01, SpaceError, exp_radii, harmonic_radii
 
 
 def make_po(durations, points=None, i_min=None):
@@ -205,6 +205,23 @@ def test_first_mode_threshold_keeps_results(make, shadowed):
     res = find_shadow(flow, po, eps=0.05)
     assert (res is not None) == shadowed
     assert _digest(res) == _digest(_first_without_threshold(flow, po, 0.05))
+
+
+@pytest.mark.parametrize("flow, z, m_lo", [
+    (interval_flow(1.0), [0.3], -369), (interval_flow(2.5), [0.9], -369),
+    (rotation_flow(CircleUnion(exp_radii(8))), [0.0, math.exp(-3)], -369),
+    (rotation_flow(CircleUnion(harmonic_radii(16))), [-0.25, 0.0], -369),
+    (trivial_flow(Interval01()), [0.7], -369), (suspension_doubling(), [0.3, 0.5], 0),
+], ids=["interval", "interval-2.5", "exp8", "harmonic16", "trivial", "suspension-doubling"])
+def test_orbit_halves_match_one_call(flow, z, m_lo):
+    # a candidate's backward half is evaluated only after its forward search
+    # passes; together the halves are the points of one two-sided call
+    h_u = 0.02 / 41
+    z = np.array(z)
+    whole = shadowing._orbit_cells(flow, z, m_lo, 1189, h_u)
+    behind = shadowing._orbit_cells(flow, z, m_lo, 0, h_u)
+    ahead = shadowing._orbit_cells(flow, z, 0, 1189, h_u)
+    assert np.concatenate([behind[:-1], ahead]).tobytes() == whole.tobytes()
 
 
 def test_shadow_error_monotone_under_candidate_refinement():
