@@ -1,10 +1,17 @@
 """Spanning-set cardinalities, Bowen entropy ladders, and X_delta sets.
 
+Bowen covers come from one sweep over the sampled time grid that keeps only
+live pairs: the running max of d(phi_s x, phi_s y) never falls, so a pair
+above the ladder's largest eps is dropped for good, and each ladder time
+writes one boolean cover per eps. No float distance matrix is kept.
+
 One cover rule, _min_cover, sizes every (t, eps) cell: exact up to
-EXACT_SMALL_LIMIT points, greedy beyond (set cover is NP-hard), verified
-either way. Greedy cardinalities are upper bounds whose approximation factor
-washes out of the ln r(t, eps) / t slopes. Limits are replaced by finite
-ladders: the reports carry ladder statistics, never a claimed limit.
+EXACT_SMALL_LIMIT points, greedy beyond (set cover is NP-hard; the greedy
+updates its counts incrementally), verified either way. Greedy cardinalities
+are upper bounds whose approximation factor washes out of the
+ln r(t, eps) / t slopes. Limits are replaced by finite ladders: the reports
+carry ladder statistics, never a claimed limit. Ladders and h_sample are
+checked before any sweep; a bad one raises EntropyError naming it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from .flows import FlowModel, sample_orbit
 from .spaces import as_coords
 
 EXACT_SMALL_LIMIT = 20
-BOWEN_BLOCK_ROWS = 128  # rows of the Bowen upper half filled per distance call
 
 
 class EntropyError(ValueError):
@@ -44,6 +50,23 @@ class EntropyEstimate:
     all_empty: bool = False
 
 
+def _ladders(t_ladder, eps_ladder, h_sample, min_times: int = 2) -> tuple:
+    """(t ascending, eps descending) as floats; EntropyError names a bad input."""
+    t_ladder = sorted(float(t) for t in t_ladder)
+    eps_ladder = sorted((float(e) for e in eps_ladder), reverse=True)
+    if len(t_ladder) < min_times:
+        raise EntropyError(f"degenerate t ladder: need at least {min_times} times")
+    if not eps_ladder:
+        raise EntropyError("empty eps ladder")
+    for name, values in (("t", t_ladder), ("eps", eps_ladder)):
+        for v in values:
+            if not 0.0 <= v < math.inf:
+                raise EntropyError(f"{name} must be finite and nonnegative, got {v}")
+    if not 0.0 < float(h_sample) < math.inf:
+        raise EntropyError(f"h_sample must be positive and finite, got {h_sample}")
+    return t_ladder, eps_ladder
+
+
 def _forward_times(t: float, h_sample: float) -> np.ndarray:
     n = int(math.floor(t / h_sample + 1e-9))
     ts = np.arange(n + 1) * h_sample
@@ -63,48 +86,61 @@ def bowen_ball_test(flow: FlowModel, x, y, t: float, eps: float,
     return bool(d.max() <= eps)
 
 
-def _bowen_matrices(flow, pts, t_ladder, h_sample):
-    """Pairwise running-max distances at each ladder horizon.
+def _bowen_covers(flow, pts, t_ladder, eps_ladder, h_sample):
+    """Bowen covers {(t, eps): (m, m) bool}: running max of d(phi_s x, phi_s y) <= eps.
 
-    Returns {t: (m, m) matrix}; one pass over the time grid with the
-    running max checkpointed at the ladder values. Each time step fills only
-    the upper half, diagonal included, in cache-sized blocks of
-    BOWEN_BLOCK_ROWS rows; each checkpoint mirrors it. The mirror is exact
-    because every space's metric is nonnegative and symmetric bit for bit.
+    One pass over the time grid sweeps int32 index lists of the upper-half
+    pairs (i <= j) that are still live. A running max never falls, so after
+    each step a pair above max(eps_ladder) is dropped for good. At each
+    ladder time every eps writes one cover, mirrored; the mirror is exact
+    because every space's metric is symmetric bit for bit.
     """
     pts = np.array([as_coords(p) for p in pts])
     m = pts.shape[0]
     t_ladder = sorted(t_ladder)
+    eps_max = max(eps_ladder)
     ts = _forward_times(t_ladder[-1], h_sample)
     orbits = np.stack([flow.evaluate(ts, p) for p in pts], axis=1)  # (n_t, m, d)
+    rows, cols = (a.astype(np.int32) for a in np.triu_indices(m))
+    running = np.zeros(rows.size)
     out = {}
-    running = np.zeros((m, m))  # upper half; the lower-left stays 0
     next_cp = 0
     for j in range(len(ts)):
         snap = orbits[j]
-        for i0 in range(0, m, BOWEN_BLOCK_ROWS):
-            i1 = min(i0 + BOWEN_BLOCK_ROWS, m)
-            block = running[i0:i1, i0:]
-            np.maximum(block, flow.space.distance(snap[i0:i1, None], snap[None, i0:]),
-                       out=block)
+        d = flow.space.distance(snap.take(rows, axis=0), snap.take(cols, axis=0))
+        np.maximum(running, d, out=running)
+        live = running <= eps_max
+        if not live.all():
+            rows, cols, running = rows[live], cols[live], running[live]
         while next_cp < len(t_ladder) and ts[j] >= t_ladder[next_cp] - 1e-12:
-            out[t_ladder[next_cp]] = np.maximum(running, running.T)
+            for eps in eps_ladder:
+                keep = running <= eps
+                cover = np.zeros((m, m), dtype=bool)
+                cover[rows[keep], cols[keep]] = True
+                cover[cols[keep], rows[keep]] = True
+                out[(t_ladder[next_cp], eps)] = cover
             next_cp += 1
     return out
 
 
 def _greedy_cover(cover: np.ndarray) -> list:
-    """Greedy set cover on a boolean centers-by-points matrix; ties go low."""
-    m = cover.shape[0]
-    uncovered = np.ones(m, dtype=bool)
+    """Greedy set cover on a boolean centers-by-points matrix; ties go low.
+
+    The counts of still-uncovered points per centre are kept incrementally:
+    each pick subtracts the columns of the points it newly covers.
+    """
+    covered_by = np.ascontiguousarray(cover.T)  # row p: the centres covering point p
+    counts = np.count_nonzero(cover, axis=1)
+    uncovered = np.ones(cover.shape[0], dtype=bool)
     chosen = []
     while uncovered.any():
-        counts = (cover & uncovered[None, :]).sum(axis=1)
         c = int(np.argmax(counts))
         if counts[c] == 0:
             raise EntropyError("grid point not coverable (should cover itself)")
         chosen.append(c)
-        uncovered &= ~cover[c]
+        new = cover[c] & uncovered
+        uncovered &= ~new
+        counts -= np.count_nonzero(covered_by[new], axis=0)
     return chosen
 
 
@@ -165,12 +201,13 @@ def _min_cover(cover: np.ndarray) -> tuple:
 def spanning_cardinality(flow: FlowModel, K_grid, t: float, eps: float,
                          h_sample: float = 0.05) -> SpanningEstimate:
     """(t, eps)-spanning subset of K_grid (points of flow.space), verified by _min_cover."""
+    (t,), (eps,) = _ladders([t], [eps], h_sample, min_times=1)
     pts = [flow.space.point(p).vec for p in K_grid]
     if not pts:
         raise EntropyError("empty grid")
-    chosen, method = _min_cover(_bowen_matrices(flow, pts, [t], h_sample)[t] <= eps)
+    chosen, method = _min_cover(_bowen_covers(flow, pts, [t], [eps], h_sample)[(t, eps)])
     return SpanningEstimate(
-        t=float(t), eps=float(eps), cardinality=len(chosen),
+        t=t, eps=eps, cardinality=len(chosen),
         spanning_points=tuple(tuple(pts[c]) for c in chosen), method=method)
 
 
@@ -191,20 +228,17 @@ def entropy_estimate(flow: FlowModel, K_grid, t_ladder, eps_ladder,
     slope honest since ln(approximation factor) / t vanishes. A K_grid point
     outside flow.space raises SpaceError.
     """
-    t_ladder = sorted(float(t) for t in t_ladder)
-    eps_ladder = sorted((float(e) for e in eps_ladder), reverse=True)
-    if len(t_ladder) < 2:
-        raise EntropyError("degenerate t ladder")
+    t_ladder, eps_ladder = _ladders(t_ladder, eps_ladder, h_sample)
     pts = [flow.space.point(p).vec for p in K_grid]
     if not pts:
         raise EntropyError("empty grid")
-    mats = _bowen_matrices(flow, pts, t_ladder, h_sample)
+    covers = _bowen_covers(flow, pts, t_ladder, eps_ladder, h_sample)
     r_table = []
     slopes = []
     for eps in eps_ladder:
         rs = []
         for t in t_ladder:
-            chosen, _ = _min_cover(mats[t] <= eps)
+            chosen, _ = _min_cover(covers[(t, eps)])
             rs.append(len(chosen))
             r_table.append((t, eps, len(chosen)))
         slopes.append((eps, _slope(t_ladder, np.log(rs))))
@@ -247,6 +281,9 @@ def h_star_estimate(flow: FlowModel, delta_ladder, t_ladder, eps_ladder,
     Builds K = X_delta for each ladder delta and estimates h(phi, K);
     returns 0 with an emptiness flag when every X_delta grid is empty.
     """
+    _ladders(t_ladder, eps_ladder, h_sample)
+    if not len(delta_ladder):
+        raise EntropyError("empty delta ladder")
     best = None
     for delta in delta_ladder:
         K = x_delta_set(flow, float(delta), grid=grid, T_escape=T_escape)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanse import entropy
+from expanse import entropy, spaces
 from expanse.entropy import (
     EntropyError,
     bowen_ball_test,
@@ -25,7 +25,9 @@ from expanse.spaces import (
     CircleUnion,
     FiniteSet,
     Interval01,
+    Space,
     SpaceError,
+    Torus2,
     as_coords,
     exp_radii,
 )
@@ -91,7 +93,7 @@ def test_spanning_rotation_constant_in_t_matches_arc_oracle():
 def test_spanning_verifies_cover_and_exact_leq_greedy():
     flow = rotation_flow(CircleUnion([1.0]))
     grid = flow.space.grid(16, with_origin=False)
-    cover = entropy._bowen_matrices(flow, grid, [2.0], 0.05)[2.0] <= 0.5
+    cover = entropy._bowen_covers(flow, grid, [2.0], [0.5], 0.05)[(2.0, 0.5)]
     exact = entropy._exact_minimum_cover(cover)
     greedy = entropy._greedy_cover(cover)
     assert len(exact) <= len(greedy)
@@ -104,7 +106,7 @@ def test_spanning_verifies_cover_and_exact_leq_greedy():
 
 
 def bowen_matrices_reference(flow, pts, t_ladder, h_sample):
-    # the earlier full-matrix loop, kept verbatim as the oracle for the half-matrix sweep
+    # the earlier full-matrix loop, kept verbatim as the oracle for the live-pair sweep
     pts = np.array([as_coords(p) for p in pts])
     m = pts.shape[0]
     t_ladder = sorted(t_ladder)
@@ -123,6 +125,20 @@ def bowen_matrices_reference(flow, pts, t_ladder, h_sample):
     return out
 
 
+def attained_eps(want, count=4):
+    # distances the reference attains, so some pairs sit exactly at eps
+    vals = np.unique(np.concatenate([mat.ravel() for mat in want.values()]))
+    return sorted({float(vals[k * (len(vals) - 1) // (count - 1)]) for k in range(count)})
+
+
+def assert_covers_match(flow, grid, t_ladder, eps_ladder, h_sample, want):
+    got = entropy._bowen_covers(flow, grid, t_ladder, eps_ladder, h_sample)
+    assert set(got) == {(t, e) for t in t_ladder for e in eps_ladder}
+    for (t, e), cover in got.items():
+        assert cover.dtype == bool and cover.shape == (len(grid), len(grid))
+        assert np.array_equal(cover, want[t] <= e), (t, e)
+
+
 @pytest.mark.parametrize("flow, grid, t_ladder", [
     *[(suspension_doubling(), section_grid(m), [2.0, 3.0, 4.0]) for m in (1, 127, 128, 129, 300)],
     (suspension_doubling(), [np.array([k / 64 + 1 / 3, 0.25]) for k in range(64)], [0.5, 1.7]),
@@ -131,12 +147,53 @@ def bowen_matrices_reference(flow, pts, t_ladder, h_sample):
 ], ids=["doubling-1", "doubling-127", "doubling-128", "doubling-129", "doubling-300",
         "doubling-offgrid", "circles-exp4", "interval"])
 def test_bowen_matrices_match_full_matrix_reference(flow, grid, t_ladder):
-    got = entropy._bowen_matrices(flow, grid, t_ladder, 0.05)
+    # the Bowen covers equal the full running-max matrices thresholded at each eps
     want = bowen_matrices_reference(flow, grid, t_ladder, 0.05)
-    assert list(got) == list(want) == sorted(t_ladder)
-    for t in t_ladder:
-        assert got[t].shape == (len(grid), len(grid))
-        assert np.array_equal(got[t], want[t])
+    eps_ladder = attained_eps(want)
+    assert_covers_match(flow, grid, t_ladder, eps_ladder, 0.05, want)
+    # an eps above the diameter keeps every pair live to the end
+    above = flow.space.diameter + 0.1
+    assert_covers_match(flow, grid, t_ladder, eps_ladder + [above], 0.05, want)
+    assert entropy._bowen_covers(flow, grid, t_ladder, [above], 0.05)[
+        (t_ladder[-1], above)].all()
+
+
+SPACE_FLOWS = {
+    Interval01: lambda: interval_flow(1.0),
+    CircleUnion: lambda: rotation_flow(CircleUnion(exp_radii(3))),
+    Torus2: suspension_doubling,
+    FiniteSet: lambda: trivial_flow(FiniteSet([[0.0, 0.0], [0.3, 0.4], [1.0, 0.0],
+                                              [0.3, -0.4], [0.6, 0.8]])),
+}
+
+
+def test_cover_property_test_reaches_every_space():
+    defined = {cls for cls in vars(spaces).values()
+               if isinstance(cls, type) and issubclass(cls, Space) and cls is not Space}
+    assert defined == set(SPACE_FLOWS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_cls=st.sampled_from(sorted(SPACE_FLOWS, key=lambda c: c.__name__)),
+       m=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1),
+       t_ladder=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+       h_sample=st.sampled_from([0.05, 0.1, 0.37]),
+       n_attained=st.integers(0, 3),
+       free_eps=st.lists(st.floats(0.0, 1.5), max_size=2))
+def test_bowen_covers_match_dense_threshold_in_every_space(
+        space_cls, m, seed, t_ladder, h_sample, n_attained, free_eps):
+    flow = SPACE_FLOWS[space_cls]()
+    rng = np.random.default_rng(seed)
+    grid = [flow.space.random_point(rng) for _ in range(m)]
+    if space_cls is CircleUnion and rng.random() < 0.5:
+        grid[0] = np.zeros(2)  # the origin
+    want = bowen_matrices_reference(flow, grid, t_ladder, h_sample)
+    vals = np.unique(np.concatenate([mat.ravel() for mat in want.values()]))
+    eps_ladder = [float(v) for v in rng.choice(vals, size=n_attained)] + free_eps
+    if not eps_ladder:
+        eps_ladder = [float(vals[-1])]
+    assert_covers_match(flow, grid, sorted(set(t_ladder)), sorted(set(eps_ladder)),
+                        h_sample, want)
 
 
 def exact_cover_reference(cover):
@@ -170,8 +227,51 @@ def test_exact_cover_matches_itertools_reference(cover):
 def test_exact_cover_matches_reference_on_doubling_sections():
     flow = suspension_doubling()
     for m, t, eps in ((12, 2.0, 0.25), (20, 1.0, 0.3), (20, 2.0, 0.3)):  # r = 12, 4, 7
-        cover = entropy._bowen_matrices(flow, section_grid(m), [t], 0.05)[t] <= eps
+        cover = entropy._bowen_covers(flow, section_grid(m), [t], [eps], 0.05)[(t, eps)]
         assert entropy._exact_minimum_cover(cover) == exact_cover_reference(cover)
+
+
+def greedy_cover_reference(cover: np.ndarray) -> list:
+    """Greedy set cover on a boolean centers-by-points matrix; ties go low."""
+    # the earlier recount loop, kept verbatim as the oracle for the incremental greedy
+    m = cover.shape[0]
+    uncovered = np.ones(m, dtype=bool)
+    chosen = []
+    while uncovered.any():
+        counts = (cover & uncovered[None, :]).sum(axis=1)
+        c = int(np.argmax(counts))
+        if counts[c] == 0:
+            raise EntropyError("grid point not coverable (should cover itself)")
+        chosen.append(c)
+        uncovered &= ~cover[c]
+    return chosen
+
+
+@st.composite
+def tied_cover_matrices(draw):
+    # rows drawn from a few patterns, so many centres tie on their counts
+    m = draw(st.integers(1, 60))
+    n_patterns = draw(st.integers(1, 6))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cover = (rng.random((n_patterns, m)) < density)[rng.integers(0, n_patterns, m)]
+    if draw(st.booleans()):
+        cover |= cover.T
+    np.fill_diagonal(cover, True)
+    return cover
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cover_matrices(), tied_cover_matrices()))
+def test_greedy_cover_matches_recount_reference(cover):
+    assert entropy._greedy_cover(cover) == greedy_cover_reference(cover)
+
+
+def test_greedy_cover_rejects_uncoverable_point():
+    cover = np.eye(4, dtype=bool)
+    cover[2, 2] = False
+    with pytest.raises(EntropyError, match="not coverable"):
+        entropy._greedy_cover(cover)
 
 
 def test_entropy_estimate_verifies_cover(monkeypatch):
@@ -201,6 +301,43 @@ def test_spanning_monotonicity_in_t_and_eps():
         assert r[(1.0, e)] <= r[(2.0, e)] <= r[(3.0, e)]
     for t in (1.0, 2.0, 3.0):
         assert r[(t, 0.4)] <= r[(t, 0.2)]
+
+
+def test_spanning_matches_entropy_ladder_cells():
+    # a single-eps sweep and the ladder sweep prune at different eps; r must agree
+    flow = suspension_doubling()
+    grid = section_grid(256)
+    est = entropy_estimate(flow, grid, [2.0, 3.0, 4.0], [0.25, 0.2])
+    for t, eps, r in est.r_table:
+        assert spanning_cardinality(flow, grid, t, eps).cardinality == r
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda f, g: entropy_estimate(f, g, [1.0, 2.0], []), "empty eps ladder"),
+    (lambda f, g: h_star_estimate(f, [0.1], [1.0, 2.0], [], grid=g), "empty eps ladder"),
+    (lambda f, g: entropy_estimate(f, g, [1.0, 2.0], [0.1, -0.1]), r"eps .* got -0\.1"),
+    (lambda f, g: spanning_cardinality(f, g, 1.0, -0.1), r"eps .* got -0\.1"),
+    (lambda f, g: h_star_estimate(f, [0.1], [1.0, 2.0], [-0.1], grid=g), r"eps .* got -0\.1"),
+    (lambda f, g: entropy_estimate(f, g, [1.0, 2.0], [0.1], h_sample=0), "h_sample .* got 0"),
+    (lambda f, g: spanning_cardinality(f, g, 1.0, 0.1, h_sample=0), "h_sample .* got 0"),
+    (lambda f, g: h_star_estimate(f, [0.1], [1.0, 2.0], [0.1], grid=g, h_sample=0),
+     "h_sample .* got 0"),
+    (lambda f, g: entropy_estimate(f, g, [1.0, 2.0], [0.1], h_sample=math.nan),
+     "h_sample .* got nan"),
+    (lambda f, g: spanning_cardinality(f, g, 1.0, 0.1, h_sample=math.nan),
+     "h_sample .* got nan"),
+    (lambda f, g: spanning_cardinality(f, g, -1.0, 0.1), r"t must .* got -1\.0"),
+    (lambda f, g: entropy_estimate(f, g, [-1.0, 2.0], [0.1]), r"t must .* got -1\.0"),
+    (lambda f, g: h_star_estimate(f, [], [1.0, 2.0], [0.1], grid=g), "empty delta ladder"),
+], ids=["empty-eps", "hstar-empty-eps", "negative-eps", "spanning-negative-eps",
+        "hstar-negative-eps", "h-zero", "spanning-h-zero", "hstar-h-zero", "h-nan",
+        "spanning-h-nan", "spanning-negative-t", "negative-t", "hstar-empty-delta"])
+def test_bad_inputs_fail_fast(run, match):
+    # the interval flow's X_delta grids are all empty, so h_star_estimate must
+    # reject its ladders before it would return an all-empty estimate
+    flow = interval_flow(1.0)
+    with pytest.raises(EntropyError, match=match):
+        run(flow, flow.space.grid(32))
 
 
 def test_spanning_empty_grid():
