@@ -20,11 +20,13 @@ the cells within the bounds on the sampled rows. Each row then sweeps only
 the columns next to the previous row's finite cells, and stores its path
 choices for those columns only: at T = 20, h = 0.01, band 2 about 1/20 of
 the band. Costs, paths and ties are those of the full sweep. BATCH_CELLS
-caps the cells of a full sweep (about 20 pairs at that scale); align_batch
-splits longer lists, and align is the batch of one. The shadow cone search
-in shadowing runs on this kernel too, so both share one tie rule: among
-equal-cost paths the smallest sum of |offset|, then the diagonal step.
-Rows after a pinned row update only the offsets it can reach.
+caps the cells of a full sweep (41 pairs at that scale); align_batch
+splits longer lists, and align is the batch of one. A call that prunes
+nothing stores at most 64 MiB of int8 path choices unshifted, and under
+(4W + 1) / (2W + 1) times that, below 128 MiB, shifted. The shadow cone
+search in shadowing runs on this kernel too, so both share one tie rule:
+among equal-cost paths the smallest sum of |offset|, then the diagonal
+step. Rows after a pinned row update only the offsets it can reach.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .spaces import as_coords
 _PEN_INF = 2 ** 54  # penalty of masked and out-of-band cells; 4x it fits int64
 _KEY_INF = 2 ** 62  # packed key of a candidate above the row's minimum cost
 _STEP = np.array([0, 1, -1])  # k of the predecessor minus k, by tie priority
-BATCH_CELLS = 2 ** 25  # band cells of one kernel call, as if none were pruned
+BATCH_CELLS = 2 ** 26  # band cells of one kernel call, as if none were pruned
 _BLOCK_VALUES = 2 ** 17  # local costs built per row block
 _BLOCK_MARGIN = 8  # columns a row block adds either side of its first row's range
 _BLOCK_ROWS = 32  # rows per block at most, so a growing range wastes few cells
@@ -303,9 +305,12 @@ def align(xs: OrbitSample, ys: OrbitSample, weight_kind: str = "unit",
 def pairs_per_batch(T: float, h: float, band_width: float) -> int:
     """How many pairs sampled over [-T, T] with step h one kernel call takes.
 
-    The cap counts every band cell, pruned or not, so it bounds the memory
-    of a call that prunes nothing; the drivers also batch their pair scans
-    by it.
+    The cap, BATCH_CELLS, counts every band cell, pruned or not, so an
+    unshifted call that prunes nothing stores at most BATCH_CELLS int8 path
+    choices (64 MiB); at T = 20, h = 0.01, band 2 that is 41 pairs. A
+    shifted call stores its choices over a buffer up to 4W + 1 columns
+    wide, so at most BATCH_CELLS * (4W + 1) / (2W + 1), below 128 MiB. The
+    drivers also batch their pair scans by it.
     """
     n = 2 * int(round(T / h)) + 1
     return max(1, BATCH_CELLS // (n * (2 * int(math.floor(band_width / h + 1e-9)) + 1)))

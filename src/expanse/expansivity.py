@@ -176,15 +176,17 @@ def _scan_pairs(flow, pairs, T, h, cost, batch=1):
     cost maps a list of (x orbit, y orbit) samples to a list of costs.
     Distinct pairs are costed `batch` at a time in first-listing order, so
     pairs after the one being yielded may already be costed. Each base point
-    is sampled once over [-T, T] with step h, however many pairs share it.
-    A pair listed more than once is costed once; its cost is held only
-    until its last listing, since a cost may carry a full path. A point
-    outside flow.space raises SpaceError before any pair is costed.
+    is sampled once over [-T, T] with step h, however many pairs share it,
+    and its sample is held only until the last distinct pair that needs it
+    is costed. A pair listed more than once is costed once; its cost is
+    held only until its last listing, since a cost may carry a full path. A
+    point outside flow.space raises SpaceError before any pair is costed.
     """
     pairs = [(flow.space.point(x).vec, flow.space.point(y).vec) for x, y in pairs]
     keys = [(tuple(x), tuple(y)) for x, y in pairs]
     listings = Counter(keys)
     todo = list(listings)  # distinct pairs, in first-listing order
+    uses = Counter(p for key in todo for p in key)  # uncosted distinct pairs per point
     orbits, held = {}, {}
 
     def orbit(p):
@@ -196,6 +198,10 @@ def _scan_pairs(flow, pairs, T, h, cost, batch=1):
         if key not in held:  # its first listing: key is todo's head
             chunk, todo = todo[:batch], todo[batch:]
             held.update(zip(chunk, cost([(orbit(kx), orbit(ky)) for kx, ky in chunk])))
+            for p in (p for pair in chunk for p in pair):
+                uses[p] -= 1
+                if not uses[p]:
+                    del orbits[p]
         listings[key] -= 1
         c = held[key] if listings[key] else held.pop(key)
         yield x, y, c

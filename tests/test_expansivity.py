@@ -1,9 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from expanse import expansivity
+from expanse import alignment, expansivity
 from expanse.expansivity import (
     ExpansivityError,
     ball_inclusion_check,
@@ -17,7 +19,7 @@ from expanse.expansivity import (
     return_time_bound_check,
 )
 from expanse.alignment import align_batch, recompute_cost
-from expanse.flows import interval_flow, rotation_flow, trivial_flow
+from expanse.flows import interval_flow, rotation_flow, sample_orbit, trivial_flow
 from expanse.spaces import CircleUnion, FiniteSet, SpaceError, exp_radii, harmonic_radii
 
 FAST = dict(T=6.0, h=0.05, band_width=1.0)
@@ -329,6 +331,78 @@ def test_repeated_pairs_aligned_once(monkeypatch):
     assert sorted(costed) == sorted((w, tuple(x), tuple(y)) for w in ("sing_dist", "unit")
                                     for x, y in [(a, b), (b, b)])
     assert rep["pairs"][0] == rep["pairs"][2]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 10])
+def test_scan_pairs_frees_each_sample_after_its_last_pair(batch):
+    flow = rotation_flow(CircleUnion(harmonic_radii(4)))
+    a, b, c, d = (flow.space.on_circle(i, 0.3 * i) for i in range(4))
+    pairs = [(a, b), (a, c), (a, b), (b, c), (c, c), (a, b), (c, d)]
+    keys = [(tuple(x), tuple(y)) for x, y in pairs]
+    distinct = list(dict.fromkeys(keys))
+    T, h = 1.0, 0.1
+    refs, costed = {}, []
+
+    def sup_gap(xs, ys):
+        return float(flow.space.distance(xs.points, ys.points).max())
+
+    def check_freed():
+        # a sample is alive exactly while a distinct pair that needs it is uncosted
+        gc.collect()
+        for p, ref in refs.items():
+            pending = any(p in key for key in distinct if key not in costed)
+            assert (ref() is not None) == pending, p
+
+    def cost(orbit_pairs):
+        check_freed()
+        for xs, ys in orbit_pairs:
+            for s in (xs, ys):
+                p = tuple(s.base)
+                if p in refs:  # sampled once: the held sample comes back
+                    assert refs[p]() is s
+                refs[p] = weakref.ref(s)
+            costed.append((tuple(xs.base), tuple(ys.base)))
+        return [sup_gap(xs, ys) for xs, ys in orbit_pairs]
+
+    out = []
+    for x, y, c in expansivity._scan_pairs(flow, pairs, T, h, cost, batch):
+        check_freed()
+        out.append((tuple(x), tuple(y), c))
+    assert costed == distinct  # a repeated pair is costed once, in first-listing order
+    assert not any(ref() for ref in refs.values())
+    assert out == [(*key, sup_gap(sample_orbit(flow, x, T, h), sample_orbit(flow, y, T, h)))
+                   for key, (x, y) in zip(keys, pairs)]
+
+
+def test_check_property_same_at_every_batch_size(monkeypatch):
+    # criterion 1's falsification at a small scale: the witness is pair 97 of 116
+    flow = rotation_flow(CircleUnion(harmonic_radii(10)))
+    T, h, band = 2.0, 0.05, 1.0
+    cells = (2 * int(round(T / h)) + 1) * (2 * int(round(band / h)) + 1)
+    n_pairs = len(default_pair_grid(flow, 0.1))
+    sizes = []
+
+    def sizing_align_batch(orbit_pairs, *args, **kwargs):
+        sizes.append(len(orbit_pairs))
+        return align_batch(orbit_pairs, *args, **kwargs)
+
+    monkeypatch.setattr(expansivity, "align_batch", sizing_align_batch)
+    reports = {}
+    for per in (1, 3, n_pairs):
+        monkeypatch.setattr(alignment, "BATCH_CELLS", per * cells)
+        sizes.clear()
+        reports[per] = rep = check_property(flow, "singular_expansive", eps=1.0, delta=0.1,
+                                            T=T, h=h, band_width=band)
+        assert max(sizes) == min(per, n_pairs)
+    ref = reports[n_pairs]
+    assert ref.verdict == "falsified" and len(ref.pair_costs) < n_pairs
+    for rep in reports.values():
+        assert rep.verdict == ref.verdict
+        assert rep.pair_costs == ref.pair_costs
+        assert rep.witness.x == ref.witness.x and rep.witness.y == ref.witness.y
+        for knots in ("knots_t", "knots_s"):
+            assert (getattr(rep.witness.alignment.reparam, knots).tobytes()
+                    == getattr(ref.witness.alignment.reparam, knots).tobytes())
 
 
 # a pair off exp(4)'s circles, which every pair scan used to cost and certify
