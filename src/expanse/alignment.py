@@ -435,70 +435,31 @@ def recompute_cost(flow: FlowModel, x, y, times: np.ndarray, reparam: Reparam,
 
 def _find_orbit_time(flow: FlowModel, x, target, lo: float, hi: float,
                      tol: float) -> Optional[float]:
-    """Smallest-|t| time in [lo, hi] with d(phi_t(x), target) <= tol, if any."""
+    """A time t in [lo, hi] with d(phi_t(x), target) <= tol, or None.
+
+    The candidates are 0 and the flow's closed-form closest-approach times
+    (flow.orbit_times), each clamped to [lo, hi]; it returns the candidate
+    nearest 0 whose freshly evaluated point lies within tol. That is not
+    always the smallest such |t|: near the interval's fixed endpoints the
+    tol-set spans about 1e-3 in time, and its edge is no candidate.
+    """
     x = as_coords(x)
     target = as_coords(target)
-    if flow.transit_time_fn is not None:
-        interior = 0.0 < x[0] < 1.0 and 0.0 < target[0] < 1.0
-        if interior:
-            t0 = float(flow.transit_time_fn(x[0], target[0]))
-            if math.isfinite(t0) and flow.space.distance(flow.evaluate(t0, x), target) <= tol:
-                # the transit time is unique for a monotone flow
-                return t0 if lo <= t0 <= hi else None
-        else:
-            same = flow.space.distance(x, target) <= tol
-            return 0.0 if same and lo <= 0.0 <= hi else None
-    if flow.space.distance(x, target) <= tol and lo <= 0.0 <= hi:
-        return 0.0
-    if hi - lo < 1e-15:
-        d0 = flow.space.distance(flow.evaluate(lo, x), target)
-        return lo if d0 <= tol else None
-
-    n = 257
-    ts = np.linspace(lo, hi, n)
-    pts = flow.evaluate(ts, x)
-    d = flow.space.distance(pts, target[None, :])
-    # between grid points the orbit moves at most ~ the consecutive travel,
-    # so a true hit cannot hide under a coarse minimum above tol + travel
-    travel = float(flow.space.distance(pts[1:], pts[:-1]).max())
-    thresh = tol + travel
-    if d.min() > thresh:
-        return None
-    hits = []
-    for i in range(n):
-        is_min = (i == 0 or d[i] <= d[i - 1]) and (i == n - 1 or d[i] <= d[i + 1])
-        if not is_min or d[i] > thresh:
-            continue
-        a = ts[max(i - 1, 0)]
-        b = ts[min(i + 1, n - 1)]
-        for _ in range(90):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            d1 = flow.space.distance(flow.evaluate(m1, x), target)
-            d2 = flow.space.distance(flow.evaluate(m2, x), target)
-            if d1 <= d2:
-                b = m2
-            else:
-                a = m1
-        t_star = 0.5 * (a + b)
-        if flow.space.distance(flow.evaluate(t_star, x), target) <= tol:
-            hits.append(t_star)
-    if not hits:
-        return None
-    return min(hits, key=abs)
+    ts = np.clip(np.append(0.0, flow.orbit_times(x, target, lo, hi)), lo, hi)
+    ts = ts[np.argsort(np.abs(ts), kind="stable")]
+    hit = flow.space.distance(flow.evaluate(ts, x), target[None, :]) <= tol
+    return float(ts[np.argmax(hit)]) if hit.any() else None
 
 
 def orbit_membership(flow: FlowModel, x, y, eps: float,
                      tol_orbit: float = 1e-7) -> Optional[float]:
     """t0 in [-eps, eps] with phi_t0(x) within tol_orbit of y, if one exists.
 
-    Uses the flow's closed-form transit time when available, otherwise a
-    refined grid scan with local ternary refinement.
+    Decided in closed form (_find_orbit_time): 0 when y is within tol_orbit
+    of x, else the closest-approach time nearest 0. A flow without an
+    orbit_times hook is a FlowError.
     """
     if eps < 0:
         raise AlignmentError("eps must be nonnegative")
-    x = as_coords(x)
-    y = as_coords(y)
-    if flow.space.distance(x, y) <= tol_orbit:
-        return 0.0
+    flow.require_orbit_times()
     return _find_orbit_time(flow, x, y, -eps, eps, tol_orbit)

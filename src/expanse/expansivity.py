@@ -20,7 +20,6 @@ from .alignment import (
     Reparam,
     _find_orbit_time,
     align_batch,
-    orbit_membership,
     pairs_per_batch,
 )
 from .flows import FlowModel, field_norm, sample_orbit
@@ -158,7 +157,8 @@ def _conclusion_holds(flow, x, y, eps, mode, reparam, T, t0_step) -> bool:
     """The definition's conclusion: the aligned point lies on the x-orbit.
 
     t0_zero checks phi_{s(0)}(y) in phi_[-eps,eps](x); t0_free scans the
-    sampled t0 window for phi_{s(t0)}(y) in phi_[t0-eps,t0+eps](x).
+    sampled t0 window for phi_{s(t0)}(y) in phi_[t0-eps,t0+eps](x). Each
+    membership, up to TOL_ORBIT, is decided in closed form (_find_orbit_time).
     """
     if mode == "t0_zero":
         p = flow.evaluate(reparam(0.0), as_coords(y))
@@ -257,6 +257,7 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
         raise ExpansivityError(f"unknown property: {property!r}")
     if eps <= 0 or delta <= 0:
         raise ExpansivityError("eps and delta must be positive")
+    flow.require_orbit_times()
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     if strict_t0:
         t0_mode = "t0_zero"
@@ -353,12 +354,14 @@ def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
 
     The sufficient condition for singular expansivity and singular
     equicontinuity; supported for one-dimensional flows, where the ball is
-    an interval and transit times certify membership.
+    an interval and transit times, one orbit_times call per ball, certify
+    membership. A point with dist(x, Sing) = 0 has no ball and is skipped.
     """
     if not isinstance(flow.space, Interval01):
         raise ExpansivityError("ball inclusion check needs a one-dimensional flow")
     if not 0.0 < delta < 0.5:
         raise ExpansivityError("delta must lie in (0, 1/2)")
+    flow.require_orbit_times()
     grid = x_grid if x_grid is not None else flow.space.grid(1000)
     xs = np.array([as_coords(p)[0] for p in grid])
     witness = None
@@ -369,11 +372,7 @@ def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
         if rho == 0.0:
             continue
         ys = np.linspace(x - rho, x + rho, ball_samples)
-        if flow.transit_time_fn is not None and 0.0 < x < 1.0:
-            ts = np.asarray(flow.transit_time_fn(np.full_like(ys, x), ys))
-        else:
-            ts = np.array([orbit_membership(flow, np.array([x]), np.array([y]),
-                                            eps, TOL_ORBIT) or math.inf for y in ys])
+        ts = np.asarray(flow.orbit_times(np.array([x]), ys[:, None], -math.inf, math.inf))
         worst = int(np.argmax(np.abs(ts)))
         if abs(ts[worst]) > max_abs_t:
             max_abs_t = float(abs(ts[worst]))
@@ -586,6 +585,7 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     """
     if property not in PROPERTY_RULES:
         raise ExpansivityError(f"unknown property: {property!r}")
+    flow.require_orbit_times()
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     pairs = list(pair_grid) if pair_grid is not None \
         else default_pair_grid(flow, min(eps_values))

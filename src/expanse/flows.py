@@ -38,7 +38,11 @@ class FlowError(ValueError):
 
 @dataclass(frozen=True)
 class FlowModel:
-    """A flow phi(t, x) on a space, with its singular set and optional field."""
+    """A flow phi(t, x) on a space, with its singular set and optional field.
+
+    orbit_times(x, target, lo, hi): the closed-form times at which the orbit
+    of x comes closest to target, those in [lo, hi] and the nearest outside.
+    """
 
     name: str
     space: Space
@@ -46,7 +50,7 @@ class FlowModel:
     evaluate_fn: Callable
     vector_field: Optional[Callable] = None
     lipschitz_L: Optional[float] = None
-    transit_time_fn: Optional[Callable] = None
+    orbit_times: Optional[Callable] = None
     forward_only: bool = False
     params: dict = field(default_factory=dict)
 
@@ -55,6 +59,11 @@ class FlowModel:
         if self.forward_only and np.any(np.asarray(t) < 0):
             raise FlowError(f"{self.name} is a forward semiflow")
         return self.evaluate_fn(t, as_coords(x))
+
+    def require_orbit_times(self) -> None:
+        """Raise FlowError naming the flow unless it has an orbit_times hook."""
+        if self.orbit_times is None:
+            raise FlowError(f"{self.name} has no closed-form orbit_times hook")
 
 
 @dataclass(frozen=True)
@@ -102,7 +111,7 @@ def interval_flow_transit_time(x: float, y: float) -> float:
     """Time t with phi_t(x) = y for the lam=1 interval flow, both interior."""
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise FlowError("transit time needs interior points")
-    return math.log((y / x) * ((1.0 - x) / (1.0 - y)))
+    return float(interval_flow(1.0).orbit_times(np.array([x]), np.array([y]), 0.0, 0.0)[0])
 
 
 def _logistic_field(lam):
@@ -119,10 +128,14 @@ def interval_flow(lam: float = 1.0) -> FlowModel:
         return trivial_flow(sp)
     sing = SingularSet(sp, points=((0.0,), (1.0,)))
 
-    def transit(x_arr, y_arr):
-        x_arr = np.asarray(x_arr, dtype=float)
-        y_arr = np.asarray(y_arr, dtype=float)
-        return np.log((y_arr / x_arr) * ((1.0 - x_arr) / (1.0 - y_arr))) / lam
+    def orbit_times(x, target, lo, hi):
+        # the transit time per target row, -+inf to an endpoint (the caller
+        # clamps it); none from a fixed endpoint x
+        if not 0.0 < x[0] < 1.0:
+            return ()
+        x, y = x[0], target[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.reshape(np.log((y / x) * ((1.0 - x) / (1.0 - y))) / lam, -1)
 
     return FlowModel(
         name="interval",
@@ -131,7 +144,7 @@ def interval_flow(lam: float = 1.0) -> FlowModel:
         evaluate_fn=_interval_closed_form(lam),
         vector_field=_logistic_field(lam),
         lipschitz_L=abs(lam),
-        transit_time_fn=transit,
+        orbit_times=orbit_times,
         params={"lambda": lam},
     )
 
@@ -143,6 +156,16 @@ def rotation_flow_eval(t, z) -> np.ndarray:
     c, s = np.cos(t), np.sin(t)
     out = np.stack([z[0] * c - z[1] * s, z[0] * s + z[1] * c], axis=-1)
     return out
+
+
+def _rotation_orbit_times(x, target, lo, hi):
+    """Angle from x to target mod 2 pi, plus 2 pi k: each one in [lo, hi] and
+    the nearest either side; none at the fixed origin."""
+    if not x.any():
+        return ()
+    tau = 2.0 * math.pi
+    a = (math.atan2(target[1], target[0]) - math.atan2(x[1], x[0])) % tau
+    return a + tau * np.arange(math.floor((lo - a) / tau), math.ceil((hi - a) / tau) + 1)
 
 
 def rotation_flow(space: CircleUnion) -> FlowModel:
@@ -161,6 +184,7 @@ def rotation_flow(space: CircleUnion) -> FlowModel:
         evaluate_fn=rotation_flow_eval,
         vector_field=v,
         lipschitz_L=1.0,
+        orbit_times=_rotation_orbit_times,
         params={"radii": list(space.radii)},
     )
 
@@ -186,8 +210,16 @@ def trivial_flow(space: Space) -> FlowModel:
         evaluate_fn=ev,
         vector_field=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lipschitz_L=0.0,
+        orbit_times=lambda x, target, lo, hi: (),  # every orbit is its point
         params={"space": space.space_id},
     )
+
+
+def _suspension_orbit_times(x, target, lo, hi):
+    """The s coordinate moves at unit speed, so the times (s' - s) mod 1 + k,
+    k >= 0: each one in [lo, hi] and the nearest either side."""
+    a = (target[1] - x[1]) % 1.0
+    return a + np.arange(max(math.floor(lo - a), 0), max(math.ceil(hi - a), 0) + 1)
 
 
 def suspension_doubling() -> FlowModel:
@@ -213,6 +245,7 @@ def suspension_doubling() -> FlowModel:
         evaluate_fn=ev,
         vector_field=lambda x: np.broadcast_to(
             np.array([0.0, 1.0]), np.asarray(x, dtype=float).shape).copy(),
+        orbit_times=_suspension_orbit_times,
         forward_only=True,
     )
 

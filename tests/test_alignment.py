@@ -11,6 +11,7 @@ from expanse import alignment
 from expanse.alignment import (
     AlignmentError,
     Reparam,
+    _find_orbit_time,
     _minimax_band_dp,
     align,
     align_batch,
@@ -19,8 +20,21 @@ from expanse.alignment import (
     rep_epsilon_check,
 )
 from expanse.expansivity import default_pair_grid
-from expanse.flows import interval_flow, rotation_flow, sample_orbit
-from expanse.spaces import CircleUnion, exp_radii, harmonic_radii
+from expanse.flows import (
+    interval_flow,
+    rotation_flow,
+    sample_orbit,
+    suspension_doubling,
+    trivial_flow,
+)
+from expanse.spaces import (
+    CircleUnion,
+    FiniteSet,
+    Interval01,
+    as_coords,
+    exp_radii,
+    harmonic_radii,
+)
 
 
 @pytest.fixture(scope="module")
@@ -642,14 +656,135 @@ def test_membership_interval_transit():
     assert orbit_membership(flow, np.array([1.0 / 3.0]), np.array([2.0 / 3.0]), 1.0) is None
 
 
-def test_membership_generic_scan_matches_formula():
-    flow = interval_flow(1.0)
-    no_hook = interval_flow(1.0)
-    object.__setattr__(no_hook, "transit_time_fn", None)
-    x, y = np.array([0.3]), np.array([0.55])
-    t_hook = orbit_membership(flow, x, y, 2.0)
-    t_scan = orbit_membership(no_hook, x, y, 2.0)
-    assert t_scan == pytest.approx(t_hook, abs=1e-6)
+ORACLE_STEP = 1e-4
+ORACLE_TOL = 1e-4  # >= half a step at speed <= 1: the grid sees every exact hit
+
+
+def dense_orbit_oracle(flow, x, target, lo, hi):
+    """Brute-force hits of phi_[lo,hi](x) near target on a dense time grid.
+
+    Returns (step, any grid point within ORACLE_TOL, the grid times that are
+    local minima of the distance and within ORACLE_TOL).
+    """
+    n = int(math.ceil((hi - lo) / ORACLE_STEP)) + 1
+    ts = np.linspace(lo, hi, n)
+    d = flow.space.distance(flow.evaluate(ts, x), target[None, :])
+    pad = np.concatenate([[np.inf], d, [np.inf]])
+    is_min = (d <= pad[:-2]) & (d <= pad[2:])
+    step = ts[1] - ts[0] if n > 1 else 0.0
+    return step, bool((d <= ORACLE_TOL).any()), ts[is_min & (d <= ORACLE_TOL)]
+
+
+def _planted_time(rng, lo, hi):
+    """A time in or around [lo, hi]; one in four lies just past an end."""
+    if rng.integers(4):
+        return rng.uniform(lo - 1.0, hi + 1.0)
+    return hi + rng.uniform(0.0, 0.5) * ORACLE_TOL if rng.integers(2) \
+        else lo - rng.uniform(0.0, 0.5) * ORACLE_TOL
+
+
+def _circle_case(flow, rng):
+    sp = flow.space
+    x = sp.on_circle(int(rng.integers(len(sp.radii))), rng.uniform(0, 2 * math.pi))
+    lo = rng.uniform(-10.0, 6.0)
+    hi = lo + rng.uniform(0.0, 4.0 * math.pi)
+    kind = rng.integers(3)
+    if kind == 0:  # planted: on the orbit, at a time in or around the window
+        target = flow.evaluate(_planted_time(rng, lo, hi), x)
+    elif kind == 1:  # planted, then moved off the orbit by about the tolerance
+        target = flow.evaluate(rng.uniform(lo, hi), x) * (1.0 + rng.uniform(0, 2) * ORACLE_TOL)
+    else:  # anywhere on the union, usually another circle
+        target = sp.on_circle(int(rng.integers(len(sp.radii))), rng.uniform(0, 2 * math.pi))
+    return x, target, lo, hi
+
+
+def _interval_case(flow, rng):
+    u = rng.uniform()
+    x = np.array([rng.choice([u, 10.0 ** -(1 + 6 * u), 1.0 - 10.0 ** -(1 + 6 * u), 0.0, 1.0],
+                             p=[0.5, 0.2, 0.2, 0.05, 0.05])])
+    lo = rng.uniform(-8.0, 6.0)
+    hi = lo + rng.uniform(0.0, 6.0)
+    kind = rng.integers(3)
+    if kind == 0:
+        target = flow.evaluate(_planted_time(rng, lo, hi), x)
+    elif kind == 1:
+        target = flow.evaluate(rng.uniform(lo, hi), x) + rng.uniform(-2, 2) * ORACLE_TOL
+    else:  # anywhere, or a fixed endpoint, which the orbit nears at -+inf
+        target = np.array([rng.choice([rng.uniform(), 0.0, 1.0])])
+    return x, np.clip(target, 0.0, 1.0), lo, hi
+
+
+def _trivial_case(flow, rng):
+    pts = flow.space.grid(5)
+    x = as_coords(pts[int(rng.integers(len(pts)))])
+    target = x if rng.integers(2) else as_coords(pts[int(rng.integers(len(pts)))])
+    lo = rng.uniform(-6.0, 4.0)  # windows with and without 0
+    return x, target, lo, lo + rng.uniform(0.0, 3.0)
+
+
+def _suspension_case(flow, rng):
+    x = rng.uniform(0.0, 1.0, 2)
+    lo = max(rng.uniform(-1.0, 5.0), 0.0)  # a forward semiflow: t >= 0
+    hi = lo + rng.uniform(0.0, 3.0)
+    kind = rng.integers(3)
+    if kind == 0:
+        target = flow.evaluate(max(_planted_time(rng, lo, hi), 0.0), x)
+    elif kind == 1:
+        target = np.mod(flow.evaluate(rng.uniform(lo, hi), x)
+                        + rng.uniform(-1.5, 1.5, 2) * ORACLE_TOL, 1.0)
+    else:
+        target = rng.uniform(0.0, 1.0, 2)
+    return x, target, lo, hi
+
+
+ORACLE_FLOWS = {
+    "circles": (lambda: rotation_flow(CircleUnion(harmonic_radii(6))), _circle_case),
+    "interval": (lambda: interval_flow(1.0), _interval_case),
+    "interval_negative": (lambda: interval_flow(-0.7), _interval_case),
+    "trivial_finite": (lambda: trivial_flow(FiniteSet([[0.0, 0.0], [0.3, 0.4], [1.0, 0.0]])),
+                       _trivial_case),
+    "trivial_interval": (lambda: trivial_flow(Interval01()), _trivial_case),
+    "suspension_doubling": (suspension_doubling, _suspension_case),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FLOWS))
+def test_find_orbit_time_matches_dense_oracle(name):
+    """Sound, complete and nearest-0 against a dense grid, on every catalog flow."""
+    make_flow, make_case = ORACLE_FLOWS[name]
+    flow = make_flow()
+    rng = np.random.default_rng(sorted(ORACLE_FLOWS).index(name))
+    hits = 0
+    for _ in range(40):
+        x, target, lo, hi = make_case(flow, rng)
+        t = _find_orbit_time(flow, x, target, lo, hi, ORACLE_TOL)
+        step, any_hit, oracle = dense_orbit_oracle(flow, x, target, lo, hi)
+        case = (x.tolist(), target.tolist(), lo, hi, t)
+        if t is not None:  # sound
+            assert lo <= t <= hi, case
+            assert flow.space.distance(flow.evaluate(t, x), target) <= ORACLE_TOL, case
+            hits += 1
+        assert t is not None or not any_hit, case  # complete
+        if len(oracle):  # no oracle closest approach nearer 0 by a grid step
+            assert abs(t) <= np.abs(oracle).min() + step + 1e-12, case
+    assert 8 <= hits <= 36, hits  # planted hits and misses both occur
+
+
+def test_membership_long_window_first_period(harmonic_rot):
+    # a window of about 318 periods: the hit nearest 0 is in the first
+    x = np.array([0.5, 0.0])
+    y = harmonic_rot.evaluate(0.8, x)
+    assert orbit_membership(harmonic_rot, x, y, 1000.0) == pytest.approx(0.8, abs=1e-9)
+    assert orbit_membership(harmonic_rot, x, y, 0.7) is None
+
+
+def test_trivial_window_returns_end_nearest_zero():
+    for flow in (trivial_flow(Interval01()), trivial_flow(FiniteSet([[0.0], [1.0]]))):
+        x = np.array([1.0])
+        assert _find_orbit_time(flow, x, x, 2.0, 5.0, 1e-7) == 2.0
+        assert _find_orbit_time(flow, x, x, -5.0, -2.0, 1e-7) == -2.0
+        assert _find_orbit_time(flow, x, x, -5.0, 3.0, 1e-7) == 0.0
+        assert _find_orbit_time(flow, x, np.array([0.0]), -5.0, 3.0, 1e-7) is None
 
 
 def test_membership_different_circles_absent(harmonic_rot):

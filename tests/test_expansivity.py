@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -18,8 +19,8 @@ from expanse.expansivity import (
     local_norm_constant,
     return_time_bound_check,
 )
-from expanse.alignment import align_batch, recompute_cost
-from expanse.flows import interval_flow, rotation_flow, sample_orbit, trivial_flow
+from expanse.alignment import align_batch, orbit_membership, recompute_cost
+from expanse.flows import FlowError, interval_flow, rotation_flow, sample_orbit, trivial_flow
 from expanse.spaces import CircleUnion, FiniteSet, SpaceError, exp_radii, harmonic_radii
 
 FAST = dict(T=6.0, h=0.05, band_width=1.0)
@@ -183,7 +184,7 @@ def test_ball_inclusion_falsified_05():
 def test_ball_inclusion_center_is_trivial():
     flow = interval_flow(1.0)
     # y = x transits in time 0; the x = 1/2 ball needs ln(1.1/0.9) ~ 0.2007
-    assert float(flow.transit_time_fn(0.5, 0.5)) == 0.0
+    assert list(flow.orbit_times(np.array([0.5]), np.array([0.5]), -1.0, 1.0)) == [0.0]
     rep = ball_inclusion_check(flow, eps=0.25, delta=0.1,
                                x_grid=[np.array([0.5])], ball_samples=3)
     assert rep.verdict == "certified_at_scale"
@@ -197,6 +198,22 @@ def test_ball_inclusion_validation(harmonic_rot):
         ball_inclusion_check(flow, eps=0.5, delta=0.7)
     with pytest.raises(ExpansivityError):
         ball_inclusion_check(harmonic_rot, eps=0.5, delta=0.4)
+
+
+def test_flow_without_orbit_times_fails_before_costing(monkeypatch):
+    flow = dataclasses.replace(interval_flow(1.0), name="hookless", orbit_times=None)
+    pairs = [(np.array([0.3]), np.array([0.31]))]
+
+    def no_costing(*args, **kwargs):
+        raise AssertionError("a pair was costed")
+
+    monkeypatch.setattr(expansivity, "align_batch", no_costing)
+    for call in (lambda: check_property(flow, "kstar", 0.5, 0.1, pairs, **FAST),
+                 lambda: delta_star(flow, "kstar", [0.5], pairs, **FAST),
+                 lambda: orbit_membership(flow, np.array([0.3]), np.array([0.4]), 1.0),
+                 lambda: ball_inclusion_check(flow, eps=0.5, delta=0.4)):
+        with pytest.raises(FlowError, match="hookless"):
+            call()
 
 
 # ------------------------------------------------------------ constants

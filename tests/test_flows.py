@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanse.flows import (
+    FLOW_KEYS,
     FlowError,
     field_norm,
     flow_from_config,
@@ -330,6 +331,14 @@ def test_flow_from_config():
     assert s.forward_only
     with pytest.raises(FlowError):
         flow_from_config({"name": "lorenz"})
+
+
+@pytest.mark.parametrize("cfg", [{"name": name} for name in FLOW_KEYS]
+                         + [{"name": "interval", "lambda": 0.0}])
+def test_every_config_flow_has_orbit_times(cfg):
+    flow = flow_from_config(cfg)  # interval at lambda 0 is the trivial flow
+    assert flow.orbit_times is not None
+    flow.require_orbit_times()
 
 
 @pytest.mark.parametrize("cfg, error, named", [
