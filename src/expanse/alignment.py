@@ -8,7 +8,7 @@ weighted separations, matching the "for every t" bound of the expansivity
 definitions; ties are broken toward the path closest to the identity.
 Lattice paths are lifted to strictly increasing piecewise-linear maps.
 
-One kernel runs this bottleneck DP for a batch of pairs on (pairs, band)
+One kernel runs this bottleneck DP for a batch of pairs on (band, pairs)
 rows. It asks a callable for the local costs of a row block at a column
 range, computed from a strided window view of each extended y-orbit, so no
 pair's full cost tensor is built. Each pair comes with a bound, the cost
@@ -26,7 +26,9 @@ nothing stores at most 64 MiB of int8 path choices unshifted, and under
 (4W + 1) / (2W + 1) times that, below 128 MiB, shifted. The shadow cone
 search in shadowing runs on this kernel too, so both share one tie rule:
 among equal-cost paths the smallest sum of |offset|, then the diagonal
-step. Rows after a pinned row update only the offsets it can reach.
+step. numpy orders complex values lexicographically, so one complex cell,
+cost + 1j * (penalty + priority / 4), orders candidates by that rule. Rows
+after a pinned row update only the offsets it can reach.
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .flows import FlowModel, OrbitSample, sample_orbit
 from .spaces import as_coords
 
-_PEN_INF = 2 ** 54  # penalty of masked and out-of-band cells; 4x it fits int64
-_KEY_INF = 2 ** 62  # packed key of a candidate above the row's minimum cost
+_PEN_INF = 2.0 ** 40  # penalty of pad and out-of-band cells, far above any path's
 _STEP = np.array([0, 1, -1])  # k of the predecessor minus k, by tie priority
 BATCH_CELLS = 2 ** 26  # band cells of one kernel call, as if none were pruned
 _BLOCK_VALUES = 2 ** 17  # local costs built per row block
-_BLOCK_MARGIN = 8  # columns a row block adds either side of its first row's range
+_BLOCK_MARGIN = 2  # columns a row block adds either side of its first row's range
 _BLOCK_ROWS = 32  # rows per block at most, so a growing range wastes few cells
 _FLAT_SLOPE = 1e-12  # spread applied to flat runs so knots stay strictly monotone
 
@@ -154,11 +155,16 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     lc[b, i, k] is the cost of pairing x-time i with y-offset k - W cells,
     for band columns 0 <= k <= 2W, and j advances by 0, 1 or 2 per i step.
     Ties in cost go to the smaller sum of |offset|, then to the diagonal,
-    k+1 and k-1 predecessor in that order: each candidate's (penalty,
-    priority) is packed as 4 * penalty + priority and compared only among
-    candidates whose cost equals the row minimum. After fix_row only the
-    offsets |k - W| <= i - fix_row can be reached (the pin cone). Returns
-    (costs (B,), k-paths (B, n)).
+    k+1 and k-1 predecessor in that order. A cell is cost + 1j * penalty
+    and a candidate adds priority / 4 (0, 0.25, 0.5) to it; numpy orders
+    complex values by real, then imaginary part, so np.minimum applies the
+    rule and np.modf splits the winner's priority from its penalty. An
+    in-band penalty stays far below 2^51, where quarters are exact; pad and
+    out-of-band cells cost +inf and gain _PEN_INF a row, so they never beat
+    the in-band diagonal. Cells are added, compared and split, never
+    multiplied (inf * 0 is nan). After fix_row only the offsets |k - W| <=
+    i - fix_row can be reached (the pin cone). Returns (costs (B,), k-paths
+    (B, n)).
 
     bound (B,) caps each member: a cell whose running value exceeds its
     member's bound is +inf, and a member whose cost exceeds its bound gets
@@ -187,31 +193,31 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     if fix_row is not None and spread:
         raise AlignmentError("a pinned call cannot shift its members apart")
     width = 2 * W + 1 + spread
-    k_of = np.arange(width) - s_hi + shift[:, None]  # member b's band column at each buffer column
+    # the kernel's arrays are column-major, (columns, B): a row's range is contiguous
+    k_of = np.arange(width)[:, None] - s_hi + shift  # member b's band column at each buffer column
     in_band = (k_of >= 0) & (k_of <= 2 * W)
-    pen4 = np.where(in_band, 4 * np.abs(k_of - W), 4 * _PEN_INF)
+    pen = np.where(in_band, np.abs(k_of - W), _PEN_INF).astype(float)
     # a cell above its member's cap is +inf; the cap is -inf outside the band
-    cap = np.where(in_band, bound[:, None], -np.inf)[:, None]
+    cap = np.where(in_band, bound, -np.inf)
     # a kept cell is within its member's bound, so a column keeps one iff its min <= top
     top = bound.max()
 
-    def pruned(i0, i1, lo, hi):
-        lc = local_cost(i0, i1, lo, hi)
-        return np.where(lc > cap[:, :, lo:hi], np.inf, lc)
+    def pruned(i0, i1, lo, hi):  # (rows, columns, B)
+        lc = local_cost(i0, i1, lo, hi).transpose(1, 2, 0)
+        return np.ascontiguousarray(np.where(lc > cap[lo:hi], np.inf, lc))
 
     def cone(i):
         r = W if fix_row is None or i < fix_row else min(W, i - fix_row)
         return W - r, W + r + 1 + spread
 
     # two row buffers with two pad columns a side; column c sits at c + 2,
-    # and a cell outside the previous row's range reads as (+inf, 4 * _PEN_INF)
+    # and a cell outside the previous row's range reads as the pad value
+    pad = complex(np.inf, _PEN_INF)
     lo, hi = cone(0)
-    D = np.full((2, B, width + 4), np.inf)
-    P4 = np.full((2, B, width + 4), 4 * _PEN_INF, dtype=np.int64)
-    D[0, :, lo + 2:hi + 2] = pruned(0, 1, lo, hi)[:, 0]
-    P4[0, :, lo + 2:hi + 2] = pen4[:, lo:hi]
-    choices = [None] * n  # (lo, (B, hi - lo) int8 choices) per swept row
-    best = np.empty((B, width))
+    D = np.full((2, width + 4, B), pad)
+    cur = D[0, lo + 2:hi + 2]
+    cur.real, cur.imag = pruned(0, 1, lo, hi)[0], pen[lo:hi]
+    choices = [None] * n  # (lo, (hi - lo, B) int8 choices) per swept row
     blk, b0, b1, c0, c1 = None, 0, 0, 0, 0
     written = [None, None]
     for i in range(n):
@@ -222,41 +228,34 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
                 rows = _BLOCK_VALUES // (B * (c1 - c0))
                 b1 = min(n, i + max(1, min(_BLOCK_ROWS, rows)))
                 blk = pruned(b0, b1, c0, c1)
-            lc = blk[:, i - b0, lo - c0:hi - c0]
-            d, p = D[(i - 1) % 2, :, lo + 1:hi + 3], P4[(i - 1) % 2, :, lo + 1:hi + 3]
-            b = best[:, lo:hi]
-            # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1 (dj=2)
-            np.minimum(d[:, 1:-1], d[:, 2:], out=b)
-            np.minimum(b, d[:, :-2], out=b)
-            q = np.where(d[:, 1:-1] == b, p[:, 1:-1], _KEY_INF)
-            np.minimum(q, np.where(d[:, 2:] == b, p[:, 2:] + 1, _KEY_INF), out=q)
-            np.minimum(q, np.where(d[:, :-2] == b, p[:, :-2] + 2, _KEY_INF), out=q)
-            choices[i] = lo, np.empty((B, hi - lo), dtype=np.int8)
-            np.bitwise_and(q, 3, out=choices[i][1], casting="unsafe")
-            pk = P4[i % 2, :, lo + 2:hi + 2]
-            np.bitwise_and(q, ~3, out=pk)
-            pk += pen4[:, lo:hi]
-            if spread:  # out-of-band keys would grow a column at a time and overflow
-                np.minimum(pk, 4 * _PEN_INF, out=pk)
+            d, cur = D[(i - 1) % 2, lo + 1:hi + 3], D[i % 2, lo + 2:hi + 2]
+            # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1
+            # (dj=2); its tie priority / 4 joins the penalty in the key
+            np.add(d[2:], 0.25j, out=cur)
+            np.minimum(d[1:-1], cur, out=cur)
+            c = d[:-2] + 0.5j
+            np.minimum(cur, c, out=cur)
+            np.modf(cur.imag, out=(c.real, cur.imag))
+            choices[i] = lo, np.empty((hi - lo, B), dtype=np.int8)
+            np.multiply(c.real, 4, out=choices[i][1], casting="unsafe")
+            cur.imag += pen[lo:hi]
             # a pruned predecessor is +inf, so the max is <= the bound or +inf
-            np.maximum(lc, b, out=D[i % 2, :, lo + 2:hi + 2])
+            np.maximum(blk[i - b0, lo - c0:hi - c0], cur.real, out=cur.real)
         # the next row reads at most two cells past this row's range; clear
         # them unless this buffer's last row had the same range and cleared them
         if written[i % 2] != (lo, hi):
-            D[i % 2, :, lo:lo + 2] = D[i % 2, :, hi + 2:hi + 4] = np.inf
-            P4[i % 2, :, lo:lo + 2] = P4[i % 2, :, hi + 2:hi + 4] = 4 * _PEN_INF
+            D[i % 2, lo:lo + 2] = D[i % 2, hi + 2:hi + 4] = pad
             written[i % 2] = lo, hi
-        live = D[i % 2, :, lo + 2:hi + 2].min(axis=0) <= top
-        left, right = int(live.argmax()), int(live[::-1].argmax())
-        k_lo, k_hi = cone(i + 1)
-        last_lo, last_hi = lo, hi
-        lo, hi = max(lo + left - 1, k_lo), min(hi - right + 1, k_hi)
-        if not live[left] or lo >= hi:  # no cell left, or none next to the pinned offset
+        live = (np.minimum.reduce(cur.real, axis=1) <= top).nonzero()[0]
+        last_lo, (k_lo, k_hi) = lo, cone(i + 1)
+        lo, hi = ((max(lo + int(live[0]) - 1, k_lo), min(lo + int(live[-1]) + 2, k_hi))
+                  if live.size else (0, 0))
+        if lo >= hi:  # no cell left, or none next to the pinned offset
             return np.full(B, np.inf), np.full((B, n), -1, dtype=np.int64)
-    d = D[(n - 1) % 2, :, last_lo + 2:last_hi + 2]
-    p = P4[(n - 1) % 2, :, last_lo + 2:last_hi + 2]
-    costs = d.min(axis=1)
-    k = np.where(d == costs[:, None], p, _KEY_INF).argmin(axis=1) + last_lo
+    # numpy orders complex values by real part, then by imaginary part
+    k = cur.argmin(axis=0)
+    costs = cur.real[k, np.arange(B)]
+    k += last_lo
     # a dead member's walk could leave the kept cells, and its path is -1s anyway
     alive = np.flatnonzero(costs <= bound)
     k = k[alive]
@@ -264,7 +263,7 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     kept[-1] = k
     for i in range(n - 1, 0, -1):
         row_lo, ch = choices[i]
-        k = k + _STEP[ch[alive, k - row_lo]]
+        k = k + _STEP[ch[k - row_lo, alive]]
         kept[i - 1] = k
     paths = np.full((B, n), -1, dtype=np.int64)
     paths[alive] = kept.T + (shift[alive] - s_hi)[:, None]

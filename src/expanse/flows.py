@@ -217,9 +217,18 @@ def trivial_flow(space: Space) -> FlowModel:
 
 def _suspension_orbit_times(x, target, lo, hi):
     """The s coordinate moves at unit speed, so the times (s' - s) mod 1 + k,
-    k >= 0: each one in [lo, hi] and the nearest either side."""
-    a = (target[1] - x[1]) % 1.0
-    return a + np.arange(max(math.floor(lo - a), 0), max(math.ceil(hi - a), 0) + 1)
+    k >= 0: each one in [lo, hi] and the nearest either side. Each section
+    crossing m - s, m >= 1, in that range adds the time of its point (s
+    reads 0) and of the last point before it (s just below 1): a target
+    near s = 0 may lie within tol of the orbit on either side of the wrap."""
+    s = x[1]
+    a = (target[1] - s) % 1.0
+    m = np.arange(max(math.floor(lo + s), 1), max(math.ceil(hi + s), 1) + 1, dtype=float)
+    first, last = m - s, np.nextafter(m, 0.0) - s
+    first = np.where(s + first < m, np.nextafter(first, np.inf), first)
+    last = np.where(s + last < m, last, np.nextafter(last, -np.inf))
+    return np.concatenate([a + np.arange(max(math.floor(lo - a), 0),
+                                         max(math.ceil(hi - a), 0) + 1), first, last])
 
 
 def suspension_doubling() -> FlowModel:

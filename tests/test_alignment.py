@@ -259,9 +259,10 @@ def test_minimax_kernel_keeps_infinite_members_path(fix_row):
 
 def test_minimax_kernel_keeps_infinite_member_in_shifted_batch():
     # the infinite member 0 sits 260 columns right of member 2, so 260 of
-    # its buffer columns lie outside its band: keys there that grew by
-    # 4 * _PEN_INF a column would overflow, flow back into member 0's band
-    # over the rows, and pull its path out of the band
+    # its buffer columns lie outside its band. Their cells cost +inf like
+    # every cell of member 0, so only the tie key keeps them off its path:
+    # a key there grows by _PEN_INF a row and must never fall below an
+    # in-band key
     n, W = 300, 130
     rng = np.random.default_rng(11)
     lc = rng.integers(0, 4, size=(3, n, 2 * W + 1)).astype(float)
@@ -278,6 +279,28 @@ def test_minimax_kernel_keeps_infinite_member_in_shifted_batch():
     assert costs[0] == math.inf and ((paths[0] >= 0) & (paths[0] <= 2 * W)).all()
     with pytest.raises(AlignmentError):
         _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, fix_row=0, shift=shift)
+
+
+def test_minimax_kernel_matches_oracle_at_falsify_scale():
+    # criterion 1's kernel shape (n = 4001, W = 200) on integer costs, so
+    # nearly every cell ties on cost and the tie keys decide each path
+    n, W = 4001, 200
+    rng = np.random.default_rng(3)
+    lc = rng.integers(0, 3, size=(2, n, 2 * W + 1)).astype(float)
+    lc[0, n // 2] = math.inf  # member 0 has no finite path and keeps every cell
+    lc[1, :, W] = np.minimum(lc[1, :, W], 1.0)  # member 1's zero offset prunes
+    refs = [_ref_minimax_band_dp(m, W) for m in lc]
+    assert refs[0][0] == math.inf and refs[1][0] == 1.0
+    # shifted W apart, member 0's 2W out-of-band columns gain _PEN_INF a
+    # row, so their keys pass 2^51, where a float drops the quarter bits
+    # that hold the tie priority
+    for shift in (None, np.array([W, -W])):
+        costs, paths = _minimax_band_dp(_local_cost(lc, shift=shift), n, W,
+                                        np.array([math.inf, 1.0]), shift=shift)
+        for b, (ref_cost, ref_path) in enumerate(refs):
+            assert costs[b] == ref_cost
+            assert paths[b].tolist() == ref_path.tolist()
+        assert ((paths >= 0) & (paths <= 2 * W)).all()
 
 
 def test_minimax_kernel_abandons_without_more_blocks(monkeypatch):
@@ -557,8 +580,8 @@ def test_align_batch_mixed_offsets_match_dense_oracle(monkeypatch, extra, weight
 
 def test_align_batch_sweeps_few_cells_on_falsify_grid(monkeypatch):
     # criterion 1's first 20 pairs at its scale: the centred sweep asks for
-    # under 1/8 of the band's local costs (about 1/21; a sweep pruned by the
-    # zero-offset bound alone asks for about 3/10)
+    # under 1/40 of the band's local costs (about 1/56 in 126 requests; a
+    # sweep pruned by the zero-offset bound alone asks for about 3/10)
     flow = rotation_flow(CircleUnion(harmonic_radii(16)))
     T, h, band = 20.0, 0.01, 2.0
     pairs = [(sample_orbit(flow, x, T, h), sample_orbit(flow, y, T, h))
@@ -576,7 +599,8 @@ def test_align_batch_sweeps_few_cells_on_falsify_grid(monkeypatch):
     monkeypatch.setattr(alignment, "_minimax_band_dp", counting)
     align_batch(pairs, "sing_dist", False, band)
     n, W = 2 * int(round(T / h)) + 1, int(math.floor(band / h + 1e-9))
-    assert sum(asked) < len(pairs) * n * (2 * W + 1) / 8
+    assert sum(asked) < len(pairs) * n * (2 * W + 1) / 40
+    assert len(asked) <= 126
 
 
 def test_align_batch_needs_shared_grid(harmonic_rot):
@@ -768,6 +792,19 @@ def test_find_orbit_time_matches_dense_oracle(name):
         if len(oracle):  # no oracle closest approach nearer 0 by a grid step
             assert abs(t) <= np.abs(oracle).min() + step + 1e-12, case
     assert 8 <= hits <= 36, hits  # planted hits and misses both occur
+
+
+def test_suspension_hits_either_side_of_the_wrap():
+    # targets within tol of s = 0 that the orbit reaches only on one side of
+    # a section crossing: just before it (s = 1 - 2^-53 or 1 - 2^-52, old
+    # branch) or at it (s = 0, doubled branch)
+    flow, x = suspension_doubling(), np.array([0.3, 0.5])
+    cases = [((0.3, 1e-9), 0.0, 2.0, np.nextafter(1.0, 0.0) - 0.5),
+             ((0.6, 1e-9), 1.0, 2.0, np.nextafter(2.0, 0.0) - 0.5),
+             ((0.6, 1.0 - 1e-9), 0.0, 1.0, 0.5),
+             ((0.2, 1.0 - 1e-9), 1.0, 2.0, 1.5)]
+    for target, lo, hi, want in cases:
+        assert _find_orbit_time(flow, x, np.array(target), lo, hi, 1e-7) == want
 
 
 def test_membership_long_window_first_period(harmonic_rot):
