@@ -5,8 +5,9 @@ paths on the sample grid: each x-time t_i is paired with one y-time u_j,
 and j advances by 0, 1 or 2 cells per step inside a fixed offset band
 |u - t| <= band_width. The path cost is the sup (not the sum) of the
 weighted separations, matching the "for every t" bound of the expansivity
-definitions; ties are broken toward the path closest to the identity.
-Lattice paths are lifted to strictly increasing piecewise-linear maps.
+definitions; ties lean toward the identity cell by cell, by the rule that
+_minimax_band_dp states. Lattice paths are lifted to strictly increasing
+piecewise-linear maps.
 
 One kernel runs this bottleneck DP for a batch of pairs on (band, pairs)
 rows. It asks a callable for the local costs of a row block at a column
@@ -24,11 +25,7 @@ caps the cells of a full sweep (41 pairs at that scale); align_batch
 splits longer lists, and align is the batch of one. A call that prunes
 nothing stores at most 64 MiB of int8 path choices unshifted, and under
 (4W + 1) / (2W + 1) times that, below 128 MiB, shifted. The shadow cone
-search in shadowing runs on this kernel too, so both share one tie rule:
-among equal-cost paths the smallest sum of |offset|, then the diagonal
-step. numpy orders complex values lexicographically, so one complex cell,
-cost + 1j * (penalty + priority / 4), orders candidates by that rule. Rows
-after a pinned row update only the offsets it can reach.
+search in shadowing runs on this kernel too, so both share its tie rule.
 """
 
 from __future__ import annotations
@@ -154,17 +151,24 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
 
     lc[b, i, k] is the cost of pairing x-time i with y-offset k - W cells,
     for band columns 0 <= k <= 2W, and j advances by 0, 1 or 2 per i step.
-    Ties in cost go to the smaller sum of |offset|, then to the diagonal,
-    k+1 and k-1 predecessor in that order. A cell is cost + 1j * penalty
-    and a candidate adds priority / 4 (0, 0.25, 0.5) to it; numpy orders
-    complex values by real, then imaginary part, so np.minimum applies the
-    rule and np.modf splits the winner's priority from its penalty. An
-    in-band penalty stays far below 2^51, where quarters are exact; pad and
-    out-of-band cells cost +inf and gain _PEN_INF a row, so they never beat
-    the in-band diagonal. Cells are added, compared and split, never
-    multiplied (inf * 0 is nan). After fix_row only the offsets |k - W| <=
-    i - fix_row can be reached (the pin cone). Returns (costs (B,), k-paths
-    (B, n)).
+    The tie rule acts cell by cell: each cell keeps the predecessor with
+    the least running max, then the least running penalty (its prefix's
+    sum of |offset|), then the diagonal, k+1 and k-1 predecessor in that
+    order, and the last row keeps the least cost, then the least penalty,
+    then the least k. Max and sum do not distribute, so among equal-cost
+    paths the one kept need not have the least summed |offset|: a cheaper
+    prefix can win a cell from which both reach the same cost.
+
+    A cell is cost + 1j * penalty and a candidate adds priority / 4 (0,
+    0.25, 0.5) to it; numpy orders complex values by real, then imaginary
+    part, so np.minimum applies the rule and np.modf splits the winner's
+    priority from its penalty. An in-band penalty stays far below 2^51,
+    where quarters are exact; pad and out-of-band cells cost +inf and gain
+    _PEN_INF a row, so they never beat the in-band diagonal. Cells are
+    added, compared and split, never multiplied (inf * 0 is nan). Row
+    fix_row keeps only each member's zero offset k = W: its other cells
+    become pad cells, as if cut, so a finite cell of a later row i has
+    |k - W| <= i - fix_row. Returns (costs (B,), k-paths (B, n)).
 
     bound (B,) caps each member: a cell whose running value exceeds its
     member's bound is +inf, and a member whose cost exceeds its bound gets
@@ -173,7 +177,7 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     so the cap changes no cost, path or tie; a member whose bound is +inf
     keeps every cell. Each row updates only the columns between the first
     and last finite cell of the row before, widened by one and clipped to
-    the cone, asks local_cost for little more than those, and keeps its
+    the buffer, asks local_cost for little more than those, and keeps its
     path choices for those columns only. The call returns as soon as a row
     has no finite cell left.
 
@@ -184,15 +188,12 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     outside a member's band are +inf. local_cost(i0, i1, lo, hi) returns
     the local costs of rows i0..i1-1 at buffer columns lo..hi-1, shape
     (B, i1 - i0, hi - lo); its values outside a member's band are ignored.
-    Under a pin every shift must be equal.
     """
     bound = np.asarray(bound, dtype=float)
     B = len(bound)
     shift = np.zeros(B, dtype=np.int64) if shift is None else np.asarray(shift, np.int64)
-    s_hi, spread = int(shift.max()), int(np.ptp(shift))
-    if fix_row is not None and spread:
-        raise AlignmentError("a pinned call cannot shift its members apart")
-    width = 2 * W + 1 + spread
+    s_hi = int(shift.max())
+    width = 2 * W + 1 + int(np.ptp(shift))
     # the kernel's arrays are column-major, (columns, B): a row's range is contiguous
     k_of = np.arange(width)[:, None] - s_hi + shift  # member b's band column at each buffer column
     in_band = (k_of >= 0) & (k_of <= 2 * W)
@@ -206,14 +207,10 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
         lc = local_cost(i0, i1, lo, hi).transpose(1, 2, 0)
         return np.ascontiguousarray(np.where(lc > cap[lo:hi], np.inf, lc))
 
-    def cone(i):
-        r = W if fix_row is None or i < fix_row else min(W, i - fix_row)
-        return W - r, W + r + 1 + spread
-
     # two row buffers with two pad columns a side; column c sits at c + 2,
     # and a cell outside the previous row's range reads as the pad value
     pad = complex(np.inf, _PEN_INF)
-    lo, hi = cone(0)
+    lo, hi = 0, width
     D = np.full((2, width + 4, B), pad)
     cur = D[0, lo + 2:hi + 2]
     cur.real, cur.imag = pruned(0, 1, lo, hi)[0], pen[lo:hi]
@@ -241,17 +238,18 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
             cur.imag += pen[lo:hi]
             # a pruned predecessor is +inf, so the max is <= the bound or +inf
             np.maximum(blk[i - b0, lo - c0:hi - c0], cur.real, out=cur.real)
+        if i == fix_row:  # the pin cuts every cell but each member's zero offset
+            np.copyto(cur, pad, where=pen[lo:hi] != 0)
         # the next row reads at most two cells past this row's range; clear
         # them unless this buffer's last row had the same range and cleared them
         if written[i % 2] != (lo, hi):
             D[i % 2, lo:lo + 2] = D[i % 2, hi + 2:hi + 4] = pad
             written[i % 2] = lo, hi
         live = (np.minimum.reduce(cur.real, axis=1) <= top).nonzero()[0]
-        last_lo, (k_lo, k_hi) = lo, cone(i + 1)
-        lo, hi = ((max(lo + int(live[0]) - 1, k_lo), min(lo + int(live[-1]) + 2, k_hi))
-                  if live.size else (0, 0))
-        if lo >= hi:  # no cell left, or none next to the pinned offset
+        if not live.size:  # no cell left
             return np.full(B, np.inf), np.full((B, n), -1, dtype=np.int64)
+        last_lo = lo
+        lo, hi = max(lo + int(live[0]) - 1, 0), min(lo + int(live[-1]) + 2, width)
     # numpy orders complex values by real part, then by imaginary part
     k = cur.argmin(axis=0)
     costs = cur.real[k, np.arange(B)]

@@ -145,25 +145,22 @@ def default_pair_grid(flow: FlowModel, delta: float) -> list:
 
 
 def _t0_ladder(T: float, step: float) -> np.ndarray:
-    """Candidate t0 values ordered outward from 0."""
-    ks = np.arange(1, int(T / step) + 1)
-    out = [0.0]
-    for k in ks:
-        out.extend((k * step, -k * step))
-    return np.array(out)
+    """Candidate t0 values ordered outward from 0: 0, step, -step, 2 step, ..."""
+    ts = np.arange(1, int(T / step) + 1) * step
+    return np.r_[0.0, np.column_stack((ts, -ts)).ravel()]
 
 
-def _conclusion_holds(flow, x, y, eps, mode, reparam, T, t0_step) -> bool:
+def _conclusion_holds(flow, x, y, eps, mode, reparam, ladder) -> bool:
     """The definition's conclusion: the aligned point lies on the x-orbit.
 
     t0_zero checks phi_{s(0)}(y) in phi_[-eps,eps](x); t0_free scans the
-    sampled t0 window for phi_{s(t0)}(y) in phi_[t0-eps,t0+eps](x). Each
+    t0 ladder (_t0_ladder) for phi_{s(t0)}(y) in phi_[t0-eps,t0+eps](x). Each
     membership, up to TOL_ORBIT, is decided in closed form (_find_orbit_time).
     """
     if mode == "t0_zero":
         p = flow.evaluate(reparam(0.0), as_coords(y))
         return _find_orbit_time(flow, x, p, -eps, eps, TOL_ORBIT) is not None
-    for t0 in _t0_ladder(T, t0_step):
+    for t0 in ladder:
         p = flow.evaluate(reparam(float(t0)), as_coords(y))
         if _find_orbit_time(flow, x, p, t0 - eps, t0 + eps, TOL_ORBIT) is not None:
             return True
@@ -262,10 +259,11 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
     if strict_t0:
         t0_mode = "t0_zero"
     pairs = list(pair_grid) if pair_grid is not None else default_pair_grid(flow, delta)
+    ladder = _t0_ladder(T, t0_step)
 
     def fails(x, y, res):
         return res.cost <= delta and not _conclusion_holds(
-            flow, x, y, eps, t0_mode, res.reparam, T, t0_step)
+            flow, x, y, eps, t0_mode, res.reparam, ladder)
 
     verdict, witness, pair_costs = _falsify(
         flow, pairs, max_pairs, T, h, _aligner(weight_kind, fix_zero, band_width), fails,
@@ -591,10 +589,11 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
         else default_pair_grid(flow, min(eps_values))
     aligned = list(_scan_pairs(flow, pairs, T, h, _aligner(weight_kind, fix_zero, band_width),
                                pairs_per_batch(T, h, band_width)))
+    ladder = _t0_ladder(T, t0_step)
     curve = []
     for eps in eps_values:
         fail_costs = [res.cost for x, y, res in aligned
                       if not _conclusion_holds(flow, x, y, eps, t0_mode,
-                                               res.reparam, T, t0_step)]
+                                               res.reparam, ladder)]
         curve.append((float(eps), min(fail_costs) if fail_costs else math.inf))
     return curve

@@ -7,8 +7,8 @@ runs a slope-constrained minimax DP outward in both directions; the slope
 set is kept strictly inside [1 - eps, 1 + eps], so every returned
 reparametrization is admissible by construction. Each direction is one
 call of the alignment band kernel (alignment._minimax_band_dp), pinned at
-clock 0, with alignment's tie rule: among equal-cost paths, the one
-closest to the slope-1 path.
+clock 0, with its tie rule (stated at _minimax_band_dp), which leans
+each cell toward the slope-1 path.
 
 Mode "first" only decides whether a candidate's error is <= eps, so it
 passes eps to the kernel as its bound, and the kernel prunes at eps: a

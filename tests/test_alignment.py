@@ -179,9 +179,9 @@ def _dp_batches(draw):
     # negative; the alphabet makes bounds often equal the optimum or +inf
     slack = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, math.inf, -0.5, -1.0]),
                           min_size=batch, max_size=batch))
-    # per-member shifts, which only an unpinned call can take
+    # per-member shifts, pinned or not
     shift = draw(st.lists(st.integers(-3, 3), min_size=batch, max_size=batch))
-    if fix_row is not None or draw(st.booleans()):
+    if draw(st.booleans()):
         shift = [0] * batch
     return lc, W, fix_row, slack, np.array(shift)
 
@@ -277,8 +277,33 @@ def test_minimax_kernel_keeps_infinite_member_in_shifted_batch():
         assert costs[b] == ref_cost
         assert paths[b].tolist() == ref_path.tolist()
     assert costs[0] == math.inf and ((paths[0] >= 0) & (paths[0] <= 2 * W)).all()
-    with pytest.raises(AlignmentError):
-        _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, fix_row=0, shift=shift)
+    # pinned, each member's zero offset sits on its own buffer column
+    for fix_row in (0, n // 2):
+        costs, paths = _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, fix_row,
+                                        shift)
+        for b in range(3):
+            ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
+            if ref_cost > bound[b]:
+                ref_cost, ref_path = math.inf, np.full(n, -1)
+            assert costs[b] == ref_cost
+            assert paths[b].tolist() == ref_path.tolist()
+
+
+def test_minimax_kernel_tie_rule_is_per_cell():
+    # the identity path (k = W on every row) and [1 2 2 2 2] both cost 2, and
+    # the identity has the smaller sum of |offset| (0 against 1). The kernel
+    # keeps [1 2 2 2 2]: row 1's column 2 takes the predecessor with the least
+    # running max, row 0's column 1 (1) over column 2 (2), though both paths
+    # cost 2 once that cell's own cost is added
+    W = 2
+    lc = np.array([[1, 1, 2, 2, 2], [1, 2, 2, 1, 2], [2, 2, 1, 2, 0],
+                   [1, 2, 2, 1, 1], [0, 1, 1, 2, 2]], dtype=float)
+    n = len(lc)
+    assert lc[np.arange(n), W].max() == 2.0
+    costs, paths = _minimax_band_dp(_local_cost(lc[None]), n, W, [math.inf])
+    assert costs[0] == 2.0
+    assert paths[0].tolist() == [1, 2, 2, 2, 2]
+    assert _ref_minimax_band_dp(lc, W)[1].tolist() == [1, 2, 2, 2, 2]
 
 
 def test_minimax_kernel_matches_oracle_at_falsify_scale():
