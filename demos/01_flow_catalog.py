@@ -7,6 +7,7 @@ import numpy as np
 from expanse import (
     CircleUnion,
     exp_radii,
+    field_norm,
     integrate_flow,
     interval_flow,
     interval_flow_transit_time,
@@ -27,10 +28,12 @@ print(f"phi_ln2(1/2): closed form {closed[0]:.12f}, RK4 {rk4[0]:.12f} (exact 2/3
 print(f"transit 1/3 -> 2/3: {interval_flow_transit_time(1/3, 2/3):.9f}"
       f" vs ln 4 = {math.log(4):.9f}")
 
-# Orbit samples cache the singular distances and field norms every checker needs.
+# Orbit samples hold times and points; the weights come from the flow's
+# singular set and field, evaluated at the sampled points.
 s = sample_orbit(flow, x, T=5.0, h=0.5)
 print("\norbit of 1/2 on [-5, 5]:")
-for tt, p, d, v in zip(s.times, s.points, s.sing_dists, s.field_norms):
+for tt, p, d, v in zip(s.times, s.points, flow.singular.distances(s.points),
+                       field_norm(flow, s.points)):
     print(f"  t={tt:+5.1f}  x={p[0]:.6f}  dist to Sing={d:.6f}  |V|={v:.6f}")
 
 # Rotations on unions of circles: every circle is a periodic orbit, and the

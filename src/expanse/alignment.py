@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .flows import FlowModel, OrbitSample, sample_orbit
+from .flows import FlowModel, OrbitSample, field_norm, sample_orbit
 from .spaces import as_coords
 
 _PEN_INF = 2.0 ** 40  # penalty of pad and out-of-band cells, far above any path's
@@ -123,14 +123,13 @@ def rep_epsilon_check(s: Reparam, eps: float) -> bool:
 
 
 def _weights(xs: OrbitSample, weight_kind: str) -> np.ndarray:
+    """The weight at each point of xs: 1, dist(., Sing) or ||V(.)||."""
     if weight_kind == "unit":
         return np.ones_like(xs.times)
     if weight_kind == "sing_dist":
-        return xs.sing_dists
+        return xs.flow.singular.distances(xs.points)
     if weight_kind == "field_norm":
-        if xs.field_norms is None:
-            raise AlignmentError("sample carries no field norms")
-        return xs.field_norms
+        return field_norm(xs.flow, xs.points)
     raise AlignmentError(f"unknown weight kind: {weight_kind!r}")
 
 
@@ -453,10 +452,8 @@ def orbit_membership(flow: FlowModel, x, y, eps: float,
     """t0 in [-eps, eps] with phi_t0(x) within tol_orbit of y, if one exists.
 
     Decided in closed form (_find_orbit_time): 0 when y is within tol_orbit
-    of x, else the closest-approach time nearest 0. A flow without an
-    orbit_times hook is a FlowError.
+    of x, else the closest-approach time nearest 0.
     """
     if eps < 0:
         raise AlignmentError("eps must be nonnegative")
-    flow.require_orbit_times()
     return _find_orbit_time(flow, x, y, -eps, eps, tol_orbit)

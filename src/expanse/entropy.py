@@ -267,7 +267,7 @@ def x_delta_set(flow: FlowModel, delta: float, grid=None,
     for p in pts:
         if float(flow.singular.distances(p)) < delta:
             continue
-        dists = sample_orbit(flow, p, T_escape, h).sing_dists
+        dists = flow.singular.distances(sample_orbit(flow, p, T_escape, h).points)
         if float(dists.min()) >= delta:
             kept.append(p)
     return kept

@@ -22,6 +22,7 @@ from .alignment import (
     align_batch,
     pairs_per_batch,
 )
+from .config import KINDS
 from .flows import FlowModel, field_norm, sample_orbit
 from .spaces import CircleUnion, FiniteSet, Interval01, Point, Torus2, as_coords
 
@@ -144,6 +145,14 @@ def default_pair_grid(flow: FlowModel, delta: float) -> list:
     return pairs
 
 
+def _require_positive(**values) -> None:
+    """Raise ExpansivityError naming the first value not a finite number > 0."""
+    want, ok = KINDS["positive"]
+    for name, v in values.items():
+        if not ok(v):
+            raise ExpansivityError(f"{name} must be {want}, got {v!r}")
+
+
 def _t0_ladder(T: float, step: float) -> np.ndarray:
     """Candidate t0 values ordered outward from 0: 0, step, -step, 2 step, ..."""
     ts = np.arange(1, int(T / step) + 1) * step
@@ -252,9 +261,7 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
     """
     if property not in PROPERTY_RULES:
         raise ExpansivityError(f"unknown property: {property!r}")
-    if eps <= 0 or delta <= 0:
-        raise ExpansivityError("eps and delta must be positive")
-    flow.require_orbit_times()
+    _require_positive(eps=eps, delta=delta)
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     if strict_t0:
         t0_mode = "t0_zero"
@@ -320,8 +327,7 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
     delta * dist(x, Sing). The conclusion sup_{|t|<=T} d(phi_t x, phi_t y)
     <= eps is evaluated on the sample grid with no reparametrization.
     """
-    if eps <= 0 or delta <= 0:
-        raise ExpansivityError("eps and delta must be positive")
+    _require_positive(eps=eps, delta=delta)
     pairs = list(pair_grid) if pair_grid is not None \
         else _equicontinuity_pairs(flow, delta, singular_variant)
     name = "singular_equicontinuous" if singular_variant else "equicontinuous"
@@ -357,9 +363,9 @@ def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
     """
     if not isinstance(flow.space, Interval01):
         raise ExpansivityError("ball inclusion check needs a one-dimensional flow")
+    _require_positive(eps=eps)
     if not 0.0 < delta < 0.5:
-        raise ExpansivityError("delta must lie in (0, 1/2)")
-    flow.require_orbit_times()
+        raise ExpansivityError(f"delta must lie in (0, 1/2), got {delta!r}")
     grid = x_grid if x_grid is not None else flow.space.grid(1000)
     xs = np.array([as_coords(p)[0] for p in grid])
     witness = None
@@ -423,8 +429,6 @@ def comparability_constants(flow: FlowModel) -> ConstantsReport:
     the reverse, meaningful only when the field's zeros are nondegenerate.
     C is +inf when the grid exposes a vanishing field off the singular set.
     """
-    if flow.vector_field is None:
-        raise ExpansivityError(f"{flow.name} has no vector field")
     pts = np.array([as_coords(p) for p in _constants_grid(flow)])
     norms = field_norm(flow, pts)
     dists = flow.singular.distances(pts)
@@ -449,24 +453,13 @@ def comparability_constants(flow: FlowModel) -> ConstantsReport:
 def local_norm_constant(flow: FlowModel, n_pairs: int = 10_000, seed: int = 0) -> tuple:
     """Radius factor c with ||V(y)|| within [1/2, 2] of ||V(x)|| on c||V(x)||-balls.
 
-    Starts from c = 1/(4 L) with L the (given or grid-estimated) local
-    Lipschitz constant and halves c until the two-sided bound verifies on
-    the sampled pairs. Returns (c, report).
+    Starts from c = 1/(4 L) with L the flow's Lipschitz constant and halves
+    c until the two-sided bound verifies on the sampled pairs. Returns
+    (c, report).
     """
-    if flow.vector_field is None:
-        raise ExpansivityError(f"{flow.name} has no vector field")
     pts = np.array([as_coords(p) for p in _constants_grid(flow)])
     norms = field_norm(flow, pts)
-    if flow.lipschitz_L is not None:
-        L = flow.lipschitz_L
-    else:
-        sub = pts[:: max(1, len(pts) // 128)]
-        vs = np.asarray(flow.vector_field(sub), dtype=float)
-        d = flow.space.distance(sub[:, None, :], sub[None, :, :])
-        dv = np.sqrt(((vs[:, None, :] - vs[None, :, :]) ** 2).sum(-1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(d > 0, dv / d, 0.0)
-        L = float(np.nanmax(r))
+    L = flow.lipschitz_L
     if L <= 0:
         return math.inf, {"L_hat": 0.0, "halvings": 0, "pairs_checked": 0}
     c = 1.0 / (4.0 * L)
@@ -501,8 +494,6 @@ def return_time_bound_check(flow: FlowModel, x_grid=None, delta_grid=None, *,
     |t| < r (step 0.002) for a return d(phi_t x, x) <= delta ||V(x)|| with |t| >= 3 delta.
     A grid point outside flow.space raises SpaceError.
     """
-    if flow.vector_field is None:
-        raise ExpansivityError(f"{flow.name} has no vector field")
     grid = x_grid if x_grid is not None else _constants_grid(flow)
     grid = [x for x in (flow.space.point(p).vec for p in grid)
             if float(flow.singular.distances(x)) > 0][:64]
@@ -553,6 +544,7 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
     dist(., Sing) <= diam(X) makes the implication structural; any recorded
     violation would expose an arithmetic bug.
     """
+    _require_positive(delta=delta)
     pairs = list(pairs) if pairs is not None else default_pair_grid(flow, delta)
     diam = flow.space.diameter
 
@@ -583,7 +575,9 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     """
     if property not in PROPERTY_RULES:
         raise ExpansivityError(f"unknown property: {property!r}")
-    flow.require_orbit_times()
+    if not len(eps_values):
+        raise ExpansivityError("eps_values is empty")
+    _require_positive(**{f"eps_values[{i}]": eps for i, eps in enumerate(eps_values)})
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     pairs = list(pair_grid) if pair_grid is not None \
         else default_pair_grid(flow, min(eps_values))

@@ -10,12 +10,12 @@ not invertible).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .config import check
+from .config import KINDS, check
 from .spaces import (
     SPACE_KEYS,
     CircleUnion,
@@ -38,21 +38,35 @@ class FlowError(ValueError):
 
 @dataclass(frozen=True)
 class FlowModel:
-    """A flow phi(t, x) on a space, with its singular set and optional field.
+    """A flow phi(t, x) on a space, with its singular set, field and hooks.
 
-    orbit_times(x, target, lo, hi): the closed-form times at which the orbit
-    of x comes closest to target, those in [lo, hi] and the nearest outside.
+    evaluate_fn(t, x): phi_t(x) for a point x of shape (d,); shape (d,) at a
+    scalar t, (len(t), d) at a 1-d array of times.
+    vector_field(x): V at a point (d,) or at each row of a batch (n, d).
+    lipschitz_L: a finite L >= 0 with |V(x) - V(y)| <= L d(x, y).
+    orbit_times(x, target, lo, hi): a 1-d array of the closed-form times at
+    which the orbit of x comes closest to target, those in [lo, hi] and the
+    nearest outside; () when there are none.
+    Construction checks these and raises a FlowError naming the flow and
+    the field.
     """
 
     name: str
     space: Space
     singular: SingularSet
     evaluate_fn: Callable
-    vector_field: Optional[Callable] = None
-    lipschitz_L: Optional[float] = None
-    orbit_times: Optional[Callable] = None
+    vector_field: Callable
+    lipschitz_L: float
+    orbit_times: Callable
     forward_only: bool = False
-    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for hook in ("evaluate_fn", "vector_field", "orbit_times"):
+            if not callable(getattr(self, hook)):
+                raise FlowError(f"{self.name}: {hook} must be callable")
+        if not (KINDS["real"][1](self.lipschitz_L) and self.lipschitz_L >= 0):
+            raise FlowError(f"{self.name}: lipschitz_L must be a finite number >= 0, "
+                            f"got {self.lipschitz_L!r}")
 
     def evaluate(self, t, x) -> np.ndarray:
         """phi_t(x); t may be a scalar or a 1-d array of times."""
@@ -60,15 +74,14 @@ class FlowModel:
             raise FlowError(f"{self.name} is a forward semiflow")
         return self.evaluate_fn(t, as_coords(x))
 
-    def require_orbit_times(self) -> None:
-        """Raise FlowError naming the flow unless it has an orbit_times hook."""
-        if self.orbit_times is None:
-            raise FlowError(f"{self.name} has no closed-form orbit_times hook")
-
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """Uniform-time discretization of phi_[-T,T](base) with cached weights."""
+    """Uniform-time discretization of phi_[-T,T](base): its times and points.
+
+    Weights along the orbit (singular distances, field norms) are computed
+    from `points` by the code that uses them.
+    """
 
     flow: FlowModel
     base: np.ndarray
@@ -76,8 +89,6 @@ class OrbitSample:
     step_h: float
     times: np.ndarray
     points: np.ndarray
-    sing_dists: np.ndarray
-    field_norms: Optional[np.ndarray] = None
 
 
 def _interval_closed_form(lam):
@@ -145,7 +156,6 @@ def interval_flow(lam: float = 1.0) -> FlowModel:
         vector_field=_logistic_field(lam),
         lipschitz_L=abs(lam),
         orbit_times=orbit_times,
-        params={"lambda": lam},
     )
 
 
@@ -185,7 +195,6 @@ def rotation_flow(space: CircleUnion) -> FlowModel:
         vector_field=v,
         lipschitz_L=1.0,
         orbit_times=_rotation_orbit_times,
-        params={"radii": list(space.radii)},
     )
 
 
@@ -211,7 +220,6 @@ def trivial_flow(space: Space) -> FlowModel:
         vector_field=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lipschitz_L=0.0,
         orbit_times=lambda x, target, lo, hi: (),  # every orbit is its point
-        params={"space": space.space_id},
     )
 
 
@@ -254,6 +262,7 @@ def suspension_doubling() -> FlowModel:
         evaluate_fn=ev,
         vector_field=lambda x: np.broadcast_to(
             np.array([0.0, 1.0]), np.asarray(x, dtype=float).shape).copy(),
+        lipschitz_L=0.0,  # the field is constant
         orbit_times=_suspension_orbit_times,
         forward_only=True,
     )
@@ -295,18 +304,13 @@ def sample_orbit(flow: FlowModel, x, T: float, h: float) -> OrbitSample:
     base = as_coords(x)
     times = np.arange(-n_half, n_half + 1, dtype=float) * h
     points = flow.evaluate(times, base)
-    return OrbitSample(
-        flow=flow, base=base, window_T=n_half * h, step_h=h, times=times,
-        points=points, sing_dists=flow.singular.distances(points),
-        field_norms=None if flow.vector_field is None else field_norm(flow, points),
-    )
+    return OrbitSample(flow=flow, base=base, window_T=n_half * h, step_h=h,
+                       times=times, points=points)
 
 
 def field_norm(flow: FlowModel, x):
     """Euclidean field norm at one point (a float) or at each row of an (n, d)
     batch (an array, bitwise equal to per-point calls); exactly 0 on Sing members."""
-    if flow.vector_field is None:
-        raise FlowError(f"{flow.name} has no vector field")
     v = np.asarray(flow.vector_field(as_coords(x)), dtype=float)
     norms = np.sqrt((v ** 2).sum(axis=-1))
     return float(norms) if norms.ndim == 0 else norms

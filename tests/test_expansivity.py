@@ -1,6 +1,7 @@
-import dataclasses
+import functools
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -19,8 +20,8 @@ from expanse.expansivity import (
     local_norm_constant,
     return_time_bound_check,
 )
-from expanse.alignment import align_batch, orbit_membership, recompute_cost
-from expanse.flows import FlowError, interval_flow, rotation_flow, sample_orbit, trivial_flow
+from expanse.alignment import align_batch, recompute_cost
+from expanse.flows import interval_flow, rotation_flow, sample_orbit, trivial_flow
 from expanse.spaces import CircleUnion, FiniteSet, SpaceError, exp_radii, harmonic_radii
 
 FAST = dict(T=6.0, h=0.05, band_width=1.0)
@@ -107,6 +108,40 @@ def test_check_property_budget_inconclusive(harmonic_rot):
         with pytest.raises(ExpansivityError, match="max_pairs"):
             check_equicontinuity(harmonic_rot, False, eps=0.1, delta=0.05,
                                  pair_grid=pairs, T=6.0, h=0.05, max_pairs=bad)
+
+
+def _bad_scale_cases():
+    flow = interval_flow(1.0)
+    pairs = [(np.array([0.3]), np.array([0.31]))]
+    drivers = {
+        "check_property": lambda eps, delta: check_property(flow, "kstar", eps, delta, pairs,
+                                                            **FAST),
+        "check_equicontinuity": lambda eps, delta: check_equicontinuity(
+            flow, False, eps, delta, pairs, T=6.0, h=0.05),
+        "ball_inclusion_check": lambda eps, delta: ball_inclusion_check(flow, eps, delta),
+        "delta_star": lambda eps, delta: delta_star(flow, "kstar", [eps], pairs, **FAST),
+        "hierarchy_check": lambda eps, delta: hierarchy_check(flow, pairs, delta, **FAST),
+    }
+    reads = {"delta_star": ("eps",), "hierarchy_check": ("delta",)}
+    for driver, call in drivers.items():
+        for name in reads.get(driver, ("eps", "delta")):
+            for bad in (math.nan, math.inf, 0.0, -0.5):
+                scales = {"eps": 0.5, "delta": 0.1, name: bad}
+                yield pytest.param(functools.partial(call, **scales),
+                                   rf"{name}\S* must .*, got {re.escape(repr(bad))}$",
+                                   id=f"{driver}-{name}-{bad}")
+    yield pytest.param(lambda: delta_star(flow, "kstar", []), "eps_values is empty",
+                       id="delta_star-no-eps")
+
+
+@pytest.mark.parametrize("call, message", _bad_scale_cases())
+def test_drivers_reject_bad_eps_and_delta(monkeypatch, call, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an orbit was sampled")
+
+    monkeypatch.setattr(expansivity, "sample_orbit", no_sampling)
+    with pytest.raises(ExpansivityError, match=message):
+        call()
 
 
 def test_check_property_validation(harmonic_rot):
@@ -200,22 +235,6 @@ def test_ball_inclusion_validation(harmonic_rot):
         ball_inclusion_check(harmonic_rot, eps=0.5, delta=0.4)
 
 
-def test_flow_without_orbit_times_fails_before_costing(monkeypatch):
-    flow = dataclasses.replace(interval_flow(1.0), name="hookless", orbit_times=None)
-    pairs = [(np.array([0.3]), np.array([0.31]))]
-
-    def no_costing(*args, **kwargs):
-        raise AssertionError("a pair was costed")
-
-    monkeypatch.setattr(expansivity, "align_batch", no_costing)
-    for call in (lambda: check_property(flow, "kstar", 0.5, 0.1, pairs, **FAST),
-                 lambda: delta_star(flow, "kstar", [0.5], pairs, **FAST),
-                 lambda: orbit_membership(flow, np.array([0.3]), np.array([0.4]), 1.0),
-                 lambda: ball_inclusion_check(flow, eps=0.5, delta=0.4)):
-        with pytest.raises(FlowError, match="hookless"):
-            call()
-
-
 # ------------------------------------------------------------ constants
 
 def dense_ratio_oracle():
@@ -244,13 +263,6 @@ def test_comparability_constants_rotation(exp_rot):
     assert rep.B == pytest.approx(1.0, abs=1e-6)
     assert rep.C == pytest.approx(1.0, abs=1e-6)
     assert not rep.degenerate
-
-
-def test_comparability_requires_field():
-    flow = trivial_flow(FiniteSet([[0.0, 0.0], [1.0, 0.0]]))
-    object.__setattr__(flow, "vector_field", None)
-    with pytest.raises(ExpansivityError):
-        comparability_constants(flow)
 
 
 def test_weight_bridge_pointwise(exp_rot):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -241,7 +242,8 @@ def test_sample_orbit_interval_endpoints():
     flow = interval_flow(1.0)
     s = sample_orbit(flow, np.array([0.5]), T=math.log(2.0), h=math.log(2.0))
     assert s.points[:, 0] == pytest.approx([1.0 / 3.0, 0.5, 2.0 / 3.0], abs=1e-12)
-    assert s.sing_dists == pytest.approx([1.0 / 3.0, 0.5, 1.0 / 3.0], abs=1e-12)
+    assert flow.singular.distances(s.points) == pytest.approx([1.0 / 3.0, 0.5, 1.0 / 3.0],
+                                                             abs=1e-12)
 
 
 def test_sample_orbit_rotation_antipodal():
@@ -250,7 +252,7 @@ def test_sample_orbit_rotation_antipodal():
     s = sample_orbit(flow, np.array([r, 0.0]), T=2 * math.pi, h=math.pi)
     xs = s.points[:, 0]
     assert xs == pytest.approx([r, -r, r, -r, r], abs=1e-12)
-    assert s.field_norms == pytest.approx([r] * 5, abs=1e-15)
+    assert field_norm(flow, s.points) == pytest.approx([r] * 5, abs=1e-15)
 
 
 def test_sample_orbit_budget():
@@ -266,17 +268,7 @@ def test_field_norm_values():
     assert field_norm(flow, np.array([0.0])) == 0.0
     rot = rotation_flow(CircleUnion([0.7]))
     assert field_norm(rot, np.array([0.7, 0.0])) == 0.7
-
-
-def test_field_norm_requires_field():
-    flow = suspension_doubling()
-    assert field_norm(flow, np.array([0.1, 0.1])) == 1.0
-    bare = interval_flow(1.0)
-    object.__setattr__(bare, "vector_field", None)
-    with pytest.raises(FlowError):
-        field_norm(bare, np.array([0.5]))
-    with pytest.raises(FlowError):
-        field_norm(bare, np.array([[0.5], [0.25]]))
+    assert field_norm(suspension_doubling(), np.array([0.1, 0.1])) == 1.0
 
 
 @pytest.mark.parametrize("flow", [interval_flow(1.0), rotation_flow(CircleUnion(exp_radii(4))),
@@ -320,7 +312,7 @@ def test_min_orbit_diameter_empty_grid():
 
 def test_flow_from_config():
     f = flow_from_config({"name": "interval", "lambda": 1.0})
-    assert f.name == "interval" and f.params["lambda"] == 1.0
+    assert f.name == "interval" and f.lipschitz_L == 1.0
     g = flow_from_config({"name": "circles", "family": "harmonic", "depth": 16})
     assert len(g.space.radii) == 16
     c = flow_from_config({"name": "circles", "radii": [0.8, 0.82, 0.84]})
@@ -338,7 +330,32 @@ def test_flow_from_config():
 def test_every_config_flow_has_orbit_times(cfg):
     flow = flow_from_config(cfg)  # interval at lambda 0 is the trivial flow
     assert flow.orbit_times is not None
-    flow.require_orbit_times()
+
+
+CONTRACT_FLOWS = [{"name": name} for name in FLOW_KEYS] + [
+    {"name": "interval", "lambda": 0.0}, {"name": "interval", "lambda": -2.0}]
+
+
+@pytest.mark.parametrize("cfg", CONTRACT_FLOWS, ids=lambda c: "-".join(map(str, c.values())))
+def test_flow_contract_oracle(cfg):
+    # |V(x) - V(y)| <= lipschitz_L d(x, y) on grid pairs, and V = 0 on Sing
+    flow = flow_from_config(cfg)
+    pts = np.array(flow.space.grid(16))
+    v = np.asarray(flow.vector_field(pts), dtype=float)
+    dv = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(-1))
+    d = flow.space.distance(pts[:, None, :], pts[None, :, :])
+    assert (dv <= flow.lipschitz_L * d * (1.0 + 1e-12)).all()
+    for p in flow.singular.points:
+        assert field_norm(flow, np.array(p)) == 0.0
+
+
+@pytest.mark.parametrize("field, value", [("evaluate_fn", None), ("vector_field", None),
+                                          ("orbit_times", None), ("lipschitz_L", None),
+                                          ("lipschitz_L", -1.0), ("lipschitz_L", math.inf),
+                                          ("lipschitz_L", math.nan)])
+def test_flow_construction_refuses_broken_contract(field, value):
+    with pytest.raises(FlowError, match=f"forged: {field}"):
+        dataclasses.replace(interval_flow(1.0), name="forged", **{field: value})
 
 
 @pytest.mark.parametrize("cfg, error, named", [
