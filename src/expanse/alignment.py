@@ -37,6 +37,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import KINDS
 from .flows import FlowModel, OrbitSample, field_norm, sample_orbit
 from .spaces import as_coords
 
@@ -454,6 +455,6 @@ def orbit_membership(flow: FlowModel, x, y, eps: float,
     Decided in closed form (_find_orbit_time): 0 when y is within tol_orbit
     of x, else the closest-approach time nearest 0.
     """
-    if eps < 0:
-        raise AlignmentError("eps must be nonnegative")
+    if not (KINDS["real"][1](eps) and eps >= 0):
+        raise AlignmentError(f"eps must be a finite number >= 0, got {eps!r}")
     return _find_orbit_time(flow, x, y, -eps, eps, tol_orbit)

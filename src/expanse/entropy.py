@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import KINDS
 from .flows import FlowModel, sample_orbit
 from .spaces import as_coords
 
@@ -255,8 +256,9 @@ def x_delta_set(flow: FlowModel, delta: float, grid=None,
     shrinks as T_escape grows. Membership in U_delta is strict (< delta).
     A grid point outside flow.space raises SpaceError.
     """
-    if delta <= 0:
-        raise EntropyError("delta must be positive")
+    want, ok = KINDS["positive"]
+    if not ok(delta):
+        raise EntropyError(f"delta must be {want}, got {delta!r}")
     if grid is None:
         grid = flow.space.grid(16) if hasattr(flow.space, "radii") else flow.space.grid(64)
     pts = [flow.space.point(p).vec for p in grid]

@@ -10,15 +10,18 @@ call of the alignment band kernel (alignment._minimax_band_dp), pinned at
 clock 0, with its tie rule (stated at _minimax_band_dp), which leans
 each cell toward the slope-1 path.
 
-Mode "first" only decides whether a candidate's error is <= eps, so it
-passes eps to the kernel as its bound, and the kernel prunes at eps: a
-cell whose running minimax value exceeds eps is dropped, so each row
-sweeps only the offsets next to the cells still within eps, a direction
-stops at the first row with none left, and a candidate that fails forward
-never evaluates or searches its backward half. A candidate that passes
-gets the same result, bit for bit, as a search bound by the cost of an
-admissible path. Mode "best" needs every error; it bounds each direction
-by the cost of its zero-offset path.
+Mode "first" only decides whether a candidate's error is <= eps. A
+failing candidate needs that decision, not a path or a tie, so a
+direction whose zero-offset path exceeds eps first runs a boolean
+reachability sweep (_reaches_last_row): each row keeps the offsets with
+local cost <= eps next to an offset kept in the row before, and the
+sweep stops at the first row with none left. A direction that fails
+there never reaches the kernel, and a candidate that fails forward never
+evaluates or searches its backward half. A direction that passes runs
+the kernel with eps as its bound, which keeps exactly the cells the sweep
+keeps, so a passing candidate gets the same result, bit for bit, as a
+search bound by the cost of an admissible path. Mode "best" needs every
+error; it bounds each direction by the cost of its zero-offset path.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .alignment import Reparam, _minimax_band_dp
+from .alignment import _BLOCK_MARGIN, _BLOCK_ROWS, _BLOCK_VALUES, Reparam, _minimax_band_dp
+from .config import KINDS
 from .flows import FlowModel
 from .spaces import CircleUnion, Point
 
@@ -202,9 +206,11 @@ def _cone_search(space, orbit, ref, q, threshold):
     Row r pairs ref[r] with orbit cell r*q + o, where o starts at 0 and
     moves by -1, 0 or +1 per row (cell steps q - 1, q, q + 1). This is the
     alignment band DP with W = len(ref) - 1 pinned at row 0, band offset
-    k - W = o. orbit holds cells 0..W*(q + 1). A search whose cost exceeds
-    threshold stops early and returns None; without a threshold the kernel
-    is bound by the zero-offset path, cells r*q.
+    k - W = o. orbit holds cells 0..W*(q + 1). With a threshold, a search
+    whose zero-offset path (cells r*q) exceeds it is first decided by the
+    reachability sweep, and one that fails returns None before the kernel
+    runs; one that passes runs the kernel bound by threshold. Without a
+    threshold the kernel is bound by the zero-offset path's cost.
     """
     W = len(ref) - 1
     width = 2 * W + 1
@@ -216,11 +222,47 @@ def _cone_search(space, orbit, ref, q, threshold):
     def local_cost(r0, r1, lo, hi):
         return space.distance(windows[r0:r1, lo:hi], ref[r0:r1, None])[None]
 
-    bound = threshold if threshold is not None else space.distance(windows[:, W], ref).max()
+    zero = space.distance(windows[:, W], ref).max()  # the zero-offset path's cost
+    # a side whose zero-offset path stays within threshold passes without a sweep
+    if threshold is not None and zero > threshold \
+            and not _reaches_last_row(local_cost, W + 1, W, threshold):
+        return None
+    bound = threshold if threshold is not None else zero
     costs, paths = _minimax_band_dp(local_cost, W + 1, W, [bound], fix_row=0)
     if paths[0, 0] < 0:  # abandoned: no path
         return None
     return float(costs[0]), np.arange(W + 1) * q + paths[0] - W
+
+
+def _reaches_last_row(local_cost, n, W, eps):
+    """Whether a pinned cone path reaches row n - 1 with every local cost <= eps.
+
+    The decision the kernel's pruning makes at bound eps, without its
+    costs, paths or ties: row 0 keeps only offset 0 (column W), and each
+    later row keeps the cells with local cost <= eps next to (k - 1, k or
+    k + 1) a cell kept in the row before. Local costs are fetched in row
+    blocks at the live column range, as the kernel fetches them, and the
+    sweep stops at the first row with no cell kept. Row i's cells lie
+    within i of column W, so every range stays inside the band.
+    """
+    width = 2 * W + 1
+    lo, reach = W, np.ones(1, dtype=bool)  # the pin
+    ones = np.ones(3, dtype=np.int8)
+    b1 = c0 = c1 = 0
+    for i in range(n):
+        hi = lo + len(reach)
+        if not (i < b1 and c0 <= lo and hi <= c1):
+            b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, width)
+            b1 = min(n, i + max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // (c1 - c0))))
+            within = local_cost(b0, b1, c0, c1)[0] <= eps
+        kept = np.logical_and(reach, within[i - b0, lo - c0:hi - c0])
+        live = kept.nonzero()[0]
+        if not live.size:
+            return False
+        # the next row reaches one column either side of each kept cell
+        reach = np.convolve(kept[live[0]:live[-1] + 1], ones)
+        lo += int(live[0]) - 1
+    return True
 
 
 def _orbit_cells(flow, z, c0, c1, h_u):
@@ -271,8 +313,9 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     pseudo-orbit point or candidate outside flow.space raises SpaceError
     before any search runs.
     """
-    if eps <= 0:
-        raise ShadowingError("eps must be positive")
+    want, ok = KINDS["positive"]
+    if not ok(eps):
+        raise ShadowingError(f"eps must be {want}, got {eps!r}")
     if mode not in ("first", "best"):
         raise ShadowingError(f"unknown mode: {mode!r}")
     if flow.forward_only and po.i_min < 0:

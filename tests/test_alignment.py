@@ -705,6 +705,12 @@ def test_membership_interval_transit():
     assert orbit_membership(flow, np.array([1.0 / 3.0]), np.array([2.0 / 3.0]), 1.0) is None
 
 
+def test_membership_rejects_nan_eps():
+    # a NaN window clipped every candidate time to NaN, so y = x was reported absent
+    with pytest.raises(AlignmentError, match="eps must be a finite number >= 0, got nan"):
+        orbit_membership(interval_flow(1.0), np.array([0.4]), np.array([0.4]), math.nan)
+
+
 ORACLE_STEP = 1e-4
 ORACLE_TOL = 1e-4  # >= half a step at speed <= 1: the grid sees every exact hit
 

@@ -442,6 +442,12 @@ def test_x_delta_validation(exp_rot):
         x_delta_set(exp_rot, 0.0)
 
 
+def test_x_delta_rejects_nan_delta(exp_rot):
+    # NaN fails every comparison, so it used to pass the delta <= 0 check and keep nothing
+    with pytest.raises(EntropyError, match="delta must be a finite number > 0, got nan"):
+        x_delta_set(exp_rot, math.nan)
+
+
 # --------------------------------------------------------------- h star
 
 def test_h_star_interval_empty_flag():

@@ -1,6 +1,7 @@
 import itertools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +208,22 @@ def test_first_mode_threshold_keeps_results(make, shadowed):
     assert _digest(res) == _digest(_first_without_threshold(flow, po, 0.05))
 
 
+# a side that fails is decided by the reachability sweep and never reaches the
+# kernel: every drift candidate fails forward; interval seed 0's first candidate
+# passes both sides; seed 4's first passes forward, fails backward, and its
+# second passes both
+@pytest.mark.parametrize("make, kernel_calls", [
+    (_drift_po, 0), (lambda: _interval_po(0), 2), (lambda: _interval_po(4), 3),
+], ids=["drift", "interval-seed0", "interval-seed4"])
+def test_first_mode_runs_kernel_only_on_passing_sides(make, kernel_calls, monkeypatch):
+    kernel, calls = shadowing._minimax_band_dp, []
+    monkeypatch.setattr(shadowing, "_minimax_band_dp",
+                        lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+    flow, po = make()
+    find_shadow(flow, po, eps=0.05)
+    assert len(calls) == kernel_calls
+
+
 @pytest.mark.parametrize("flow, z, m_lo", [
     (interval_flow(1.0), [0.3], -369), (interval_flow(2.5), [0.9], -369),
     (rotation_flow(CircleUnion(exp_radii(8))), [0.0, math.exp(-3)], -369),
@@ -239,6 +256,14 @@ def test_find_shadow_validation():
     po = generate_pseudo_orbit(flow, np.array([0.3]), 4, 1e-3, seed=0)
     with pytest.raises(ShadowingError):
         find_shadow(flow, po, eps=0.0)
+
+
+def test_find_shadow_rejects_nan_eps():
+    flow = interval_flow(1.0)
+    po = generate_pseudo_orbit(flow, np.array([0.3]), 4, 1e-3, seed=0)
+    # NaN fails every comparison: it used to pass eps <= 0 and crash in math.ceil
+    with pytest.raises(ShadowingError, match="eps must be a finite number > 0, got nan"):
+        find_shadow(flow, po, eps=math.nan)
 
 
 def test_find_shadow_rejects_loaded_off_space_point(tmp_path):
@@ -326,17 +351,21 @@ def _ref_cone_search(table, n_lo, n_hi, q):
     return max(errors), cells
 
 
-def _brute_cone_search(table, n_lo, n_hi, q):
-    """Per side, the min over every path from cell 0 with steps q-1, q, q+1 of its max."""
+def _brute_side_costs(table, n_lo, n_hi, q):
+    """Forward, backward: the min over every path from cell 0 with steps q-1, q, q+1 of its max."""
     m_lo = -n_lo * (q + 1)
-    worst = 0.0
+    sides = []
     for direction, count in ((+1, n_hi), (-1, n_lo)):
         steps = np.array(list(itertools.product((q - 1, q, q + 1), repeat=count)),
                          dtype=np.int64).reshape(3 ** count, count)
         cells = direction * np.cumsum(np.c_[np.zeros(len(steps), np.int64), steps], axis=1)
         rows = n_lo + direction * np.arange(count + 1)
-        worst = max(worst, float(table[rows, cells - m_lo].max(axis=1).min()))
-    return worst
+        sides.append(float(table[rows, cells - m_lo].max(axis=1).min()))
+    return sides
+
+
+def _brute_cone_search(table, n_lo, n_hi, q):
+    return max(_brute_side_costs(table, n_lo, n_hi, q))
 
 
 class _TableSpace:
@@ -365,9 +394,8 @@ def _cone_tables(draw):
     return q, n_lo, n_hi, np.array(vals).reshape(shape)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_cone_tables())
-def test_cone_search_matches_reference_and_brute_force(case):
+def _try_table_candidate(case, threshold=None):
+    """_try_candidate on a cone table, with the reference as one segment."""
     q, n_lo, n_hi, table = case
     # with h = q the fine step h/q is 1, so orbit times are the cell indices
     flow = SimpleNamespace(
@@ -375,9 +403,16 @@ def test_cone_search_matches_reference_and_brute_force(case):
         evaluate=lambda t, z: np.stack([np.asarray(t, float), np.zeros(np.shape(t))], -1))
     ts = np.arange(-n_lo, n_hi + 1) * float(q)
     ref = np.stack([np.arange(len(ts), dtype=float), np.ones(len(ts))], -1)
-    err, reparam, per_seg = shadowing._try_candidate(
+    return shadowing._try_candidate(
         flow, SimpleNamespace(points=[None]), np.zeros(2), float(q), q, ts, ref,
-        np.zeros(len(ts), dtype=np.int64))
+        np.zeros(len(ts), dtype=np.int64), threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_tables())
+def test_cone_search_matches_reference_and_brute_force(case):
+    q, n_lo, n_hi, table = case
+    err, reparam, per_seg = _try_table_candidate(case)
     ref_err, _ = _ref_cone_search(table, n_lo, n_hi, q)
     assert err == ref_err
     assert err == _brute_cone_search(table, n_lo, n_hi, q)
@@ -385,5 +420,31 @@ def test_cone_search_matches_reference_and_brute_force(case):
     assert reparam.knots_s.tolist() == cells.tolist()
     assert cells[n_lo] == 0
     assert set(np.diff(cells).tolist()) <= {q - 1, q, q + 1}
-    assert table[np.arange(len(ts)), cells + n_lo * (q + 1)].max() == err
+    assert table[np.arange(len(cells)), cells + n_lo * (q + 1)].max() == err
     assert per_seg == (err,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_tables(), st.data())
+def test_threshold_search_matches_brute_force(case, data):
+    q, n_lo, n_hi, table = case
+    # thresholds at the table's values put ties at the bound; midpoints fall between
+    vals = np.unique(table)
+    threshold = data.draw(st.sampled_from(np.r_[vals, (vals[:-1] + vals[1:]) / 2].tolist()))
+    forward, backward = _brute_side_costs(table, n_lo, n_hi, q)
+    with mock.patch.object(shadowing, "_minimax_band_dp",
+                           wraps=shadowing._minimax_band_dp) as kernel:
+        tried = _try_table_candidate(case, threshold)
+    # the backward side is searched only once the forward side passes, and
+    # only a side that passes the sweep reaches the kernel
+    passes = [forward <= threshold, max(forward, backward) <= threshold]
+    assert kernel.call_count == sum(passes)
+    if not passes[1]:
+        assert tried is None
+        return
+    err, reparam, per_seg = tried
+    best_err, best_reparam, best_per_seg = _try_table_candidate(case)
+    assert err == best_err
+    assert reparam.knots_t.tolist() == best_reparam.knots_t.tolist()
+    assert reparam.knots_s.tolist() == best_reparam.knots_s.tolist()
+    assert per_seg == best_per_seg
