@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import KINDS
+from .config import require
 from .flows import FlowModel, OrbitSample, field_norm, sample_orbit
 from .spaces import as_coords
 
@@ -319,6 +319,7 @@ def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
 
     Lists longer than pairs_per_batch go through the kernel in chunks.
     """
+    require(AlignmentError, "positive", band_width=band_width)
     if not pairs:
         return []
     (xs0, ys0), h = pairs[0], pairs[0][0].step_h
@@ -455,6 +456,5 @@ def orbit_membership(flow: FlowModel, x, y, eps: float,
     Decided in closed form (_find_orbit_time): 0 when y is within tol_orbit
     of x, else the closest-approach time nearest 0.
     """
-    if not (KINDS["real"][1](eps) and eps >= 0):
-        raise AlignmentError(f"eps must be a finite number >= 0, got {eps!r}")
+    require(AlignmentError, "nonnegative", eps=eps)
     return _find_orbit_time(flow, x, y, -eps, eps, tol_orbit)

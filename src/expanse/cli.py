@@ -49,7 +49,7 @@ KEY_KINDS = {
     **dict.fromkeys(("t_ladder", "eps_ladder", "delta_ladder"), "positives"),
     "x0": "reals", "K_grid": "points",
 }
-SCALE_KINDS = {"T": "positive", "h": "positive", "band_width": "real", "grid": "count"}
+SCALE_KINDS = {"T": "positive", "h": "positive", "band_width": "nonnegative", "grid": "count"}
 
 
 @dataclass
@@ -69,8 +69,6 @@ class ExperimentConfig:
             raise ConfigError("config needs a 'flow' subtree")
         scale = {**SCALE_DEFAULTS, **cfg.get("scale", {})}
         check(scale, SCALE_KINDS, ConfigError, "scale.")
-        if scale["band_width"] < 0:
-            raise ConfigError("scale.band_width must be nonnegative")
         seed = cfg.get("seed")
         if task in RANDOMIZED_TASKS and seed is None:
             raise ConfigError(f"task {task!r} is randomized: a seed is mandatory")

@@ -1,10 +1,12 @@
-"""One config schema: a value-kind vocabulary and one walker.
+"""One value-kind vocabulary, KINDS, for configs and library arguments alike.
 
 Each config level has a table mapping every key it accepts to a kind: a
 name in KINDS, a tuple of the allowed values, or None for a value that the
-builder it goes to checks. The tables: the task keys and ``scale`` in
-``expanse.cli``, ``FLOW_KEYS`` by flow name, ``SPACE_KEYS`` by space kind.
-A bool is never a number.
+builder it goes to checks. check walks one level. The tables: the task keys
+and ``scale`` in ``expanse.cli``, ``FLOW_KEYS`` by flow name, ``SPACE_KEYS``
+by space kind. Every public function that takes a number from its caller
+checks it with require, by the same KINDS, before any work. A bool is never
+a number.
 """
 
 import math
@@ -29,6 +31,7 @@ KINDS = {
     "text": ("a nonempty string", lambda v: isinstance(v, str) and v != ""),
     "real": ("a finite number", _real),
     "positive": ("a finite number > 0", lambda v: _real(v) and v > 0),
+    "nonnegative": ("a finite number >= 0", lambda v: _real(v) and v >= 0),
     "count": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
     "integer": ("an integer", _integer),
     "boolean": ("a boolean", lambda v: isinstance(v, bool)),
@@ -38,6 +41,14 @@ KINDS = {
     "points": ("a nonempty list of equal-length lists of finite numbers",
                lambda v: _list_of(v, lambda p: _list_of(p, _real) and len(p) == len(v[0]))),
 }
+
+
+def require(error: type, kind: str, **values) -> None:
+    """Raise error naming the first of values (name=value) not of kind, a KINDS name."""
+    want, ok = KINDS[kind]
+    for name, v in values.items():
+        if not ok(v):
+            raise error(f"{name} must be {want}, got {v!r}")
 
 
 def check(cfg: dict, table: dict, error: type, where: str = "") -> None:

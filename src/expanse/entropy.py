@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import KINDS
+from .config import require
 from .flows import FlowModel, sample_orbit
 from .spaces import as_coords
 
@@ -59,12 +59,11 @@ def _ladders(t_ladder, eps_ladder, h_sample, min_times: int = 2) -> tuple:
         raise EntropyError(f"degenerate t ladder: need at least {min_times} times")
     if not eps_ladder:
         raise EntropyError("empty eps ladder")
-    for name, values in (("t", t_ladder), ("eps", eps_ladder)):
-        for v in values:
-            if not 0.0 <= v < math.inf:
-                raise EntropyError(f"{name} must be finite and nonnegative, got {v}")
-    if not 0.0 < float(h_sample) < math.inf:
-        raise EntropyError(f"h_sample must be positive and finite, got {h_sample}")
+    for t in t_ladder:
+        require(EntropyError, "nonnegative", t=t)
+    for eps in eps_ladder:
+        require(EntropyError, "nonnegative", eps=eps)
+    require(EntropyError, "positive", h_sample=h_sample)
     return t_ladder, eps_ladder
 
 
@@ -78,13 +77,9 @@ def _forward_times(t: float, h_sample: float) -> np.ndarray:
 
 def bowen_ball_test(flow: FlowModel, x, y, t: float, eps: float,
                     h_sample: float = 0.05) -> bool:
-    """Sampled max of d(phi_s x, phi_s y) over s in [0, t] is <= eps."""
-    if t < 0:
-        raise EntropyError("t must be nonnegative")
-    x, y = as_coords(x), as_coords(y)
-    ts = _forward_times(t, h_sample)
-    d = flow.space.distance(flow.evaluate(ts, x), flow.evaluate(ts, y))
-    return bool(d.max() <= eps)
+    """Sampled max of d(phi_s x, phi_s y) over s in [0, t] is <= eps (a Bowen cover cell)."""
+    (t,), (eps,) = _ladders([t], [eps], h_sample, min_times=1)
+    return bool(_bowen_covers(flow, [x, y], [t], [eps], h_sample)[(t, eps)][0, 1])
 
 
 def _bowen_covers(flow, pts, t_ladder, eps_ladder, h_sample):
@@ -256,9 +251,7 @@ def x_delta_set(flow: FlowModel, delta: float, grid=None,
     shrinks as T_escape grows. Membership in U_delta is strict (< delta).
     A grid point outside flow.space raises SpaceError.
     """
-    want, ok = KINDS["positive"]
-    if not ok(delta):
-        raise EntropyError(f"delta must be {want}, got {delta!r}")
+    require(EntropyError, "positive", delta=delta, T_escape=T_escape, h=h)
     if grid is None:
         grid = flow.space.grid(16) if hasattr(flow.space, "radii") else flow.space.grid(64)
     pts = [flow.space.point(p).vec for p in grid]

@@ -22,7 +22,7 @@ from .alignment import (
     align_batch,
     pairs_per_batch,
 )
-from .config import KINDS
+from .config import require
 from .flows import FlowModel, field_norm, sample_orbit
 from .spaces import CircleUnion, FiniteSet, Interval01, Point, Torus2, as_coords
 
@@ -145,14 +145,6 @@ def default_pair_grid(flow: FlowModel, delta: float) -> list:
     return pairs
 
 
-def _require_positive(**values) -> None:
-    """Raise ExpansivityError naming the first value not a finite number > 0."""
-    want, ok = KINDS["positive"]
-    for name, v in values.items():
-        if not ok(v):
-            raise ExpansivityError(f"{name} must be {want}, got {v!r}")
-
-
 def _t0_ladder(T: float, step: float) -> np.ndarray:
     """Candidate t0 values ordered outward from 0: 0, step, -step, 2 step, ..."""
     ts = np.arange(1, int(T / step) + 1) * step
@@ -222,9 +214,8 @@ def _falsify(flow, pairs, max_pairs, T, h, cost, fails, batch=1):
     max_pairs without a witness is "inconclusive", a full scan without one
     "certified_at_scale".
     """
-    if max_pairs is not None and (isinstance(max_pairs, bool) or not isinstance(
-            max_pairs, (int, np.integer)) or max_pairs < 1):
-        raise ExpansivityError(f"max_pairs must be None or an int >= 1, got {max_pairs!r}")
+    if max_pairs is not None:
+        require(ExpansivityError, "count", max_pairs=max_pairs)
     scanned = pairs[:max_pairs]
     pair_costs = []
     for x, y, res in _scan_pairs(flow, scanned, T, h, cost, batch):
@@ -261,7 +252,8 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
     """
     if property not in PROPERTY_RULES:
         raise ExpansivityError(f"unknown property: {property!r}")
-    _require_positive(eps=eps, delta=delta)
+    require(ExpansivityError, "positive", eps=eps, delta=delta, T=T, h=h,
+            band_width=band_width, t0_step=t0_step)
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     if strict_t0:
         t0_mode = "t0_zero"
@@ -327,7 +319,7 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
     delta * dist(x, Sing). The conclusion sup_{|t|<=T} d(phi_t x, phi_t y)
     <= eps is evaluated on the sample grid with no reparametrization.
     """
-    _require_positive(eps=eps, delta=delta)
+    require(ExpansivityError, "positive", eps=eps, delta=delta, T=T, h=h)
     pairs = list(pair_grid) if pair_grid is not None \
         else _equicontinuity_pairs(flow, delta, singular_variant)
     name = "singular_equicontinuous" if singular_variant else "equicontinuous"
@@ -363,7 +355,8 @@ def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
     """
     if not isinstance(flow.space, Interval01):
         raise ExpansivityError("ball inclusion check needs a one-dimensional flow")
-    _require_positive(eps=eps)
+    require(ExpansivityError, "positive", eps=eps)
+    require(ExpansivityError, "count", ball_samples=ball_samples)
     if not 0.0 < delta < 0.5:
         raise ExpansivityError(f"delta must lie in (0, 1/2), got {delta!r}")
     grid = x_grid if x_grid is not None else flow.space.grid(1000)
@@ -544,7 +537,7 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
     dist(., Sing) <= diam(X) makes the implication structural; any recorded
     violation would expose an arithmetic bug.
     """
-    _require_positive(delta=delta)
+    require(ExpansivityError, "positive", delta=delta, T=T, h=h, band_width=band_width)
     pairs = list(pairs) if pairs is not None else default_pair_grid(flow, delta)
     diam = flow.space.diameter
 
@@ -577,7 +570,8 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
         raise ExpansivityError(f"unknown property: {property!r}")
     if not len(eps_values):
         raise ExpansivityError("eps_values is empty")
-    _require_positive(**{f"eps_values[{i}]": eps for i, eps in enumerate(eps_values)})
+    require(ExpansivityError, "positive", T=T, h=h, band_width=band_width, t0_step=t0_step,
+            **{f"eps_values[{i}]": eps for i, eps in enumerate(eps_values)})
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     pairs = list(pair_grid) if pair_grid is not None \
         else default_pair_grid(flow, min(eps_values))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import KINDS, check
+from .config import check, require
 from .spaces import (
     SPACE_KEYS,
     CircleUnion,
@@ -64,9 +64,7 @@ class FlowModel:
         for hook in ("evaluate_fn", "vector_field", "orbit_times"):
             if not callable(getattr(self, hook)):
                 raise FlowError(f"{self.name}: {hook} must be callable")
-        if not (KINDS["real"][1](self.lipschitz_L) and self.lipschitz_L >= 0):
-            raise FlowError(f"{self.name}: lipschitz_L must be a finite number >= 0, "
-                            f"got {self.lipschitz_L!r}")
+        require(FlowError, "nonnegative", **{f"{self.name}: lipschitz_L": self.lipschitz_L})
 
     def evaluate(self, t, x) -> np.ndarray:
         """phi_t(x); t may be a scalar or a 1-d array of times."""
@@ -276,6 +274,7 @@ def integrate_flow(vector_field: Callable, t, x, step: float) -> np.ndarray:
     step exceeds `step`; the per-unit-time error is O(step^4). A scalar t
     also broadcasts over a batch of initial points.
     """
+    require(FlowError, "positive", step=step)
     x = np.asarray(x, dtype=float).copy()
     t = np.asarray(t, dtype=float)
     t_max = float(np.max(np.abs(t)))
@@ -296,8 +295,7 @@ def integrate_flow(vector_field: Callable, t, x, step: float) -> np.ndarray:
 
 def sample_orbit(flow: FlowModel, x, T: float, h: float) -> OrbitSample:
     """Sample phi_t(x) over the symmetric grid t in [-T, T] with step h."""
-    if T <= 0 or h <= 0:
-        raise FlowError("T and h must be positive")
+    require(FlowError, "positive", T=T, h=h)
     n_half = int(round(T / h))
     if 2 * n_half + 1 > MAX_ORBIT_SAMPLES:
         raise FlowError("orbit sampling budget exceeded")

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .alignment import _BLOCK_MARGIN, _BLOCK_ROWS, _BLOCK_VALUES, Reparam, _minimax_band_dp
-from .config import KINDS
+from .config import require
 from .flows import FlowModel
 from .spaces import CircleUnion, Point
 
@@ -56,8 +56,10 @@ class PseudoOrbit:
     def __post_init__(self):
         if len(self.points) != len(self.durations) or not self.points:
             raise ShadowingError("points and durations must match and be nonempty")
-        if any(t < self.T_min for t in self.durations):
-            raise ShadowingError("every duration must be >= T_min")
+        require(ShadowingError, "real", T_min=self.T_min, delta=self.delta)
+        if not all(self.T_min <= t < math.inf for t in self.durations):
+            raise ShadowingError(
+                f"every duration must be a finite number >= T_min = {self.T_min!r}")
         if not self.i_min <= 0 <= self.i_max:
             raise ShadowingError("index range must contain 0")
 
@@ -130,10 +132,11 @@ def generate_pseudo_orbit(flow: FlowModel, x0, n_segments: int, delta: float,
     leftmost index -floor(n/2); deterministic under the seed. An x0 outside
     the space, or a jump ball that misses it, raises SpaceError.
     """
-    if delta < 0:
-        raise ShadowingError("delta must be nonnegative")
+    require(ShadowingError, "count", n_segments=n_segments)
+    require(ShadowingError, "nonnegative", delta=delta)
+    require(ShadowingError, "real", T_min=T_min)
     if T_min < 1.0:
-        raise ShadowingError("T_min must be >= 1")
+        raise ShadowingError(f"T_min must be a finite number >= 1, got {T_min!r}")
     rng = np.random.default_rng(seed)
     pts = [flow.space.point(x0).vec]
     durs = [float(rng.uniform(T_min, 2.0 * T_min)) for _ in range(n_segments)]
@@ -313,9 +316,7 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
     pseudo-orbit point or candidate outside flow.space raises SpaceError
     before any search runs.
     """
-    want, ok = KINDS["positive"]
-    if not ok(eps):
-        raise ShadowingError(f"eps must be {want}, got {eps!r}")
+    require(ShadowingError, "positive", eps=eps, h=h)
     if mode not in ("first", "best"):
         raise ShadowingError(f"unknown mode: {mode!r}")
     if flow.forward_only and po.i_min < 0:

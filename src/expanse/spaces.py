@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import check
+from .config import check, require
 
 CONTAIN_TOL = 1e-12
 
@@ -141,10 +141,9 @@ class CircleUnion(Space):
     dim = 2
 
     def __init__(self, radii: Sequence[float], include_origin: bool = True):
-        radii = tuple(sorted((float(r) for r in radii), reverse=True))
-        if not radii or radii[-1] <= 0:
-            raise SpaceError("radii must be positive")
-        self.radii = radii
+        radii = list(radii)
+        require(SpaceError, "positives", radii=radii)
+        self.radii = tuple(sorted((float(r) for r in radii), reverse=True))
         self.include_origin = include_origin
 
     @property

@@ -709,6 +709,10 @@ def test_membership_rejects_nan_eps():
     # a NaN window clipped every candidate time to NaN, so y = x was reported absent
     with pytest.raises(AlignmentError, match="eps must be a finite number >= 0, got nan"):
         orbit_membership(interval_flow(1.0), np.array([0.4]), np.array([0.4]), math.nan)
+    # a NaN band used to die in int(): "cannot convert float NaN to integer"
+    xs = sample_orbit(interval_flow(1.0), np.array([0.4]), T=1.0, h=0.1)
+    with pytest.raises(AlignmentError, match="^band_width must be a finite number > 0, got nan$"):
+        align(xs, xs, band_width=math.nan)
 
 
 ORACLE_STEP = 1e-4

@@ -188,6 +188,18 @@ def test_shadow_x0_off_space_exit_one(tmp_path, capsys, x0):
     assert not (out / "report.json").exists()
 
 
+def test_shadow_non_finite_pseudo_orbit_file_exit_one(tmp_path, capsys):
+    # a NaN header used to run to a report.json
+    po_file = tmp_path / "po.txt"
+    po_file.write_text("# i_min=0 T_min=nan delta=nan\n0.3,1.5\n")
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, "eps": 0.05,
+                               "pseudo_orbit_file": str(po_file), "seed": 3})
+    out = tmp_path / "out"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "T_min must be a finite number, got nan" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_shadow_task_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, {
         "flow": {"name": "interval", "lambda": 1.0},

@@ -329,9 +329,14 @@ def test_spanning_matches_entropy_ladder_cells():
     (lambda f, g: spanning_cardinality(f, g, -1.0, 0.1), r"t must .* got -1\.0"),
     (lambda f, g: entropy_estimate(f, g, [-1.0, 2.0], [0.1]), r"t must .* got -1\.0"),
     (lambda f, g: h_star_estimate(f, [], [1.0, 2.0], [0.1], grid=g), "empty delta ladder"),
+    # a NaN eps used to fail every comparison and answer False
+    (lambda f, g: bowen_ball_test(f, g[3], g[4], 1.0, math.nan), "eps .* got nan"),
+    (lambda f, g: bowen_ball_test(f, g[3], g[4], 1.0, 0.1, h_sample=0), "h_sample .* got 0"),
+    (lambda f, g: x_delta_set(f, 0.1, grid=g, T_escape=math.nan), "T_escape .* got nan"),
 ], ids=["empty-eps", "hstar-empty-eps", "negative-eps", "spanning-negative-eps",
         "hstar-negative-eps", "h-zero", "spanning-h-zero", "hstar-h-zero", "h-nan",
-        "spanning-h-nan", "spanning-negative-t", "negative-t", "hstar-empty-delta"])
+        "spanning-h-nan", "spanning-negative-t", "negative-t", "hstar-empty-delta",
+        "bowen-eps-nan", "bowen-h-zero", "xdelta-T-escape-nan"])
 def test_bad_inputs_fail_fast(run, match):
     # the interval flow's X_delta grids are all empty, so h_star_estimate must
     # reject its ladders before it would return an all-empty estimate

@@ -114,15 +114,23 @@ def _bad_scale_cases():
     flow = interval_flow(1.0)
     pairs = [(np.array([0.3]), np.array([0.31]))]
     drivers = {
-        "check_property": lambda eps, delta: check_property(flow, "kstar", eps, delta, pairs,
-                                                            **FAST),
-        "check_equicontinuity": lambda eps, delta: check_equicontinuity(
-            flow, False, eps, delta, pairs, T=6.0, h=0.05),
-        "ball_inclusion_check": lambda eps, delta: ball_inclusion_check(flow, eps, delta),
-        "delta_star": lambda eps, delta: delta_star(flow, "kstar", [eps], pairs, **FAST),
-        "hierarchy_check": lambda eps, delta: hierarchy_check(flow, pairs, delta, **FAST),
+        "check_property": lambda eps, delta, **kw: check_property(
+            flow, "kstar", eps, delta, pairs, **{**FAST, **kw}),
+        "check_equicontinuity": lambda eps, delta, **kw: check_equicontinuity(
+            flow, False, eps, delta, pairs, **{"T": 6.0, "h": 0.05, **kw}),
+        "ball_inclusion_check": lambda eps, delta, **kw: ball_inclusion_check(
+            flow, eps, delta, **kw),
+        "delta_star": lambda eps, delta, **kw: delta_star(
+            flow, "kstar", [eps], pairs, **{**FAST, **kw}),
+        "hierarchy_check": lambda eps, delta, **kw: hierarchy_check(
+            flow, pairs, delta, **{**FAST, **kw}),
     }
     reads = {"delta_star": ("eps",), "hierarchy_check": ("delta",)}
+    # the scale arguments each driver takes besides eps and delta
+    scale_reads = {"check_property": ("T", "h", "band_width", "t0_step"),
+                   "check_equicontinuity": ("T", "h"),
+                   "delta_star": ("T", "h", "band_width", "t0_step"),
+                   "hierarchy_check": ("T", "h", "band_width")}
     for driver, call in drivers.items():
         for name in reads.get(driver, ("eps", "delta")):
             for bad in (math.nan, math.inf, 0.0, -0.5):
@@ -130,6 +138,18 @@ def _bad_scale_cases():
                 yield pytest.param(functools.partial(call, **scales),
                                    rf"{name}\S* must .*, got {re.escape(repr(bad))}$",
                                    id=f"{driver}-{name}-{bad}")
+        for name in scale_reads.get(driver, ()):
+            for bad in (math.nan, math.inf, 0.0):
+                yield pytest.param(functools.partial(call, 0.5, 0.1, **{name: bad}),
+                                   rf"^{name} must .*, got {re.escape(repr(bad))}$",
+                                   id=f"{driver}-{name}-{bad}")
+    yield pytest.param(functools.partial(drivers["ball_inclusion_check"], 0.5, 0.1,
+                                         ball_samples=0),
+                       r"^ball_samples must be an integer >= 1, got 0$",
+                       id="ball_inclusion_check-ball_samples-0")
+    # a negative window used to fail only in Reparam: "knots must be strictly increasing"
+    yield pytest.param(functools.partial(drivers["check_equicontinuity"], 0.5, 0.1, T=-1),
+                       r"^T must .*, got -1$", id="check_equicontinuity-T--1")
     yield pytest.param(lambda: delta_star(flow, "kstar", []), "eps_values is empty",
                        id="delta_star-no-eps")
 

@@ -158,6 +158,19 @@ def test_integrate_step_budget():
         integrate_flow(logistic, np.array([0.1, -1e6]), np.array([[0.5], [0.5]]), 1e-6)
 
 
+@pytest.mark.parametrize("call, named", [
+    # an infinite step used to return a sample whose window_T and times were NaN
+    (lambda: sample_orbit(interval_flow(1.0), [0.3], 1.0, math.inf), "h"),
+    (lambda: sample_orbit(interval_flow(1.0), [0.3], math.nan, 0.1), "T"),
+    (lambda: sample_orbit(interval_flow(1.0), [0.3], 1.0, 0.0), "h"),
+    (lambda: integrate_flow(logistic, 1.0, np.array([0.5]), math.nan), "step"),
+    (lambda: integrate_flow(logistic, 1.0, np.array([0.5]), 0.0), "step"),
+], ids=["sample-h-inf", "sample-T-nan", "sample-h-zero", "rk4-step-nan", "rk4-step-zero"])
+def test_sampling_refuses_bad_scales(call, named):
+    with pytest.raises(FlowError, match=f"^{named} must be a finite number > 0, got "):
+        call()
+
+
 def test_integrate_per_row_times():
     x = np.array([[1.0 / 3.0, 0.0], [0.0, 0.5], [0.2, 0.1], [0.3, 0.4]])
     t = np.array([1.5, -1.5, 1.5, 0.0])

@@ -264,6 +264,27 @@ def test_find_shadow_rejects_nan_eps():
     # NaN fails every comparison: it used to pass eps <= 0 and crash in math.ceil
     with pytest.raises(ShadowingError, match="eps must be a finite number > 0, got nan"):
         find_shadow(flow, po, eps=math.nan)
+    with pytest.raises(ShadowingError, match="^h must be a finite number > 0, got nan$"):
+        find_shadow(flow, po, eps=0.05, h=math.nan)
+    for kwargs, named in (({"n_segments": 0}, "n_segments"), ({"delta": math.nan}, "delta"),
+                          ({"T_min": math.nan}, "T_min"), ({"T_min": 0.5}, "T_min")):
+        args = {"n_segments": 4, "delta": 1e-3, **kwargs}
+        with pytest.raises(ShadowingError, match=f"^{named} must"):
+            generate_pseudo_orbit(flow, np.array([0.3]), seed=0, **args)
+
+
+@pytest.mark.parametrize("header, row, named", [
+    ("# i_min=0 T_min=1 delta=0.001", "0.3,nan", "duration"),
+    ("# i_min=0 T_min=1 delta=0.001", "0.3,inf", "duration"),
+    ("# i_min=0 T_min=nan delta=0.001", "0.3,1.5", "T_min"),
+    ("# i_min=0 T_min=1 delta=nan", "0.3,1.5", "delta"),
+], ids=["duration-nan", "duration-inf", "T_min-nan", "delta-nan"])
+def test_pseudo_orbit_refuses_non_finite_values(tmp_path, header, row, named):
+    # a NaN duration used to load and then die in int(); a NaN header ran to a report
+    path = tmp_path / "po.txt"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ShadowingError, match=f"^(every )?{named} must"):
+        PseudoOrbit.load(path)
 
 
 def test_find_shadow_rejects_loaded_off_space_point(tmp_path):

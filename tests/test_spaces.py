@@ -246,6 +246,9 @@ def test_space_from_config():
     ({"kind": "finite_set", "points": [[0.0], [1.0, 2.0]]}, "points"),
     ({"kind": "finite_set"}, "points"),
     ("interval01", "object"),
+    # finite, so the config walker passes it; CircleUnion refuses it by name
+    pytest.param({"kind": "circle_union", "radii": [0.5, -0.1]},
+                 r"^radii must .* > 0, got \[0\.5, -0\.1\]$", id="radii-negative"),
 ])
 def test_space_from_config_rejects_bad_keys(cfg, named):
     with pytest.raises(SpaceError, match=named):
