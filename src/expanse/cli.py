@@ -1,22 +1,26 @@
 """Batch experiment runner: `expanse <task> --config <path>`.
 
 Tasks: check | falsify | equicontinuity | ball-inclusion | constants |
-shadow | entropy | hstar | xdelta. `TASKS` maps each task to its runner
-and the config keys it reads besides flow, scale, seed and out. KEY_KINDS
-gives each key its kind and SCALE_KINDS each scale key its kind, in the
-vocabulary of expanse.config; config.check rejects any other key, or a
-value of the wrong kind, by its key path before a flow is built.
-Reports are deterministic JSON trees plus flat CSV tables; exit code 0 on
-completion, 2 on a falsified property (so CI can assert expected
-falsifications), 1 on error.
+shadow | entropy | hstar | xdelta. A TASKS row is the one statement of a
+task: its runner, the config keys it needs and those it may read. Every
+task also accepts COMMON_KEYS (flow, scale, seed, out). KEY_KINDS gives
+each key its kind and SCALE_KINDS each scale key its kind, in the
+vocabulary of expanse.config. `arguments` refuses any other key, a value
+of the wrong kind or a missing needed key, naming its key path, before a
+flow is built. It casts real values to float and passes the runner, by
+name, only the keys the config holds, so an omitted key takes the default
+of the library function that reads it. Reports are deterministic JSON
+trees plus flat CSV tables; exit code 0 on completion, 2 on a falsified
+property (so CI can assert expected falsifications), 1 on error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import entropy as entropy_mod
@@ -28,7 +32,6 @@ from .flows import flow_from_config
 from .reports import write_csv, write_report
 
 COMMON_KEYS = ("flow", "scale", "seed", "out")
-RANDOMIZED_TASKS = ("shadow",)
 
 SCALE_DEFAULTS = {"T": expa.DEFAULT_T, "h": expa.DEFAULT_H,
                   "band_width": expa.DEFAULT_BAND, "grid": expa.DEFAULT_GRID}
@@ -52,35 +55,6 @@ KEY_KINDS = {
 SCALE_KINDS = {"T": "positive", "h": "positive", "band_width": "nonnegative", "grid": "count"}
 
 
-@dataclass
-class ExperimentConfig:
-    task: str
-    flow: dict
-    scale: dict
-    seed: int | None
-    raw: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, task: str, cfg: dict) -> "ExperimentConfig":
-        if task not in TASKS:
-            raise ConfigError(f"unknown task: {task!r}")
-        check(cfg, {k: KEY_KINDS[k] for k in (*COMMON_KEYS, *TASKS[task][1])}, ConfigError)
-        if "flow" not in cfg:
-            raise ConfigError("config needs a 'flow' subtree")
-        scale = {**SCALE_DEFAULTS, **cfg.get("scale", {})}
-        check(scale, SCALE_KINDS, ConfigError, "scale.")
-        seed = cfg.get("seed")
-        if task in RANDOMIZED_TASKS and seed is None:
-            raise ConfigError(f"task {task!r} is randomized: a seed is mandatory")
-        return cls(task=task, flow=cfg["flow"], scale=scale, seed=seed, raw=dict(cfg))
-
-    def require(self, *keys):
-        for k in keys:
-            if k not in self.raw:
-                raise ConfigError(f"task {self.task!r} needs config key {k!r}")
-        return [self.raw[k] for k in keys]
-
-
 def _apply_override(cfg: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"override must look like key=value: {assignment!r}")
@@ -99,82 +73,76 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
+def _require(task: str, cfg: dict, keys) -> None:
+    for key in keys:
+        if key not in cfg:
+            raise ConfigError(f"task {task!r} needs config key {key!r}")
+
+
+def _csv(header, rows):
+    return functools.partial(write_csv, header=header, rows=rows)
+
+
 def _pair_table(pair_costs) -> dict:
     rows = [list(x) + list(y) + [c] for x, y, c in pair_costs]
     width = (len(rows[0]) - 1) // 2 if rows else 1
     header = [f"x{i}" for i in range(width)] + [f"y{i}" for i in range(width)] + ["cost"]
-    return {"pairs.csv": (header, rows)}
+    return {"pairs.csv": _csv(header, rows)}
 
 
-# Each runner returns (report subtree, {csv file name: (header, rows)}).
+# Each runner takes (flow, scale, **the task keys the config holds) and returns
+# (report subtree, {output file name: a function that writes it to a path}).
 
-def _run_property(conf: ExperimentConfig, flow, out_dir: Path):
-    prop, eps, delta = conf.require("property", "eps", "delta")
-    rep = expa.check_property(
-        flow, prop, float(eps), float(delta),
-        T=conf.scale["T"], h=conf.scale["h"], band_width=conf.scale["band_width"],
-        strict_t0=conf.raw.get("strict_t0", False),
-        t0_step=float(conf.raw.get("t0_step", 0.5)),
-        max_pairs=conf.raw.get("max_pairs"))
+def _run_property(flow, scale, property, eps, delta, **opts):
+    rep = expa.check_property(flow, property, eps, delta, T=scale["T"], h=scale["h"],
+                              band_width=scale["band_width"], **opts)
     return rep.to_dict(), _pair_table(rep.pair_costs)
 
 
-def _run_equicontinuity(conf: ExperimentConfig, flow, out_dir: Path):
-    eps, delta = conf.require("eps", "delta")
-    rep = expa.check_equicontinuity(
-        flow, conf.raw.get("singular", False), float(eps), float(delta),
-        T=conf.scale["T"], h=conf.scale["h"],
-        max_pairs=conf.raw.get("max_pairs"))
+def _run_equicontinuity(flow, scale, eps, delta, singular=False, **opts):
+    rep = expa.check_equicontinuity(flow, singular, eps, delta, T=scale["T"], h=scale["h"],
+                                    **opts)
     return rep.to_dict(), _pair_table(rep.pair_costs)
 
 
-def _run_ball_inclusion(conf: ExperimentConfig, flow, out_dir: Path):
-    eps, delta = conf.require("eps", "delta")
-    grid = flow.space.grid(int(conf.raw.get("x_grid", 1000)))
-    rep = expa.ball_inclusion_check(
-        flow, float(eps), float(delta), x_grid=grid,
-        ball_samples=int(conf.raw.get("ball_samples", 100)))
-    return rep.to_dict(), {}
+def _run_ball_inclusion(flow, scale, eps, delta, x_grid=None, **opts):
+    grid = None if x_grid is None else flow.space.grid(x_grid)
+    return expa.ball_inclusion_check(flow, eps, delta, x_grid=grid, **opts).to_dict(), {}
 
 
-def _run_constants(conf: ExperimentConfig, flow, out_dir: Path):
-    consts = expa.comparability_constants(flow)
-    c, c_info = expa.local_norm_constant(flow, seed=conf.seed or 0)
-    report = {
-        "B": consts.B, "C": consts.C,
-        "argmax_B": list(consts.argmax_B), "argmax_C": list(consts.argmax_C),
-        "n_grid": consts.n_grid, "degenerate": consts.degenerate,
-        "local_norm_c": c, "local_norm_info": c_info,
-    }
-    if conf.raw.get("return_time", False):
+def _run_constants(flow, scale, return_time=False, **opts):
+    consts = dataclasses.asdict(expa.comparability_constants(flow))
+    c, c_info = expa.local_norm_constant(flow, **opts)
+    report = {**consts, "local_norm_c": c, "local_norm_info": c_info}
+    if return_time:
         report["return_time"] = expa.return_time_bound_check(flow)
     return report, {}
 
 
-def _run_shadow(conf: ExperimentConfig, flow, out_dir: Path):
-    eps = float(conf.require("eps")[0])
-    if "pseudo_orbit_file" in conf.raw:
-        po = shad.PseudoOrbit.load(conf.raw["pseudo_orbit_file"])
+def _run_shadow(flow, scale, eps, seed, pseudo_orbit_file=None, **opts):
+    search = {"h": opts.pop("h_shadow")} if "h_shadow" in opts else {}
+    if pseudo_orbit_file is None:  # opts holds the generator's keys
+        _require("shadow", opts, ("x0", "n_segments", "delta"))
+        po = shad.generate_pseudo_orbit(flow, seed=seed, **opts)
+    elif opts:
+        raise ConfigError(f"task 'shadow' reads pseudo_orbit_file, so it would ignore"
+                          f" config key(s) {', '.join(map(repr, opts))}")
     else:
-        x0, n_seg, delta = conf.require("x0", "n_segments", "delta")
-        po = shad.generate_pseudo_orbit(
-            flow, x0, int(n_seg), float(delta),
-            T_min=float(conf.raw.get("T_min", 1.0)), seed=conf.seed)
-    po.save(out_dir / "pseudo_orbit.txt")
-    result = shad.find_shadow(flow, po, eps, h=float(conf.raw.get("h_shadow", 0.02)))
+        po = shad.PseudoOrbit.load(pseudo_orbit_file)
+    result = shad.find_shadow(flow, po, eps, **search)
+    files = {"pseudo_orbit.txt": po.save}
     if result is None:
-        return {"shadowed": False, "eps": eps}, {}
+        return {"shadowed": False, "eps": eps}, files
     return {
         "shadowed": True, "eps": eps,
         "shadow_point": list(result.shadow_point.coords),
         "max_error": result.max_error,
         "per_segment_errors": list(result.per_segment_errors),
         "rep_eps_ok": rep_epsilon_check(result.reparam, eps),
-    }, {}
+    }, files
 
 
-def _entropy_grid(conf: ExperimentConfig, flow):
-    n = conf.scale["grid"]
+def _entropy_grid(flow, n: int):
     if hasattr(flow.space, "radii"):
         return flow.space.grid(n_angles=max(4, n // max(1, len(flow.space.radii))))
     return flow.space.grid(n)
@@ -187,66 +155,72 @@ def _entropy_report(est, estimate_key: str, **extra):
         "K_descriptor": est.K_descriptor,
         **extra,
     }
-    return report, {"triples.csv": (["t", "eps", "r"], est.r_table)}
+    return report, {"triples.csv": _csv(["t", "eps", "r"], est.r_table)}
 
 
-def _run_entropy(conf: ExperimentConfig, flow, out_dir: Path):
-    t_ladder, eps_ladder = conf.require("t_ladder", "eps_ladder")
-    grid = conf.raw.get("K_grid") or _entropy_grid(conf, flow)
-    est = entropy_mod.entropy_estimate(
-        flow, grid, t_ladder, eps_ladder, h_sample=float(conf.raw.get("h_sample", 0.05)))
+def _run_entropy(flow, scale, t_ladder, eps_ladder, K_grid=None, **opts):
+    grid = K_grid or _entropy_grid(flow, scale["grid"])
+    est = entropy_mod.entropy_estimate(flow, grid, t_ladder, eps_ladder, **opts)
     return _entropy_report(est, "h_estimate")
 
 
-def _run_hstar(conf: ExperimentConfig, flow, out_dir: Path):
-    delta_ladder, t_ladder, eps_ladder = conf.require(
-        "delta_ladder", "t_ladder", "eps_ladder")
-    est = entropy_mod.h_star_estimate(
-        flow, delta_ladder, t_ladder, eps_ladder,
-        T_escape=float(conf.raw.get("T_escape", 50.0)),
-        h_sample=float(conf.raw.get("h_sample", 0.05)))
+def _run_hstar(flow, scale, delta_ladder, t_ladder, eps_ladder, **opts):
+    est = entropy_mod.h_star_estimate(flow, delta_ladder, t_ladder, eps_ladder, **opts)
     return _entropy_report(est, "h_star_estimate", all_empty=est.all_empty)
 
 
-def _run_xdelta(conf: ExperimentConfig, flow, out_dir: Path):
-    delta = float(conf.require("delta")[0])
-    kept = entropy_mod.x_delta_set(
-        flow, delta, T_escape=float(conf.raw.get("T_escape", 50.0)),
-        h=float(conf.raw.get("h_escape", 0.05)))
+def _run_xdelta(flow, scale, delta, **opts):
+    if "h_escape" in opts:
+        opts["h"] = opts.pop("h_escape")
+    kept = entropy_mod.x_delta_set(flow, delta, **opts)
     width = len(kept[0]) if kept else flow.space.dim
-    table = ([f"x{i}" for i in range(width)], kept)
+    table = _csv([f"x{i}" for i in range(width)], kept)
     return {"delta": delta, "n_kept": len(kept)}, {"points.csv": table}
 
 
-_PROPERTY_KEYS = ("property", "eps", "delta", "strict_t0", "t0_step", "max_pairs")
+_PROPERTY = (_run_property, ("property", "eps", "delta"), ("strict_t0", "t0_step", "max_pairs"))
 
-# task -> (runner, the config keys it reads besides COMMON_KEYS)
+# task -> (runner, config keys it needs, config keys it may read); the runner
+# gets by name each of these keys that the config holds
 TASKS = {
-    "check": (_run_property, _PROPERTY_KEYS),
-    "falsify": (_run_property, _PROPERTY_KEYS),
-    "equicontinuity": (_run_equicontinuity, ("eps", "delta", "singular", "max_pairs")),
-    "ball-inclusion": (_run_ball_inclusion, ("eps", "delta", "x_grid", "ball_samples")),
-    "constants": (_run_constants, ("return_time",)),
-    "shadow": (_run_shadow, ("eps", "pseudo_orbit_file", "x0", "n_segments", "delta",
-                             "T_min", "h_shadow")),
-    "entropy": (_run_entropy, ("t_ladder", "eps_ladder", "K_grid", "h_sample")),
-    "hstar": (_run_hstar, ("delta_ladder", "t_ladder", "eps_ladder", "T_escape",
-                           "h_sample")),
-    "xdelta": (_run_xdelta, ("delta", "T_escape", "h_escape")),
+    "check": _PROPERTY,
+    "falsify": _PROPERTY,
+    "equicontinuity": (_run_equicontinuity, ("eps", "delta"), ("singular", "max_pairs")),
+    "ball-inclusion": (_run_ball_inclusion, ("eps", "delta"), ("x_grid", "ball_samples")),
+    "constants": (_run_constants, (), ("seed", "return_time")),
+    "shadow": (_run_shadow, ("eps", "seed"), ("pseudo_orbit_file", "x0", "n_segments",
+                                              "delta", "T_min", "h_shadow")),
+    "entropy": (_run_entropy, ("t_ladder", "eps_ladder"), ("K_grid", "h_sample")),
+    "hstar": (_run_hstar, ("delta_ladder", "t_ladder", "eps_ladder"),
+              ("T_escape", "h_sample")),
+    "xdelta": (_run_xdelta, ("delta",), ("T_escape", "h_escape")),
 }
 
 
+def arguments(task: str, cfg: dict) -> tuple:
+    """(runner, scale, keyword arguments) for task on cfg; ConfigError names a bad key."""
+    if task not in TASKS:
+        raise ConfigError(f"unknown task: {task!r}")
+    runner, needs, reads = TASKS[task]
+    check(cfg, {k: KEY_KINDS[k] for k in (*COMMON_KEYS, *needs, *reads)}, ConfigError)
+    scale = {**SCALE_DEFAULTS, **cfg.get("scale", {})}
+    check(scale, SCALE_KINDS, ConfigError, "scale.")
+    _require(task, cfg, ("flow", *needs))
+    kwargs = {k: float(cfg[k]) if KEY_KINDS[k] in ("real", "positive", "nonnegative")
+              else cfg[k] for k in (*needs, *reads) if k in cfg}
+    return runner, scale, kwargs
+
+
 def run(task: str, cfg: dict, out_dir) -> int:
-    """Execute one experiment; writes report files and returns the exit code."""
-    conf = ExperimentConfig.from_dict(task, cfg)
-    flow = flow_from_config(conf.flow)
+    """Execute one experiment; writes its files once it completes, returns the exit code."""
+    runner, scale, kwargs = arguments(task, cfg)
+    report, files = runner(flow_from_config(cfg["flow"]), scale, **kwargs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report, tables = TASKS[task][0](conf, flow, out)
-    write_report({"task": conf.task, "config": conf.raw, "scale": conf.scale,
-                  "report": report}, out / "report.json")
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
+    write_report({"task": task, "config": cfg, "scale": scale, "report": report},
+                 out / "report.json")
+    for name, write in files.items():
+        write(out / name)
     return 2 if report.get("verdict") == "falsified" else 0
 
 

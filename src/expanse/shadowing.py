@@ -91,17 +91,31 @@ class PseudoOrbit:
 
     @classmethod
     def load(cls, path) -> "PseudoOrbit":
+        """Read a file written by save; ShadowingError names the file and its bad line."""
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        meta = dict(kv.split("=") for kv in lines[0].lstrip("# ").split())
-        pts, durs = [], []
-        for ln in lines[1:]:
-            vals = [float(v) for v in ln.split(",")]
-            pts.append(tuple(vals[:-1]))
-            durs.append(vals[-1])
-        return cls(points=tuple(pts), durations=tuple(durs),
-                   i_min=int(meta["i_min"]), T_min=float(meta["T_min"]),
-                   delta=float(meta["delta"]))
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+        if len(lines) < 2:
+            raise ShadowingError(f"{path}: needs a header line and at least one row")
+        (n, head), rows = lines[0], []
+        meta = dict(kv.partition("=")[::2] for kv in head.lstrip("# ").split())
+        try:
+            i_min, T_min, delta = int(meta["i_min"]), float(meta["T_min"]), float(meta["delta"])
+        except KeyError as exc:
+            raise ShadowingError(f"{path}, line {n}: header {head!r} has no {exc}") from None
+        except ValueError:
+            raise ShadowingError(f"{path}, line {n}: header {head!r} must read"
+                                 " i_min=<integer> T_min=<number> delta=<number>") from None
+        for n, ln in lines[1:]:
+            try:
+                rows.append([float(v) for v in ln.split(",")])
+            except ValueError:
+                rows.append([])
+            if not 2 <= len(rows[-1]) == len(rows[0]):
+                want = len(rows[0]) if len(rows) > 1 else "at least 2"
+                raise ShadowingError(f"{path}, line {n}: {ln!r} is not {want} comma-separated"
+                                     " numbers (coordinates, then a duration)")
+        return cls(points=tuple(tuple(r[:-1]) for r in rows),
+                   durations=tuple(r[-1] for r in rows), i_min=i_min, T_min=T_min, delta=delta)
 
 
 def cumulative_clock(po: PseudoOrbit, i: int) -> float:

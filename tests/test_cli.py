@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -10,7 +12,7 @@ from expanse.cli import (
     SCALE_KINDS,
     TASKS,
     ConfigError,
-    ExperimentConfig,
+    arguments,
     main,
     run,
 )
@@ -82,6 +84,14 @@ def test_missing_key_exit_one(tmp_path):
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+def test_missing_needed_key_refused_before_flow_is_built(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"flow": {"name": "lorenz"}, "eps": 0.1})
+    out = tmp_path / "out"
+    assert main(["equicontinuity", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "task 'equicontinuity' needs config key 'delta'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _TASK_READING = {"t0_step": "check", "x_grid": "ball-inclusion", "h_shadow": "shadow",
                  "strict_t0": "check", "return_time": "constants", "x0": "shadow",
                  "t_ladder": "entropy", "eps_ladder": "entropy", "K_grid": "entropy",
@@ -123,7 +133,8 @@ _WANT = {"x_grid": "integer >= 1", "seed": "an integer", "strict_t0": "a boolean
                                        ({"T_escape": -5}, "'T_escape'")])
 def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
     task = _TASK_READING.get(next(iter(bad)), "equicontinuity")
-    base = {k: v for k, v in (("eps", 0.1), ("delta", 1e-3)) if k in TASKS[task][1]}
+    _, needs, reads = TASKS[task]
+    base = {k: v for k, v in (("eps", 0.1), ("delta", 1e-3)) if k in (*needs, *reads)}
     cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, **base, **bad})
     out = tmp_path / "out"
     assert main([task, "--config", str(cfg), "--out", str(out)]) == 1
@@ -172,10 +183,10 @@ def test_override_through_non_object_exit_one(tmp_path, capsys, override, path):
 def test_shadow_requires_seed(tmp_path):
     cfg = {"flow": {"name": "interval"}, "eps": 0.05, "x0": [0.3],
            "n_segments": 4, "delta": 1e-3}
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict("shadow", cfg)
+    with pytest.raises(ConfigError, match="'seed'"):
+        arguments("shadow", cfg)
     cfg["seed"] = 7
-    ExperimentConfig.from_dict("shadow", cfg)
+    arguments("shadow", cfg)
 
 
 @pytest.mark.parametrize("x0", [[1.7], [0.3, 0.4]])
@@ -198,6 +209,32 @@ def test_shadow_non_finite_pseudo_orbit_file_exit_one(tmp_path, capsys):
     assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
     assert "T_min must be a finite number, got nan" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_shadow_file_with_generator_keys_exit_one(tmp_path, capsys):
+    # the generator keys used to be ignored silently next to a file
+    po_file = tmp_path / "po.txt"
+    po_file.write_text("# i_min=0 T_min=5 delta=0.1\n0.9,5.5\n")
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, "eps": 0.05,
+                               "pseudo_orbit_file": str(po_file), "x0": [0.9],
+                               "n_segments": 3, "delta": 0.1, "T_min": 5, "seed": 3})
+    out = tmp_path / "out"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'x0', 'n_segments', 'delta', 'T_min'" in err
+    assert not out.exists()
+
+
+def test_shadow_off_space_pseudo_orbit_file_writes_nothing(tmp_path, capsys):
+    # pseudo_orbit.txt used to be written before the search refused the point
+    po_file = tmp_path / "po.txt"
+    po_file.write_text("# i_min=0 T_min=1 delta=0.001\n0.3,1.5\n1.7,1.5\n")
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, "eps": 0.05,
+                               "pseudo_orbit_file": str(po_file), "seed": 0})
+    out = tmp_path / "out"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "(1.7,) not in interval01" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shadow_task_roundtrip(tmp_path):
@@ -237,6 +274,66 @@ def test_override_and_seed_flags(tmp_path):
     assert doc["config"]["n_segments"] == 5
 
 
+_INTERVAL = {"name": "interval", "lambda": 1.0}
+_TWO_CIRCLES = {"name": "circles", "radii": [0.5, 1.0]}
+
+# (task, config, exit code, {output file: first 16 hex digits of its sha256});
+# each task once with every key it reads, int values given for real keys,
+# and small configs that omit every optional key (library defaults apply)
+_PINNED = [
+    ("check", {"flow": _INTERVAL, "property": "kstar", "eps": 1, "delta": 0.01,
+               "scale": {"T": 2.0, "h": 0.05, "band_width": 0.5}}, 0,
+     {"pairs.csv": "fabdc92b978bfdc4", "report.json": "a0cf3e245ffd7d51"}),
+    ("falsify", {"flow": {"name": "circles", "family": "harmonic", "depth": 16},
+                 "property": "singular_expansive", "eps": 1.0, "delta": 0.1,
+                 "strict_t0": True, "t0_step": 1.0, "max_pairs": 200,
+                 "scale": {"T": 6.0, "h": 0.05, "band_width": 1.0}}, 2,
+     {"pairs.csv": "3c4e4451c9202878", "report.json": "77232dcd7d80e82d"}),
+    ("equicontinuity", {"flow": _INTERVAL, "eps": 0.5, "delta": 0.01, "singular": True,
+                        "max_pairs": 5, "scale": {"T": 2.0, "h": 0.05}}, 0,
+     {"pairs.csv": "aae3cdedc9d7c91e", "report.json": "bc83e2034278a81c"}),
+    ("ball-inclusion", {"flow": _INTERVAL, "eps": 1, "delta": 0.4}, 0,
+     {"report.json": "434554b4f1e71d06"}),
+    ("constants", {"flow": _INTERVAL, "return_time": True, "seed": 3}, 0,
+     {"report.json": "757f1b234b8b1910"}),
+    ("constants", {"flow": _INTERVAL}, 0, {"report.json": "3e9c931c8acc5ff6"}),
+    ("shadow", {"flow": _INTERVAL, "eps": 0.05, "x0": [0.3], "n_segments": 4,
+                "delta": 1e-3, "seed": 3, "T_min": 2, "h_shadow": 0.05}, 0,
+     {"pseudo_orbit.txt": "9333ba82b5a7fa0c", "report.json": "81c4309d4ed17718"}),
+    ("shadow", {"flow": _INTERVAL, "eps": 1, "x0": [0.3], "n_segments": 3, "delta": 0,
+                "seed": 0}, 0,
+     {"pseudo_orbit.txt": "889fed0b31c973d4", "report.json": "976bfac3048c4c25"}),
+    ("entropy", {"flow": {"name": "trivial",
+                          "space": {"kind": "finite_set", "points": [[0.0], [1.0]]}},
+                 "t_ladder": [1, 2], "eps_ladder": [0.5], "h_sample": 0.1,
+                 "scale": {"grid": 8}}, 0,
+     {"report.json": "f2bf992e15470417", "triples.csv": "9864afc96669e8a1"}),
+    ("entropy", {"flow": {"name": "suspension_doubling"},
+                 "K_grid": [[0.1, 0.5], [0.35, 0.5], [0.8, 0.5]],
+                 "t_ladder": [1.0, 2.0], "eps_ladder": [0.3, 0.2]}, 0,
+     {"report.json": "dba04d4cf1bcd1be", "triples.csv": "0ac01855a26b575b"}),
+    ("hstar", {"flow": _TWO_CIRCLES, "delta_ladder": [0.1], "t_ladder": [1.0, 2.0],
+               "eps_ladder": [0.5], "T_escape": 5, "h_sample": 0.1}, 0,
+     {"report.json": "b69e327b60859fcc", "triples.csv": "3e1dbc8cae86f13e"}),
+    ("hstar", {"flow": {"name": "interval"}, "delta_ladder": [0.1],
+               "t_ladder": [1.0, 2.0], "eps_ladder": [0.5]}, 0,
+     {"report.json": "f43d48e623b8ccf9", "triples.csv": "d79a8996e033a1a8"}),
+    ("xdelta", {"flow": _INTERVAL, "delta": 0.1, "T_escape": 5, "h_escape": 0.1}, 0,
+     {"points.csv": "67645d09427281ee", "report.json": "acd195f54a329256"}),
+    ("xdelta", {"flow": _TWO_CIRCLES, "delta": 1}, 0,
+     {"points.csv": "1a61ef48692d26c1", "report.json": "08b9a420fd5db898"}),
+]
+
+
+@pytest.mark.parametrize("task, cfg, code, digests", _PINNED,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(_PINNED)])
+def test_task_output_bytes_pinned(tmp_path, task, cfg, code, digests):
+    assert run(task, json.loads(json.dumps(cfg)), tmp_path) == code
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in sorted(tmp_path.iterdir())}
+    assert written == digests
+
+
 def test_emit_report_roundtrip(tmp_path):
     doc = {"witness": {"x": [1.0 / 9.0, 0.0], "y": [0.1, 0.0]},
            "cost": 0.09999999999999996}
@@ -257,18 +354,25 @@ def test_empty_ladder_report_valid(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict("explode", {"flow": {}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict("check", {})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict("check", {"flow": {}, "scale": {"h": -1}})
+    with pytest.raises(ConfigError, match="unknown task"):
+        arguments("explode", {"flow": {}})
+    with pytest.raises(ConfigError, match="'flow'"):
+        arguments("check", {})
+    with pytest.raises(ConfigError, match="'scale.h'"):
+        arguments("check", {"flow": {}, "scale": {"h": -1}})
 
 
 def test_every_key_has_a_kind():
-    for task, (_, keys) in TASKS.items():
-        for key in (*COMMON_KEYS, *keys):
+    for task, (runner, needs, reads) in TASKS.items():
+        for key in (*COMMON_KEYS, *needs, *reads):
             assert key in KEY_KINDS, (task, key)
+        assert not set(needs) & set(reads), task
+        params = inspect.signature(runner).parameters
+        takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
+        for key in needs:
+            assert key in params and params[key].default is params[key].empty, (task, key)
+        for key in reads:
+            assert key in params or takes_any, (task, key)
     tables = [KEY_KINDS, SCALE_KINDS, *FLOW_KEYS.values(), *SPACE_KEYS.values()]
     for table in tables:
         for kind in table.values():
@@ -279,6 +383,7 @@ def test_readme_cli_example_is_a_valid_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
     example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
-    conf = ExperimentConfig.from_dict("falsify", example)
-    flow = flow_from_config(conf.flow)
+    _, _, kwargs = arguments("falsify", example)  # by the falsify row's keys and kinds
+    assert set(kwargs) == set(example) - set(COMMON_KEYS)
+    flow = flow_from_config(example["flow"])
     assert flow.name == "circles" and len(flow.space.radii) == 16

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -284,6 +285,29 @@ def test_pseudo_orbit_refuses_non_finite_values(tmp_path, header, row, named):
     path = tmp_path / "po.txt"
     path.write_text(f"{header}\n{row}\n")
     with pytest.raises(ShadowingError, match=f"^(every )?{named} must"):
+        PseudoOrbit.load(path)
+
+
+_HEAD = "# i_min=0 T_min=1 delta=0.001"
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "needs a header line"),
+    (f"{_HEAD}\n", "needs a header line"),
+    ("# i_min=0 delta=0.001\n0.3,1.5\n", "line 1: .* has no 'T_min'"),
+    ("garbage\n0.3,1.5\n", "line 1: header 'garbage' has no 'i_min'"),
+    ("# i_min=zero T_min=1 delta=0.001\n0.3,1.5\n", "line 1: .* must read i_min=<integer>"),
+    (f"{_HEAD}\n0.3\n", "line 2: '0.3' is not at least 2 comma-separated"),
+    (f"{_HEAD}\n\n0.3,1.5\n0.3,abc\n", "line 4: '0.3,abc' is not 2 comma-separated"),
+    (f"{_HEAD}\n0.3,1.5\n0.3,0.4,1.5\n", "line 3: '0.3,0.4,1.5' is not 2 comma-separated"),
+], ids=["empty", "no-rows", "no-T_min", "garbage-header", "bad-i_min", "no-coordinate",
+        "bad-number", "ragged"])
+def test_pseudo_orbit_load_refuses_bad_layout(tmp_path, text, named):
+    # these used to die in a KeyError, in dict(), in float() or as a bad
+    # duration, with messages that named neither the file nor the line
+    path = tmp_path / "po.txt"
+    path.write_text(text)
+    with pytest.raises(ShadowingError, match=f"^{re.escape(str(path))}.*{named}"):
         PseudoOrbit.load(path)
 
 
