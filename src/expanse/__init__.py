@@ -19,11 +19,9 @@ from .flows import (
     flow_from_config,
     integrate_flow,
     interval_flow,
-    interval_flow_eval,
     interval_flow_transit_time,
     min_orbit_diameter,
     rotation_flow,
-    rotation_flow_eval,
     sample_orbit,
     suspension_doubling,
     trivial_flow,
@@ -33,7 +31,6 @@ from .alignment import (
     Reparam,
     align,
     align_batch,
-    orbit_membership,
     recompute_cost,
     rep_epsilon_check,
 )
@@ -59,7 +56,6 @@ from .shadowing import (
 from .entropy import (
     EntropyEstimate,
     SpanningEstimate,
-    bowen_ball_test,
     entropy_estimate,
     h_star_estimate,
     spanning_cardinality,

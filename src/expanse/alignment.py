@@ -447,14 +447,3 @@ def _find_orbit_time(flow: FlowModel, x, target, lo: float, hi: float,
     ts = ts[np.argsort(np.abs(ts), kind="stable")]
     hit = flow.space.distance(flow.evaluate(ts, x), target[None, :]) <= tol
     return float(ts[np.argmax(hit)]) if hit.any() else None
-
-
-def orbit_membership(flow: FlowModel, x, y, eps: float,
-                     tol_orbit: float = 1e-7) -> Optional[float]:
-    """t0 in [-eps, eps] with phi_t0(x) within tol_orbit of y, if one exists.
-
-    Decided in closed form (_find_orbit_time): 0 when y is within tol_orbit
-    of x, else the closest-approach time nearest 0.
-    """
-    require(AlignmentError, "nonnegative", eps=eps)
-    return _find_orbit_time(flow, x, y, -eps, eps, tol_orbit)

@@ -1,17 +1,18 @@
 """Batch experiment runner: `expanse <task> --config <path>`.
 
-Tasks: check | falsify | equicontinuity | ball-inclusion | constants |
-shadow | entropy | hstar | xdelta. A TASKS row is the one statement of a
-task: its runner, the config keys it needs and those it may read. Every
-task also accepts COMMON_KEYS (flow, scale, seed, out). KEY_KINDS gives
-each key its kind and SCALE_KINDS each scale key its kind, in the
-vocabulary of expanse.config. `arguments` refuses any other key, a value
-of the wrong kind or a missing needed key, naming its key path, before a
-flow is built. It casts real values to float and passes the runner, by
-name, only the keys the config holds, so an omitted key takes the default
-of the library function that reads it. Reports are deterministic JSON
-trees plus flat CSV tables; exit code 0 on completion, 2 on a falsified
-property (so CI can assert expected falsifications), 1 on error.
+Tasks: check | falsify | delta-star | equicontinuity | ball-inclusion |
+constants | shadow | entropy | hstar | xdelta. A TASKS row is the one
+statement of a task: its runner, the config keys it needs, those it may
+read and the `scale` keys it may read. Every task also accepts COMMON_KEYS
+(flow, scale, out). KEY_KINDS gives each key its kind and SCALE_KINDS each
+scale key its kind, in the vocabulary of expanse.config. `arguments`
+refuses any other key, a value of the wrong kind or a missing needed key,
+naming its key path, before a flow is built. It casts real values to float
+and passes the runner, by name, only the keys the config holds (scale keys
+included), so an omitted key takes the default of the library function
+that reads it. Reports are deterministic JSON trees plus flat CSV tables;
+exit code 0 on completion, 2 on a falsified property (so CI can assert
+expected falsifications), 1 on error.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .config import check
 from .flows import flow_from_config
 from .reports import write_csv, write_report
 
-COMMON_KEYS = ("flow", "scale", "seed", "out")
-
-SCALE_DEFAULTS = {"T": expa.DEFAULT_T, "h": expa.DEFAULT_H,
-                  "band_width": expa.DEFAULT_BAND, "grid": expa.DEFAULT_GRID}
+COMMON_KEYS = ("flow", "scale", "out")
 
 
 class ConfigError(ValueError):
@@ -52,7 +50,7 @@ KEY_KINDS = {
     **dict.fromkeys(("t_ladder", "eps_ladder", "delta_ladder"), "positives"),
     "x0": "reals", "K_grid": "points",
 }
-SCALE_KINDS = {"T": "positive", "h": "positive", "band_width": "nonnegative", "grid": "count"}
+SCALE_KINDS = {"T": "positive", "h": "positive", "band_width": "positive", "grid": "count"}
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:
@@ -90,27 +88,30 @@ def _pair_table(pair_costs) -> dict:
     return {"pairs.csv": _csv(header, rows)}
 
 
-# Each runner takes (flow, scale, **the task keys the config holds) and returns
+# Each runner takes (flow, **the task and scale keys the config holds) and returns
 # (report subtree, {output file name: a function that writes it to a path}).
 
-def _run_property(flow, scale, property, eps, delta, **opts):
-    rep = expa.check_property(flow, property, eps, delta, T=scale["T"], h=scale["h"],
-                              band_width=scale["band_width"], **opts)
+def _run_property(flow, property, eps, delta, **opts):
+    rep = expa.check_property(flow, property, eps, delta, **opts)
     return rep.to_dict(), _pair_table(rep.pair_costs)
 
 
-def _run_equicontinuity(flow, scale, eps, delta, singular=False, **opts):
-    rep = expa.check_equicontinuity(flow, singular, eps, delta, T=scale["T"], h=scale["h"],
-                                    **opts)
+def _run_delta_star(flow, property, eps_ladder, **opts):
+    return {"property": property,
+            "curve": expa.delta_star(flow, property, eps_ladder, **opts)}, {}
+
+
+def _run_equicontinuity(flow, eps, delta, singular=False, **opts):
+    rep = expa.check_equicontinuity(flow, singular, eps, delta, **opts)
     return rep.to_dict(), _pair_table(rep.pair_costs)
 
 
-def _run_ball_inclusion(flow, scale, eps, delta, x_grid=None, **opts):
+def _run_ball_inclusion(flow, eps, delta, x_grid=None, **opts):
     grid = None if x_grid is None else flow.space.grid(x_grid)
     return expa.ball_inclusion_check(flow, eps, delta, x_grid=grid, **opts).to_dict(), {}
 
 
-def _run_constants(flow, scale, return_time=False, **opts):
+def _run_constants(flow, return_time=False, **opts):
     consts = dataclasses.asdict(expa.comparability_constants(flow))
     c, c_info = expa.local_norm_constant(flow, **opts)
     report = {**consts, "local_norm_c": c, "local_norm_info": c_info}
@@ -119,7 +120,7 @@ def _run_constants(flow, scale, return_time=False, **opts):
     return report, {}
 
 
-def _run_shadow(flow, scale, eps, seed, pseudo_orbit_file=None, **opts):
+def _run_shadow(flow, eps, seed, pseudo_orbit_file=None, **opts):
     search = {"h": opts.pop("h_shadow")} if "h_shadow" in opts else {}
     if pseudo_orbit_file is None:  # opts holds the generator's keys
         _require("shadow", opts, ("x0", "n_segments", "delta"))
@@ -158,18 +159,22 @@ def _entropy_report(est, estimate_key: str, **extra):
     return report, {"triples.csv": _csv(["t", "eps", "r"], est.r_table)}
 
 
-def _run_entropy(flow, scale, t_ladder, eps_ladder, K_grid=None, **opts):
-    grid = K_grid or _entropy_grid(flow, scale["grid"])
-    est = entropy_mod.entropy_estimate(flow, grid, t_ladder, eps_ladder, **opts)
+def _run_entropy(flow, t_ladder, eps_ladder, K_grid=None, grid=None, **opts):
+    if K_grid is None:
+        K_grid = _entropy_grid(flow, 64 if grid is None else grid)
+    elif grid is not None:
+        raise ConfigError("task 'entropy' reads K_grid, so it would ignore"
+                          " config key 'scale.grid'")
+    est = entropy_mod.entropy_estimate(flow, K_grid, t_ladder, eps_ladder, **opts)
     return _entropy_report(est, "h_estimate")
 
 
-def _run_hstar(flow, scale, delta_ladder, t_ladder, eps_ladder, **opts):
+def _run_hstar(flow, delta_ladder, t_ladder, eps_ladder, **opts):
     est = entropy_mod.h_star_estimate(flow, delta_ladder, t_ladder, eps_ladder, **opts)
     return _entropy_report(est, "h_star_estimate", all_empty=est.all_empty)
 
 
-def _run_xdelta(flow, scale, delta, **opts):
+def _run_xdelta(flow, delta, **opts):
     if "h_escape" in opts:
         opts["h"] = opts.pop("h_escape")
     kept = entropy_mod.x_delta_set(flow, delta, **opts)
@@ -178,47 +183,51 @@ def _run_xdelta(flow, scale, delta, **opts):
     return {"delta": delta, "n_kept": len(kept)}, {"points.csv": table}
 
 
-_PROPERTY = (_run_property, ("property", "eps", "delta"), ("strict_t0", "t0_step", "max_pairs"))
+_ALIGN_SCALE = ("T", "h", "band_width")
+_PROPERTY = (_run_property, ("property", "eps", "delta"),
+             ("strict_t0", "t0_step", "max_pairs"), _ALIGN_SCALE)
 
-# task -> (runner, config keys it needs, config keys it may read); the runner
-# gets by name each of these keys that the config holds
+# task -> (runner, config keys it needs, config keys it may read, scale keys it
+# may read); the runner gets by name each of these keys that the config holds
 TASKS = {
     "check": _PROPERTY,
     "falsify": _PROPERTY,
-    "equicontinuity": (_run_equicontinuity, ("eps", "delta"), ("singular", "max_pairs")),
-    "ball-inclusion": (_run_ball_inclusion, ("eps", "delta"), ("x_grid", "ball_samples")),
-    "constants": (_run_constants, (), ("seed", "return_time")),
+    "delta-star": (_run_delta_star, ("property", "eps_ladder"), ("t0_step",), _ALIGN_SCALE),
+    "equicontinuity": (_run_equicontinuity, ("eps", "delta"), ("singular", "max_pairs"),
+                       ("T", "h")),
+    "ball-inclusion": (_run_ball_inclusion, ("eps", "delta"), ("x_grid", "ball_samples"), ()),
+    "constants": (_run_constants, (), ("seed", "return_time"), ()),
     "shadow": (_run_shadow, ("eps", "seed"), ("pseudo_orbit_file", "x0", "n_segments",
-                                              "delta", "T_min", "h_shadow")),
-    "entropy": (_run_entropy, ("t_ladder", "eps_ladder"), ("K_grid", "h_sample")),
+                                              "delta", "T_min", "h_shadow"), ()),
+    "entropy": (_run_entropy, ("t_ladder", "eps_ladder"), ("K_grid", "h_sample"), ("grid",)),
     "hstar": (_run_hstar, ("delta_ladder", "t_ladder", "eps_ladder"),
-              ("T_escape", "h_sample")),
-    "xdelta": (_run_xdelta, ("delta",), ("T_escape", "h_escape")),
+              ("T_escape", "h_sample"), ()),
+    "xdelta": (_run_xdelta, ("delta",), ("T_escape", "h_escape"), ()),
 }
 
 
 def arguments(task: str, cfg: dict) -> tuple:
-    """(runner, scale, keyword arguments) for task on cfg; ConfigError names a bad key."""
+    """(runner, keyword arguments) for task on cfg; ConfigError names a bad key."""
     if task not in TASKS:
         raise ConfigError(f"unknown task: {task!r}")
-    runner, needs, reads = TASKS[task]
+    runner, needs, reads, scale_reads = TASKS[task]
     check(cfg, {k: KEY_KINDS[k] for k in (*COMMON_KEYS, *needs, *reads)}, ConfigError)
-    scale = {**SCALE_DEFAULTS, **cfg.get("scale", {})}
-    check(scale, SCALE_KINDS, ConfigError, "scale.")
+    scale = cfg.get("scale", {})
+    check(scale, {k: SCALE_KINDS[k] for k in scale_reads}, ConfigError, "scale.")
     _require(task, cfg, ("flow", *needs))
-    kwargs = {k: float(cfg[k]) if KEY_KINDS[k] in ("real", "positive", "nonnegative")
-              else cfg[k] for k in (*needs, *reads) if k in cfg}
-    return runner, scale, kwargs
+    given = {**{k: cfg[k] for k in (*needs, *reads) if k in cfg}, **scale}
+    kinds = {**KEY_KINDS, **SCALE_KINDS}
+    return runner, {k: float(v) if kinds[k] in ("real", "positive", "nonnegative") else v
+                    for k, v in given.items()}
 
 
 def run(task: str, cfg: dict, out_dir) -> int:
     """Execute one experiment; writes its files once it completes, returns the exit code."""
-    runner, scale, kwargs = arguments(task, cfg)
-    report, files = runner(flow_from_config(cfg["flow"]), scale, **kwargs)
+    runner, kwargs = arguments(task, cfg)
+    report, files = runner(flow_from_config(cfg["flow"]), **kwargs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_report({"task": task, "config": cfg, "scale": scale, "report": report},
-                 out / "report.json")
+    write_report({"task": task, "config": cfg, "report": report}, out / "report.json")
     for name, write in files.items():
         write(out / name)
     return 2 if report.get("verdict") == "falsified" else 0

@@ -75,13 +75,6 @@ def _forward_times(t: float, h_sample: float) -> np.ndarray:
     return ts
 
 
-def bowen_ball_test(flow: FlowModel, x, y, t: float, eps: float,
-                    h_sample: float = 0.05) -> bool:
-    """Sampled max of d(phi_s x, phi_s y) over s in [0, t] is <= eps (a Bowen cover cell)."""
-    (t,), (eps,) = _ladders([t], [eps], h_sample, min_times=1)
-    return bool(_bowen_covers(flow, [x, y], [t], [eps], h_sample)[(t, eps)][0, 1])
-
-
 def _bowen_covers(flow, pts, t_ladder, eps_ladder, h_sample):
     """Bowen covers {(t, eps): (m, m) bool}: running max of d(phi_s x, phi_s y) <= eps.
 

@@ -29,7 +29,6 @@ from .spaces import CircleUnion, FiniteSet, Interval01, Point, Torus2, as_coords
 DEFAULT_T = 20.0
 DEFAULT_H = 0.01
 DEFAULT_BAND = 2.0
-DEFAULT_GRID = 64
 TOL_ORBIT = 1e-7
 
 # weight kind and zero-fixing flag mandated by each definition
@@ -233,12 +232,6 @@ def _aligner(weight_kind, fix_zero, band_width):
     return cost
 
 
-def _scale_record(T, h, band_width, n_pairs, **extra) -> dict:
-    rec = {"T": T, "h": h, "band_width": band_width, "grid": n_pairs}
-    rec.update(extra)
-    return rec
-
-
 def check_property(flow: FlowModel, property: str, eps: float, delta: float,
                    pair_grid=None, *, T: float = DEFAULT_T, h: float = DEFAULT_H,
                    band_width: float = DEFAULT_BAND, strict_t0: bool = False,
@@ -270,9 +263,8 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
     return PropertyReport(
         property=property, verdict=verdict, eps=eps, delta=delta,
         witness=witness,
-        scale=_scale_record(T, h, band_width, len(pairs), t0_step=t0_step,
-                            t0_window=[-T, T], strict_t0=strict_t0,
-                            tol_orbit=TOL_ORBIT),
+        scale={"T": T, "h": h, "band_width": band_width, "t0_step": t0_step,
+               "t0_window": [-T, T], "strict_t0": strict_t0, "tol_orbit": TOL_ORBIT},
         stats={"pairs_checked": len(pair_costs), "pairs_total": len(pairs),
                "pairs_below_delta": sum(1 for *_, c in pair_costs if c <= delta)},
         pair_costs=pair_costs,
@@ -336,7 +328,7 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
         flow, pairs, max_pairs, T, h, sup_separation, lambda x, y, res: res.cost > eps)
     return PropertyReport(
         property=name, verdict=verdict, eps=eps, delta=delta, witness=witness,
-        scale=_scale_record(T, h, 0.0, len(pairs)),
+        scale={"T": T, "h": h},
         stats={"pairs_checked": len(pair_costs), "pairs_total": len(pairs)},
         pair_costs=pair_costs,
     )
@@ -384,7 +376,7 @@ def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
     return PropertyReport(
         property="ball_inclusion", verdict=verdict, eps=eps, delta=delta,
         witness=witness,
-        scale=_scale_record(0.0, 0.0, 0.0, len(xs), ball_samples=ball_samples),
+        scale={"grid": len(xs), "ball_samples": ball_samples},
         stats={"max_transit_time": max_abs_t, "argmax_pair": argmax},
     )
 
@@ -551,7 +543,7 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
     violations = [row for row in rows if row[2] <= delta / diam and not row[3] <= delta]
     return {
         "delta": delta, "diam": diam, "pairs": rows, "violations": violations,
-        "n_pairs": len(rows), "scale": _scale_record(T, h, band_width, len(rows)),
+        "n_pairs": len(rows), "scale": {"T": T, "h": h, "band_width": band_width},
     }
 
 

@@ -105,17 +105,6 @@ def _interval_closed_form(lam):
     return ev
 
 
-def interval_flow_eval(lam: float, t: float, x: float) -> float:
-    """phi_t(x) = x e^{lam t} / (1 + x (e^{lam t} - 1)) on [0, 1].
-
-    Fixes 0 and 1, is monotone in x, and saturates to the correct endpoint
-    when |lam * t| overflows exp.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise FlowError("x outside [0, 1]")
-    return float(_interval_closed_form(lam)(float(t), np.array([x]))[0])
-
-
 def interval_flow_transit_time(x: float, y: float) -> float:
     """Time t with phi_t(x) = y for the lam=1 interval flow, both interior."""
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
@@ -157,7 +146,7 @@ def interval_flow(lam: float = 1.0) -> FlowModel:
     )
 
 
-def rotation_flow_eval(t, z) -> np.ndarray:
+def _rotation_eval(t, z) -> np.ndarray:
     """Rigid rotation (x cos t - y sin t, x sin t + y cos t); an isometry."""
     z = as_coords(z)
     t = np.asarray(t, dtype=float)
@@ -189,7 +178,7 @@ def rotation_flow(space: CircleUnion) -> FlowModel:
         name="circles",
         space=space,
         singular=sing,
-        evaluate_fn=rotation_flow_eval,
+        evaluate_fn=_rotation_eval,
         vector_field=v,
         lipschitz_L=1.0,
         orbit_times=_rotation_orbit_times,

@@ -258,38 +258,39 @@ def test_criterion_9_hierarchy_invariant():
             assert rep["violations"] == [], flow.name
 
 
-# sha256 of every criterion-10 output file, recorded before the one config
-# schema (expanse.config) landed, on Python 3.11 with numpy 2.4: a change
-# that moves any report or CSV byte fails here
+# sha256 of every criterion-10 output file, on Python 3.11 with numpy 2.4;
+# the CSV digests date from before the one config schema (expanse.config),
+# the report.json digests from when reports began to record only the scale
+# keys their task reads: a change that moves any report or CSV byte fails here
 CRITERION_10_SHA256 = {
     "falsify/pairs.csv":
         "3c4e4451c920287845741fd4d6cd1195c5dcf1defaf5e971b1361f8989057c59",
     "falsify/report.json":
-        "9ca5e3a0b04ae743979a09955cfcb6f502049b33d30dca0805e29e592999950b",
+        "825c1ad95f626c94d902aaf081284212383091a3b0b28f9d15d3af0383e4dd3b",
     "ball-inclusion/report.json":
-        "18f1015840945fe5526af0a37beb73c4dd355f02666e234aa375d7a4c678aaed",
+        "99f179c3b6ee46f9d15078da437b64f1851c075061957ddce311e0f8d3f8afc3",
     "equicontinuity/pairs.csv":
         "bf33e625d5a60ffe1a5a6ff0cad860e69db742f5e82b2ef06ca1adcc83135246",
     "equicontinuity/report.json":
-        "825c7b67cb05e74bd4540a8c7f67465de15a8a1ad4c474232b36942618f4a7e2",
+        "e9d5817ff6a0dd9ff00ece752aa52e397248df24ebb07c2284062d7a675020e8",
     "constants/report.json":
-        "4b4fa49e88d0c579c0c1a872523ce4e9cd11ea14e2c415ff9aaa44b2d12c43d5",
+        "59fbf88928be353f703ab78c4415e3a95b6c2d9a13a1be168a01a5aa1a8c16bf",
     "shadow/pseudo_orbit.txt":
         "0977fde58fd289d2fbfae4aa861904fca2a691b75201cc680253c4a26d73cc14",
     "shadow/report.json":
-        "24007d6910370fc1a8ad95c15a166bd13becd78712f4118e81d6927404b7a653",
+        "75c3cd00c85302f655f36ebf6d9a73ec726066c2fe89a6eaba2cd7d89006f734",
     "entropy/report.json":
-        "f00fd9a3a96115f1cab68fde6ff65fcdd859aef4506956749c53268d7bd0e3de",
+        "fe668fec9d5f887a258dfcb4e82e13d6441f29d6297b3c91d2cf42e71766ee66",
     "entropy/triples.csv":
         "9864afc96669e8a19c274de7de0f1db9515c04378bb1a9fd413c82edb6a1e607",
     "hstar/report.json":
-        "96b3dec19828b0b9ee257f908c2ca42f56ebe163dbd7288bdabbd9fd61db1c7f",
+        "8816428aa6af934c2ae6c0e32be726c8cac65ea11c7d957d3e74469d8f9a4ba6",
     "hstar/triples.csv":
         "b3430aad553a81acb4b3214e1d02bdcab558719f749044708f590073ce772b77",
     "xdelta/points.csv":
         "af802a0eff28d68c967f15ddda8b4b9c0e5b51ed655b2d5c58e28b46810ad4b1",
     "xdelta/report.json":
-        "9cd76fe3671d9891980c0219a6e6b93bfe39554d12e17995da942b71dc8cf1bd",
+        "d879744ae5e058ba5d0b7a3790f5ca7d215a4c31452aba7214981fc711b68c95",
 }
 
 

@@ -96,7 +96,8 @@ _TASK_READING = {"t0_step": "check", "x_grid": "ball-inclusion", "h_shadow": "sh
                  "strict_t0": "check", "return_time": "constants", "x0": "shadow",
                  "t_ladder": "entropy", "eps_ladder": "entropy", "K_grid": "entropy",
                  "delta_ladder": "hstar", "property": "check", "pseudo_orbit_file": "shadow",
-                 "T_escape": "xdelta"}
+                 "T_escape": "xdelta", "scale.band_width": "check", "scale.grid": "entropy",
+                 "seed": "constants"}
 _WANT = {"x_grid": "integer >= 1", "seed": "an integer", "strict_t0": "a boolean",
          "singular": "a boolean", "return_time": "a boolean",
          "K_grid": "equal-length lists", "property": "one of 'expansive', 'kstar'",
@@ -130,10 +131,12 @@ _WANT = {"x_grid": "integer >= 1", "seed": "an integer", "strict_t0": "a boolean
                                        ({"t_ladder": [-1, 2]}, "'t_ladder'"),
                                        ({"eps_ladder": [-0.5]}, "'eps_ladder'"),
                                        ({"delta_ladder": [0.0]}, "'delta_ladder'"),
-                                       ({"T_escape": -5}, "'T_escape'")])
+                                       ({"T_escape": -5}, "'T_escape'"),
+                                       ({"scale": {"band_width": 0}}, "'scale.band_width'")])
 def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
-    task = _TASK_READING.get(next(iter(bad)), "equicontinuity")
-    _, needs, reads = TASKS[task]
+    # each key path goes to a task that reads it
+    task = _TASK_READING.get(path.strip("'"), "equicontinuity")
+    _, needs, reads, _ = TASKS[task]
     base = {k: v for k, v in (("eps", 0.1), ("delta", 1e-3)) if k in (*needs, *reads)}
     cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, **base, **bad})
     out = tmp_path / "out"
@@ -141,6 +144,53 @@ def test_bad_config_value_exit_one(tmp_path, capsys, bad, path):
     err = capsys.readouterr().err
     assert path in err and _WANT.get(path.strip("'"), "finite number") in err
     assert not (out / "report.json").exists()
+
+
+# a value of the right kind for each key a task needs
+_NEEDED = {"property": "kstar", "eps": 0.1, "delta": 0.01, "eps_ladder": [0.5],
+           "t_ladder": [1.0, 2.0], "delta_ladder": [0.1], "seed": 0}
+_UNREAD = [(task, key) for task, (_, needs, reads, scale_reads) in TASKS.items()
+           for key in (*(f"scale.{k}" for k in SCALE_KINDS), "seed")
+           if key not in (*needs, *reads, *(f"scale.{k}" for k in scale_reads))]
+
+
+@pytest.mark.parametrize("task, key", _UNREAD, ids=[f"{t}-{k}" for t, k in _UNREAD])
+def test_unread_key_exit_one(tmp_path, capsys, task, key):
+    # the unknown flow shows that the key is refused before a flow is built
+    value = {"scale.grid": 8, "seed": 5}.get(key, 2.0)
+    cfg = {"flow": {"name": "lorenz"}, **{k: _NEEDED[k] for k in TASKS[task][1]}}
+    if key == "seed":
+        cfg["seed"] = value
+    else:
+        cfg["scale"] = {key.removeprefix("scale."): value}
+    out = tmp_path / "out"
+    assert main([task, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert f"unknown config key(s) '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_entropy_grid_beside_k_grid_exit_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0},
+                               "K_grid": [[0.2], [0.4]], "t_ladder": [1.0, 2.0],
+                               "eps_ladder": [0.5], "scale": {"grid": 8}})
+    out = tmp_path / "out"
+    assert main(["entropy", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'scale.grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_int_scale_values_write_the_same_report(tmp_path):
+    # the config subtree records the config as written
+    cfg = {"flow": _INTERVAL, "property": "kstar", "eps": 1.0, "delta": 0.01,
+           "scale": {"T": 2.0, "h": 0.25, "band_width": 1.0}}
+    as_int = {**cfg, "scale": {"T": 2, "h": 0.25, "band_width": 1}}
+    written = []
+    for name, c in (("float", cfg), ("int", as_int)):
+        assert run("check", c, tmp_path / name) == 0
+        doc = load_report(tmp_path / name / "report.json")
+        written.append((dumps_report({k: v for k, v in doc.items() if k != "config"}),
+                        (tmp_path / name / "pairs.csv").read_bytes()))
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("flow, named", [({"name": "circles", "famliy": "harmonic"}, "'famliy'"),
@@ -283,45 +333,50 @@ _TWO_CIRCLES = {"name": "circles", "radii": [0.5, 1.0]}
 _PINNED = [
     ("check", {"flow": _INTERVAL, "property": "kstar", "eps": 1, "delta": 0.01,
                "scale": {"T": 2.0, "h": 0.05, "band_width": 0.5}}, 0,
-     {"pairs.csv": "fabdc92b978bfdc4", "report.json": "a0cf3e245ffd7d51"}),
+     {"pairs.csv": "fabdc92b978bfdc4", "report.json": "1ebd723844d1f090"}),
     ("falsify", {"flow": {"name": "circles", "family": "harmonic", "depth": 16},
                  "property": "singular_expansive", "eps": 1.0, "delta": 0.1,
                  "strict_t0": True, "t0_step": 1.0, "max_pairs": 200,
                  "scale": {"T": 6.0, "h": 0.05, "band_width": 1.0}}, 2,
-     {"pairs.csv": "3c4e4451c9202878", "report.json": "77232dcd7d80e82d"}),
+     {"pairs.csv": "3c4e4451c9202878", "report.json": "e279c15c5273354e"}),
     ("equicontinuity", {"flow": _INTERVAL, "eps": 0.5, "delta": 0.01, "singular": True,
                         "max_pairs": 5, "scale": {"T": 2.0, "h": 0.05}}, 0,
-     {"pairs.csv": "aae3cdedc9d7c91e", "report.json": "bc83e2034278a81c"}),
+     {"pairs.csv": "aae3cdedc9d7c91e", "report.json": "7f6b0b2cee32fe44"}),
     ("ball-inclusion", {"flow": _INTERVAL, "eps": 1, "delta": 0.4}, 0,
-     {"report.json": "434554b4f1e71d06"}),
+     {"report.json": "dfe259fe56257a53"}),
     ("constants", {"flow": _INTERVAL, "return_time": True, "seed": 3}, 0,
-     {"report.json": "757f1b234b8b1910"}),
-    ("constants", {"flow": _INTERVAL}, 0, {"report.json": "3e9c931c8acc5ff6"}),
+     {"report.json": "ec9563bd18b88f5a"}),
+    ("constants", {"flow": _INTERVAL}, 0, {"report.json": "e01a583bdfdfe418"}),
     ("shadow", {"flow": _INTERVAL, "eps": 0.05, "x0": [0.3], "n_segments": 4,
                 "delta": 1e-3, "seed": 3, "T_min": 2, "h_shadow": 0.05}, 0,
-     {"pseudo_orbit.txt": "9333ba82b5a7fa0c", "report.json": "81c4309d4ed17718"}),
+     {"pseudo_orbit.txt": "9333ba82b5a7fa0c", "report.json": "e51a72dece02ac18"}),
     ("shadow", {"flow": _INTERVAL, "eps": 1, "x0": [0.3], "n_segments": 3, "delta": 0,
                 "seed": 0}, 0,
-     {"pseudo_orbit.txt": "889fed0b31c973d4", "report.json": "976bfac3048c4c25"}),
+     {"pseudo_orbit.txt": "889fed0b31c973d4", "report.json": "53eb8d679ee17f73"}),
     ("entropy", {"flow": {"name": "trivial",
                           "space": {"kind": "finite_set", "points": [[0.0], [1.0]]}},
                  "t_ladder": [1, 2], "eps_ladder": [0.5], "h_sample": 0.1,
                  "scale": {"grid": 8}}, 0,
-     {"report.json": "f2bf992e15470417", "triples.csv": "9864afc96669e8a1"}),
+     {"report.json": "f05e3b54e6af1647", "triples.csv": "9864afc96669e8a1"}),
     ("entropy", {"flow": {"name": "suspension_doubling"},
                  "K_grid": [[0.1, 0.5], [0.35, 0.5], [0.8, 0.5]],
                  "t_ladder": [1.0, 2.0], "eps_ladder": [0.3, 0.2]}, 0,
-     {"report.json": "dba04d4cf1bcd1be", "triples.csv": "0ac01855a26b575b"}),
+     {"report.json": "1248ee1d15909c6d", "triples.csv": "0ac01855a26b575b"}),
     ("hstar", {"flow": _TWO_CIRCLES, "delta_ladder": [0.1], "t_ladder": [1.0, 2.0],
                "eps_ladder": [0.5], "T_escape": 5, "h_sample": 0.1}, 0,
-     {"report.json": "b69e327b60859fcc", "triples.csv": "3e1dbc8cae86f13e"}),
+     {"report.json": "7493fed28771c89e", "triples.csv": "3e1dbc8cae86f13e"}),
     ("hstar", {"flow": {"name": "interval"}, "delta_ladder": [0.1],
                "t_ladder": [1.0, 2.0], "eps_ladder": [0.5]}, 0,
-     {"report.json": "f43d48e623b8ccf9", "triples.csv": "d79a8996e033a1a8"}),
+     {"report.json": "e5530cc705fc6302", "triples.csv": "d79a8996e033a1a8"}),
     ("xdelta", {"flow": _INTERVAL, "delta": 0.1, "T_escape": 5, "h_escape": 0.1}, 0,
-     {"points.csv": "67645d09427281ee", "report.json": "acd195f54a329256"}),
+     {"points.csv": "67645d09427281ee", "report.json": "e4f2e43e781d4090"}),
     ("xdelta", {"flow": _TWO_CIRCLES, "delta": 1}, 0,
-     {"points.csv": "1a61ef48692d26c1", "report.json": "08b9a420fd5db898"}),
+     {"points.csv": "1a61ef48692d26c1", "report.json": "d013d3183f0d415a"}),
+    # the harmonic pairs (1/n, 1/(n+1)) for n = 3 and 9 are adjacent circles here
+    ("delta-star", {"flow": {"name": "circles", "radii": [1 / 3, 1 / 4, 1 / 9, 1 / 10]},
+                    "property": "singular_expansive", "eps_ladder": [1, 4], "t0_step": 1,
+                    "scale": {"T": 2, "h": 0.05, "band_width": 0.5}}, 0,
+     {"report.json": "335281620a7e206a"}),
 ]
 
 
@@ -332,6 +387,14 @@ def test_task_output_bytes_pinned(tmp_path, task, cfg, code, digests):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                for p in sorted(tmp_path.iterdir())}
     assert written == digests
+
+
+def test_delta_star_task_curve(tmp_path):
+    # the smallest falsifying cost at eps 1 is the ratio 1/(n+1) at n = 9
+    task, cfg, code, _ = _PINNED[-1]
+    assert run(task, json.loads(json.dumps(cfg)), tmp_path) == code
+    curve = load_report(tmp_path / "report.json")["report"]["curve"]
+    assert curve[0][0] == 1.0 and curve[0][1] == pytest.approx(0.1, abs=1e-9)
 
 
 def test_emit_report_roundtrip(tmp_path):
@@ -363,15 +426,17 @@ def test_config_validation():
 
 
 def test_every_key_has_a_kind():
-    for task, (runner, needs, reads) in TASKS.items():
+    for task, (runner, needs, reads, scale_reads) in TASKS.items():
         for key in (*COMMON_KEYS, *needs, *reads):
             assert key in KEY_KINDS, (task, key)
+        for key in scale_reads:
+            assert key in SCALE_KINDS and key not in KEY_KINDS, (task, key)
         assert not set(needs) & set(reads), task
         params = inspect.signature(runner).parameters
         takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
         for key in needs:
             assert key in params and params[key].default is params[key].empty, (task, key)
-        for key in reads:
+        for key in (*reads, *scale_reads):
             assert key in params or takes_any, (task, key)
     tables = [KEY_KINDS, SCALE_KINDS, *FLOW_KEYS.values(), *SPACE_KEYS.values()]
     for table in tables:
@@ -383,7 +448,7 @@ def test_readme_cli_example_is_a_valid_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
     example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
-    _, _, kwargs = arguments("falsify", example)  # by the falsify row's keys and kinds
-    assert set(kwargs) == set(example) - set(COMMON_KEYS)
+    _, kwargs = arguments("falsify", example)  # by the falsify row's keys and kinds
+    assert set(kwargs) == set(example) - set(COMMON_KEYS) | set(example["scale"])
     flow = flow_from_config(example["flow"])
     assert flow.name == "circles" and len(flow.space.radii) == 16

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from expanse import entropy, spaces
 from expanse.entropy import (
     EntropyError,
-    bowen_ball_test,
     entropy_estimate,
     h_star_estimate,
     spanning_cardinality,
@@ -43,6 +42,10 @@ def exp_rot():
 
 
 # ------------------------------------------------------------ bowen balls
+
+def bowen_ball_test(flow, x, y, t, eps, h_sample=0.05):
+    """Sampled max of d(phi_s x, phi_s y) over s in [0, t] is <= eps: one cover cell."""
+    return bool(entropy._bowen_covers(flow, [x, y], [t], [eps], h_sample)[(t, eps)][0, 1])
 
 def test_bowen_ball_self():
     flow = interval_flow(1.0)
@@ -330,13 +333,12 @@ def test_spanning_matches_entropy_ladder_cells():
     (lambda f, g: entropy_estimate(f, g, [-1.0, 2.0], [0.1]), r"t must .* got -1\.0"),
     (lambda f, g: h_star_estimate(f, [], [1.0, 2.0], [0.1], grid=g), "empty delta ladder"),
     # a NaN eps used to fail every comparison and answer False
-    (lambda f, g: bowen_ball_test(f, g[3], g[4], 1.0, math.nan), "eps .* got nan"),
-    (lambda f, g: bowen_ball_test(f, g[3], g[4], 1.0, 0.1, h_sample=0), "h_sample .* got 0"),
+    (lambda f, g: spanning_cardinality(f, g, 1.0, math.nan), "eps .* got nan"),
     (lambda f, g: x_delta_set(f, 0.1, grid=g, T_escape=math.nan), "T_escape .* got nan"),
 ], ids=["empty-eps", "hstar-empty-eps", "negative-eps", "spanning-negative-eps",
         "hstar-negative-eps", "h-zero", "spanning-h-zero", "hstar-h-zero", "h-nan",
         "spanning-h-nan", "spanning-negative-t", "negative-t", "hstar-empty-delta",
-        "bowen-eps-nan", "bowen-h-zero", "xdelta-T-escape-nan"])
+        "spanning-eps-nan", "xdelta-T-escape-nan"])
 def test_bad_inputs_fail_fast(run, match):
     # the interval flow's X_delta grids are all empty, so h_star_estimate must
     # reject its ladders before it would return an all-empty estimate

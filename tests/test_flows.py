@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from expanse.flows import (
     FLOW_KEYS,
     FlowError,
+    _rotation_eval,
     field_norm,
     flow_from_config,
     integrate_flow,
     interval_flow,
-    interval_flow_eval,
     interval_flow_transit_time,
     min_orbit_diameter,
     rotation_flow,
-    rotation_flow_eval,
     sample_orbit,
     suspension_doubling,
     trivial_flow,
@@ -36,6 +35,11 @@ def rotation_field(z):
 
 
 # ---------------------------------------------------------------- interval
+
+def interval_flow_eval(lam, t, x):
+    """phi_t(x) of interval_flow(lam) at one point of [0, 1], as a float."""
+    return float(interval_flow(lam).evaluate(t, np.array([x]))[0])
+
 
 def test_interval_fixes_endpoints():
     for t in (-3.0, 0.0, 0.7, 900.0):
@@ -115,13 +119,13 @@ def test_interval_monotone_in_x(x, y, t):
 
 def test_rotation_period_and_identity():
     z = np.array([math.exp(-1), 0.0])
-    assert np.allclose(rotation_flow_eval(2.0 * math.pi, z), z, atol=1e-12)
-    assert np.allclose(rotation_flow_eval(0.0, z), z, atol=0)
+    assert np.allclose(_rotation_eval(2.0 * math.pi, z), z, atol=1e-12)
+    assert np.allclose(_rotation_eval(0.0, z), z, atol=0)
 
 
 def test_rotation_quarter_turn_vs_rk4():
     z = np.array([math.exp(-1), 0.0])
-    got = rotation_flow_eval(math.pi / 2.0, z)
+    got = _rotation_eval(math.pi / 2.0, z)
     oracle = integrate_flow(rotation_field, math.pi / 2.0, z, 1e-4)
     assert np.allclose(got, [0.0, math.exp(-1)], atol=1e-12)
     assert np.allclose(got, oracle, atol=1e-8)
@@ -134,7 +138,7 @@ def test_rotation_is_isometry():
         z, w = sp.random_point(rng), sp.random_point(rng)
         t = rng.uniform(-10, 10)
         d0 = sp.distance(z, w)
-        d1 = sp.distance(rotation_flow_eval(t, z), rotation_flow_eval(t, w))
+        d1 = sp.distance(_rotation_eval(t, z), _rotation_eval(t, w))
         assert d1 == pytest.approx(d0, abs=1e-12)
 
 
@@ -181,7 +185,7 @@ def test_integrate_per_row_times():
     assert np.array_equal(out[3], x[3])
     # a shorter time takes more, smaller steps than its own scalar call
     short = integrate_flow(rotation_field, np.array([1.5, 0.4]), x[:2], 1e-3)[1]
-    assert np.allclose(short, rotation_flow_eval(0.4, x[1]), atol=1e-12)
+    assert np.allclose(short, _rotation_eval(0.4, x[1]), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["interval", "circles"])
