@@ -41,7 +41,9 @@ class FlowModel:
     """A flow phi(t, x) on a space, with its singular set, field and hooks.
 
     evaluate_fn(t, x): phi_t(x) for a point x of shape (d,); shape (d,) at a
-    scalar t, (len(t), d) at a 1-d array of times.
+    scalar t, (len(t), d) at a 1-d array of times. It is elementwise in t:
+    each time's point does not depend on the other times in the call, so
+    the shadow search may evaluate an orbit in any batches, in any order.
     vector_field(x): V at a point (d,) or at each row of a batch (n, d).
     lipschitz_L: a finite L >= 0 with |V(x) - V(y)| <= L d(x, y).
     orbit_times(x, target, lo, hi): a 1-d array of the closed-form times at

@@ -10,18 +10,16 @@ call of the alignment band kernel (alignment._minimax_band_dp), pinned at
 clock 0, with its tie rule (stated at _minimax_band_dp), which leans
 each cell toward the slope-1 path.
 
-Mode "first" only decides whether a candidate's error is <= eps. A
-failing candidate needs that decision, not a path or a tie, so a
-direction whose zero-offset path exceeds eps first runs a boolean
-reachability sweep (_reaches_last_row): each row keeps the offsets with
-local cost <= eps next to an offset kept in the row before, and the
-sweep stops at the first row with none left. A direction that fails
-there never reaches the kernel, and a candidate that fails forward never
-evaluates or searches its backward half. A direction that passes runs
-the kernel with eps as its bound, which keeps exactly the cells the sweep
-keeps, so a passing candidate gets the same result, bit for bit, as a
-search bound by the cost of an admissible path. Mode "best" needs every
-error; it bounds each direction by the cost of its zero-offset path.
+Mode "first" only decides whether a candidate's error is <= eps, so a
+direction whose zero-offset path exceeds eps is first decided by a
+bitmask reachability sweep (_reaches_last_row), which stops at the first
+row with no offset kept: a failing direction evaluates the orbit only at
+the cells of the rows it reached and never reaches the kernel, and a
+candidate that fails forward never searches its backward half. A direction that passes runs the
+kernel bound by eps, which keeps exactly the cells the sweep keeps, so a
+passing candidate gets the same result, bit for bit, as a search bound
+by the cost of an admissible path. Mode "best" needs every error; it
+bounds each direction by the cost of its zero-offset path.
 """
 
 from __future__ import annotations
@@ -217,33 +215,43 @@ def _reference_trajectory(flow, po, ts):
     return ref, seg
 
 
-def _cone_search(space, orbit, ref, q, threshold):
+def _cone_search(space, cell, ref, q, threshold):
     """Minimax Rep(eps) path from clock 0 outward: (cost, orbit cell per row).
 
     Row r pairs ref[r] with orbit cell r*q + o, where o starts at 0 and
     moves by -1, 0 or +1 per row (cell steps q - 1, q, q + 1). This is the
     alignment band DP with W = len(ref) - 1 pinned at row 0, band offset
-    k - W = o. orbit holds cells 0..W*(q + 1). With a threshold, a search
-    whose zero-offset path (cells r*q) exceeds it is first decided by the
-    reachability sweep, and one that fails returns None before the kernel
-    runs; one that passes runs the kernel bound by threshold. Without a
-    threshold the kernel is bound by the zero-offset path's cost.
+    k - W = o. cell(c) evaluates the orbit at an array of cells c >= 0:
+    the zero-offset path's cells r*q, then, into a window buffer, the cells
+    up to the last one each sweep block reads, and the rest at once before
+    the kernel runs. With a threshold, a search whose zero-offset path
+    exceeds it is first decided by the reachability sweep and returns None
+    if that fails; one that passes runs the kernel bound by threshold.
+    Without one the bound is the zero-offset path's cost.
     """
     W = len(ref) - 1
-    width = 2 * W + 1
-    # window r starts at cell r*q - W, so its column k is the offset k - W;
-    # the edge padding left of cell 0 lies outside every row's cone
-    padded = np.pad(orbit, ((W, 0), (0, 0)), mode="edge")
-    windows = np.moveaxis(sliding_window_view(padded, width, axis=0)[::q], -1, 1)
+    on_zero = cell(np.arange(W + 1) * q)
+    zero = space.distance(on_zero, ref).max()  # the zero-offset path's cost
+    # window r starts at buffer row r*q, cell r*q - W, so its column k is the
+    # offset k - W; the W edge rows left of cell 0 lie outside every row's cone
+    buf = np.empty((W * (q + 2) + 1,) + on_zero.shape[1:])
+    buf[:W + 1] = on_zero[0]
+    filled = W + 1  # buffer rows evaluated so far
+    windows = np.moveaxis(sliding_window_view(buf, 2 * W + 1, axis=0)[::q], -1, 1)
+
+    def fill(end):  # evaluate the buffer rows before end
+        nonlocal filled
+        if end > filled:
+            buf[filled:end], filled = cell(np.arange(filled, end) - W), end
 
     def local_cost(r0, r1, lo, hi):
+        fill((r1 - 1) * q + hi)  # one past the last buffer row the block reads
         return space.distance(windows[r0:r1, lo:hi], ref[r0:r1, None])[None]
 
-    zero = space.distance(windows[:, W], ref).max()  # the zero-offset path's cost
-    # a side whose zero-offset path stays within threshold passes without a sweep
     if threshold is not None and zero > threshold \
             and not _reaches_last_row(local_cost, W + 1, W, threshold):
         return None
+    fill(len(buf))  # one flow call, not one per kernel block
     bound = threshold if threshold is not None else zero
     costs, paths = _minimax_band_dp(local_cost, W + 1, W, [bound], fix_row=0)
     if paths[0, 0] < 0:  # abandoned: no path
@@ -257,62 +265,52 @@ def _reaches_last_row(local_cost, n, W, eps):
     The decision the kernel's pruning makes at bound eps, without its
     costs, paths or ties: row 0 keeps only offset 0 (column W), and each
     later row keeps the cells with local cost <= eps next to (k - 1, k or
-    k + 1) a cell kept in the row before. Local costs are fetched in row
-    blocks at the live column range, as the kernel fetches them, and the
-    sweep stops at the first row with no cell kept. Row i's cells lie
-    within i of column W, so every range stays inside the band.
+    k + 1) a cell kept in the row before, until a row keeps none. Local
+    costs are fetched in row blocks at the live column range, as the
+    kernel fetches them; each block row's cells <= eps are packed once
+    into a Python int, so a row is an and, shifts and ors. Row i's cells
+    lie within i of column W, so every range stays inside the band.
     """
-    width = 2 * W + 1
-    lo, reach = W, np.ones(1, dtype=bool)  # the pin
-    ones = np.ones(3, dtype=np.int8)
-    b1 = c0 = c1 = 0
+    # bit j of reach and of a packed row is column base + j; bit 0 is a guard
+    # column left of the block, so no row keeps it and kept >> 1 drops nothing
+    reach, base, b1, c1 = 1, W, 0, 0  # the pin
     for i in range(n):
-        hi = lo + len(reach)
-        if not (i < b1 and c0 <= lo and hi <= c1):
-            b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, width)
+        if i >= b1 or reach & 1 or reach.bit_length() > c1 - base:
+            lo, hi = base + (reach & -reach).bit_length() - 1, base + reach.bit_length()
+            b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, 2 * W + 1)
             b1 = min(n, i + max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // (c1 - c0))))
-            within = local_cost(b0, b1, c0, c1)[0] <= eps
-        kept = np.logical_and(reach, within[i - b0, lo - c0:hi - c0])
-        live = kept.nonzero()[0]
-        if not live.size:
+            rows = [int.from_bytes(r.tobytes(), "little") << 1 for r in np.packbits(
+                local_cost(b0, b1, c0, c1)[0] <= eps, axis=1, bitorder="little")]
+            reach = reach << (base - c0 + 1) if base >= c0 - 1 else reach >> (c0 - 1 - base)
+            base = c0 - 1
+        kept = reach & rows[i - b0]
+        if not kept:
             return False
-        # the next row reaches one column either side of each kept cell
-        reach = np.convolve(kept[live[0]:live[-1] + 1], ones)
-        lo += int(live[0]) - 1
+        reach = kept >> 1 | kept | kept << 1
     return True
-
-
-def _orbit_cells(flow, z, c0, c1, h_u):
-    """phi_{c h_u}(z) for the cells c = c0..c1, in one elementwise flow call."""
-    return flow.evaluate(np.arange(c0, c1 + 1) * h_u, z)
 
 
 def _try_candidate(flow, po, z, h, q, ts, ref, seg, threshold=None):
     """Slope-constrained minimax alignment of the z-orbit to the reference.
 
     Returns (max error, reparam, per-segment errors), or None as soon as
-    one direction's error exceeds threshold. The backward half of the orbit
-    is evaluated only once the forward search passes.
+    one direction's error exceeds threshold. Each direction evaluates the
+    cells its search reads, the backward one only once the forward one
+    passes; the per-segment errors evaluate the cells of the path found.
     """
-    n_lo = int(round(-ts[0] / h))
-    n_hi = int(round(ts[-1] / h))
-    h_u = h / q
-    m_lo = -n_lo * (q + 1)
-    ahead = _orbit_cells(flow, z, 0, n_hi * (q + 1), h_u)
-    forward = _cone_search(flow.space, ahead, ref[n_lo:], q, threshold)
-    if forward is None:
-        return None
-    # backward from clock 0 is forward on the reversed orbit and reference
-    behind = _orbit_cells(flow, z, m_lo, 0, h_u)
-    backward = _cone_search(flow.space, behind[::-1], ref[n_lo::-1], q, threshold)
-    if backward is None:
-        return None
-    (err_f, cells_f), (err_b, cells_b) = forward, backward
-    m_path = np.r_[-cells_b[:0:-1], cells_f]
-    reparam = Reparam(ts.copy(), m_path * h_u)
-
-    orbit = np.concatenate([behind[:-1], ahead])
-    per_cell = flow.space.distance(orbit[m_path - m_lo], ref)
+    n_lo, h_u = int(round(-ts[0] / h)), h / q
+    found = []
+    # backward from clock 0 is forward on the reversed orbit and reference;
+    # its cells are negated as integers, so cell 0 stays at time +0.0
+    for sign, side in ((1, ref[n_lo:]), (-1, ref[n_lo::-1])):
+        found.append(_cone_search(flow.space, lambda c, s=sign: flow.evaluate(s * c * h_u, z),
+                                  side, q, threshold))
+        if found[-1] is None:
+            return None
+    (err_f, cells_f), (err_b, cells_b) = found
+    s_path = np.r_[-cells_b[:0:-1], cells_f] * h_u
+    reparam = Reparam(ts.copy(), s_path)
+    per_cell = flow.space.distance(flow.evaluate(s_path, z), ref)
     per_segment = tuple(float(per_cell[seg == p].max()) if (seg == p).any()
                         else 0.0 for p in range(len(po.points)))
     return max(err_f, err_b), reparam, per_segment
@@ -338,14 +336,16 @@ def find_shadow(flow: FlowModel, po: PseudoOrbit, eps: float,
                              f"a pseudo-orbit with negative indices (i_min={po.i_min})")
     for p in po.points:
         flow.space.point(p)
-    q = max(2, int(math.ceil(1.25 / eps)))
-    grid = candidate_grid if candidate_grid is not None \
-        else default_candidates(flow, po, eps)
-    candidates = [flow.space.point(z) for z in grid]
     s_min = cumulative_clock(po, po.i_min)
     s_max = cumulative_clock(po, po.i_max + 1)
     n_lo = int(math.floor(-s_min / h + 1e-9))
     n_hi = int(math.floor(s_max / h + 1e-9))
+    if n_lo + n_hi < 1:
+        raise ShadowingError(f"h = {h!r} leaves one sample time on the clock range"
+                             f" [{s_min!r}, {s_max!r}]; a reparametrization needs two")
+    q = max(2, int(math.ceil(1.25 / eps)))
+    grid = default_candidates(flow, po, eps) if candidate_grid is None else candidate_grid
+    candidates = [flow.space.point(z) for z in grid]
     ts = np.arange(-n_lo, n_hi + 1) * h
     ref, seg = _reference_trajectory(flow, po, ts)
     # mode "first" needs only err <= eps, so a failing candidate stops early

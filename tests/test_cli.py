@@ -249,6 +249,18 @@ def test_shadow_x0_off_space_exit_one(tmp_path, capsys, x0):
     assert not (out / "report.json").exists()
 
 
+def test_shadow_step_with_one_sample_time_exit_one(tmp_path, capsys):
+    # h_shadow 5 leaves only clock 0 on a one-segment pseudo-orbit; it used to
+    # fail in Reparam, after both cone searches, with a message naming no key
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval"}, "eps": 0.05, "seed": 0,
+                               "x0": [0.3], "n_segments": 1, "delta": 0.001,
+                               "h_shadow": 5.0})
+    out = tmp_path / "out"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "h = 5.0 leaves one sample time" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shadow_non_finite_pseudo_orbit_file_exit_one(tmp_path, capsys):
     # a NaN header used to run to a report.json
     po_file = tmp_path / "po.txt"

@@ -6,12 +6,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanse import shadowing
 from expanse.alignment import rep_epsilon_check
-from expanse.flows import interval_flow, rotation_flow, suspension_doubling, trivial_flow
+from expanse.flows import (
+    FlowModel,
+    interval_flow,
+    rotation_flow,
+    suspension_doubling,
+    trivial_flow,
+)
 from expanse.shadowing import (
     PseudoOrbit,
     ShadowingError,
@@ -225,21 +231,43 @@ def test_first_mode_runs_kernel_only_on_passing_sides(make, kernel_calls, monkey
     assert len(calls) == kernel_calls
 
 
+# a drift candidate fails within a few hundred rows of its forward cone, so
+# the search evaluates only the cells those rows read: the whole forward
+# orbit of every candidate was 640,273 points
+def test_drift_search_evaluates_only_the_cells_it_reads(monkeypatch):
+    points, evaluate = [], FlowModel.evaluate
+
+    def counted(self, t, x):
+        out = evaluate(self, t, x)
+        points.append(len(np.atleast_2d(out)))
+        return out
+
+    monkeypatch.setattr(FlowModel, "evaluate", counted)
+    flow, po = _drift_po()
+    assert find_shadow(flow, po, eps=0.05) is None
+    assert sum(points) <= 640_273 // 2
+
+
 @pytest.mark.parametrize("flow, z, m_lo", [
     (interval_flow(1.0), [0.3], -369), (interval_flow(2.5), [0.9], -369),
     (rotation_flow(CircleUnion(exp_radii(8))), [0.0, math.exp(-3)], -369),
     (rotation_flow(CircleUnion(harmonic_radii(16))), [-0.25, 0.0], -369),
     (trivial_flow(Interval01()), [0.7], -369), (suspension_doubling(), [0.3, 0.5], 0),
 ], ids=["interval", "interval-2.5", "exp8", "harmonic16", "trivial", "suspension-doubling"])
-def test_orbit_halves_match_one_call(flow, z, m_lo):
-    # a candidate's backward half is evaluated only after its forward search
-    # passes; together the halves are the points of one two-sided call
-    h_u = 0.02 / 41
+def test_orbit_cells_match_one_call(flow, z, m_lo):
+    # a cone search evaluates its cells lazily, in whatever batches its rows
+    # read (evaluate_fn is elementwise in t); backward cells are negated as
+    # integers. Every batch gives the bytes of one two-sided call
+    h_u, m_hi, q = 0.02 / 41, 1189, 41
     z = np.array(z)
-    whole = shadowing._orbit_cells(flow, z, m_lo, 1189, h_u)
-    behind = shadowing._orbit_cells(flow, z, m_lo, 0, h_u)
-    ahead = shadowing._orbit_cells(flow, z, 0, 1189, h_u)
-    assert np.concatenate([behind[:-1], ahead]).tobytes() == whole.tobytes()
+    whole = flow.evaluate(np.arange(m_lo, m_hi + 1) * h_u, z)
+    rng = np.random.default_rng(0)
+    for sign, top in ((1, m_hi), (-1, -m_lo)):
+        cells = np.arange(top + 1)
+        for batch in (cells, cells[::-1], rng.permutation(cells), cells[::q], cells[5:6],
+                      cells[top // 3:top // 2], rng.choice(cells, min(top + 1, 50))):
+            got = flow.evaluate(sign * batch * h_u, z)
+            assert got.tobytes() == whole[sign * batch - m_lo].tobytes()
 
 
 def test_shadow_error_monotone_under_candidate_refinement():
@@ -257,6 +285,17 @@ def test_find_shadow_validation():
     po = generate_pseudo_orbit(flow, np.array([0.3]), 4, 1e-3, seed=0)
     with pytest.raises(ShadowingError):
         find_shadow(flow, po, eps=0.0)
+
+
+def test_find_shadow_refuses_a_step_with_one_sample_time(monkeypatch):
+    # one segment of duration < 2 sampled at h = 5 is the clock 0 alone; it
+    # used to raise AlignmentError from Reparam after both cone searches
+    flow = interval_flow(1.0)
+    po = generate_pseudo_orbit(flow, np.array([0.3]), 1, 1e-3, seed=0)
+    monkeypatch.setattr(shadowing, "_try_candidate", None)  # no candidate is searched
+    with pytest.raises(ShadowingError, match=r"^h = 5\.0 leaves one sample time on the"
+                                             r" clock range \[0\.0, 1\.6"):
+        find_shadow(flow, po, eps=0.05, h=5.0)
 
 
 def test_find_shadow_rejects_nan_eps():
@@ -493,3 +532,50 @@ def test_threshold_search_matches_brute_force(case, data):
     assert reparam.knots_t.tolist() == best_reparam.knots_t.tolist()
     assert reparam.knots_s.tolist() == best_reparam.knots_s.tolist()
     assert per_seg == best_per_seg
+
+
+def _corridor(noise, steps, cut=None):
+    """A cone table: noise with a pinned corridor of zero costs, cut at row cut."""
+    table = np.array(noise, dtype=float).reshape(len(steps) + 1, 2 * len(steps) + 1)
+    cols = len(steps) + np.cumsum(np.r_[0, steps]).astype(np.int64)
+    table[np.arange(len(cols)), cols] = 0.0
+    if cut is not None:
+        table[cut, cols[cut]] = 3.0
+    return table
+
+
+@st.composite
+def _sweep_tables(draw):
+    W = draw(st.integers(0, 9))
+    size = (W + 1) * (2 * W + 1)
+    noise = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=size, max_size=size))
+    steps = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=W, max_size=W))
+    # at eps 0.5 the corridor alone decides; at 1.5 and 2.5 a third and two
+    # thirds of the noise is within eps too
+    table = _corridor(noise, steps, draw(st.none() | st.integers(0, W)))
+    return W, table, draw(st.sampled_from([0.5, 1.5, 2.5]))
+
+
+# tiny blocks refetch every few rows, and a range that grows or moves on
+# either side moves the block origin left or right; a corridor that keeps
+# stepping one way leaves a margin-0 block at that side within three rows
+@settings(max_examples=300, deadline=None)
+@given(_sweep_tables(), st.integers(1, 3), st.integers(0, 2), st.integers(1, 12))
+@example((9, _corridor([3.0] * 190, [-1] * 9), 0.5), 3, 0, 12)
+@example((9, _corridor([3.0] * 190, [1] * 9), 0.5), 3, 0, 12)
+def test_reaches_last_row_matches_brute_force(case, rows, margin, values):
+    W, table, eps = case
+    n = W + 1
+
+    def local_cost(r0, r1, lo, hi):
+        assert 0 <= r0 < r1 <= n and 0 <= lo < hi <= 2 * W + 1
+        return table[None, r0:r1, lo:hi]
+
+    with mock.patch.multiple(shadowing, _BLOCK_ROWS=rows, _BLOCK_MARGIN=margin,
+                             _BLOCK_VALUES=values):
+        reached = shadowing._reaches_last_row(local_cost, n, W, eps)
+    # some pinned path, column W at row 0 and a step of -1, 0 or +1 a row,
+    # has every local cost <= eps
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=W)), dtype=np.int64)
+    cols = W + np.cumsum(np.c_[np.zeros(len(steps), np.int64), steps], axis=1)
+    assert reached == bool((table[np.arange(n), cols].max(axis=1) <= eps).any())
