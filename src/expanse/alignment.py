@@ -20,9 +20,13 @@ cheapest reference sits on one shared column, unless that fails to narrow
 the cells within the bounds on the sampled rows. Each row then sweeps only
 the columns next to the previous row's finite cells, and stores its path
 choices for those columns only: at T = 20, h = 0.01, band 2 about 1/20 of
-the band. Costs, paths and ties are those of the full sweep. BATCH_CELLS
-caps the cells of a full sweep (41 pairs at that scale); align_batch
-splits longer lists, and align is the batch of one. A call that prunes
+the band. A row block in which every pair keeps one cell a row, on one
+column, is stepped whole and stores no choices: each path runs straight
+down its column, and its running max takes the column's max (at that
+scale nearly every block). Costs, paths and ties are those of the full
+sweep. BATCH_CELLS caps the cells of a full sweep (41 pairs at that
+scale); align_batch splits longer lists, and align is the batch of one.
+A call that prunes
 nothing stores at most 64 MiB of int8 path choices unshifted, and under
 (4W + 1) / (2W + 1) times that, below 128 MiB, shifted. The shadow cone
 search in shadowing runs on this kernel too, so both share its tie rule.
@@ -87,10 +91,6 @@ class Reparam:
     @classmethod
     def identity(cls, lo: float, hi: float) -> "Reparam":
         return cls(np.array([lo, hi]), np.array([lo, hi]))
-
-    @classmethod
-    def shift(cls, lo: float, hi: float, tau: float) -> "Reparam":
-        return cls(np.array([lo, hi]), np.array([lo + tau, hi + tau]))
 
     def compressed(self) -> "Reparam":
         """Drop interior knots where the slope does not change."""
@@ -181,6 +181,20 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     path choices for those columns only. The call returns as soon as a row
     has no finite cell left.
 
+    A row block with no fix_row steps whole when the row before keeps at
+    most one cell per member (value <= its bound) and every block row keeps
+    exactly those cells. Each other cell of a member is then +inf, so the
+    kept cell's only finite predecessor is its diagonal one: the member's
+    path runs straight down the column, its value becomes the max of the
+    previous value and the column's block costs, and its penalty gains
+    rows * |offset|, exact in integers, as the row-by-row step gives. The
+    other cells stay +inf with their old penalties, which no returned path
+    reads (a +inf cell never beats a finite one, and a member with a finite
+    bound and no finite cell returns -1s), so no cost, path or tie changes;
+    the backtrack copies the column over the block's rows. A member with a
+    +inf bound keeps every cell of a range at least two columns wide, so
+    its batch steps row by row.
+
     shift (B,) centres each member's corridor: member b's column k sits at
     buffer column k + max(shift) - shift[b], so the buffer is 2W + 1 +
     (max(shift) - min(shift)) columns wide and members whose best paths
@@ -214,30 +228,48 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     D = np.full((2, width + 4, B), pad)
     cur = D[0, lo + 2:hi + 2]
     cur.real, cur.imag = pruned(0, 1, lo, hi)[0], pen[lo:hi]
-    choices = [None] * n  # (lo, (hi - lo, B) int8 choices) per swept row
-    blk, b0, b1, c0, c1 = None, 0, 0, 0, 0
+    # per swept row (lo, (hi - lo, B) int8 choices); a run's last row holds (its first row, None)
+    choices = [None] * n
+    blk, b0, b1, c0, c1, col = None, 0, 0, 0, 0, None
     written = [None, None]
-    for i in range(n):
+    members = np.arange(B)
+    i = 0
+    while i < n:
         if i:
+            d, cur = D[(i - 1) % 2, lo + 1:hi + 3], D[i % 2, lo + 2:hi + 2]
             if not (i < b1 and c0 <= lo and hi <= c1):
                 # a block of rows at this row's columns widened by _BLOCK_MARGIN
                 b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, width)
                 rows = _BLOCK_VALUES // (B * (c1 - c0))
                 b1 = min(n, i + max(1, min(_BLOCK_ROWS, rows)))
                 blk = pruned(b0, b1, c0, c1)
-            d, cur = D[(i - 1) % 2, lo + 1:hi + 3], D[i % 2, lo + 2:hi + 2]
-            # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1
-            # (dj=2); its tie priority / 4 joins the penalty in the key
-            np.add(d[2:], 0.25j, out=cur)
-            np.minimum(d[1:-1], cur, out=cur)
-            c = d[:-2] + 0.5j
-            np.minimum(cur, c, out=cur)
-            np.modf(cur.imag, out=(c.real, cur.imag))
-            choices[i] = lo, np.empty((hi - lo, B), dtype=np.int8)
-            np.multiply(c.real, 4, out=choices[i][1], casting="unsafe")
-            cur.imag += pen[lo:hi]
-            # a pruned predecessor is +inf, so the max is <= the bound or +inf
-            np.maximum(blk[i - b0, lo - c0:hi - c0], cur.real, out=cur.real)
+                # more live columns than members means some member keeps two
+                col = _straight_run(d[1:-1], blk[:, lo - c0:hi - c0], bound) \
+                    if live.size <= B and (fix_row is None or not b0 <= fix_row < b1) else None
+            if col is not None:
+                # step the whole block: each member's path runs straight down
+                # its one kept column, and the next row fetches a new block
+                i, prev = b1 - 1, d[1:-1]
+                cur = D[i % 2, lo + 2:hi + 2]
+                if (b1 - b0) % 2:
+                    cur[...] = prev
+                cur.real[col, members] = np.maximum(prev.real[col, members],
+                                                    blk[:, lo - c0 + col, members].max(axis=0))
+                cur.imag[col, members] += (b1 - b0) * pen[lo + col, members]
+                choices[i] = b0, None
+            else:
+                # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1
+                # (dj=2); its tie priority / 4 joins the penalty in the key
+                np.add(d[2:], 0.25j, out=cur)
+                np.minimum(d[1:-1], cur, out=cur)
+                c = d[:-2] + 0.5j
+                np.minimum(cur, c, out=cur)
+                np.modf(cur.imag, out=(c.real, cur.imag))
+                choices[i] = lo, np.empty((hi - lo, B), dtype=np.int8)
+                np.multiply(c.real, 4, out=choices[i][1], casting="unsafe")
+                cur.imag += pen[lo:hi]
+                # a pruned predecessor is +inf, so the max is <= the bound or +inf
+                np.maximum(blk[i - b0, lo - c0:hi - c0], cur.real, out=cur.real)
         if i == fix_row:  # the pin cuts every cell but each member's zero offset
             np.copyto(cur, pad, where=pen[lo:hi] != 0)
         # the next row reads at most two cells past this row's range; clear
@@ -250,23 +282,46 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
             return np.full(B, np.inf), np.full((B, n), -1, dtype=np.int64)
         last_lo = lo
         lo, hi = max(lo + int(live[0]) - 1, 0), min(lo + int(live[-1]) + 2, width)
+        i += 1
     # numpy orders complex values by real part, then by imaginary part
     k = cur.argmin(axis=0)
-    costs = cur.real[k, np.arange(B)]
+    costs = cur.real[k, members]
     k += last_lo
     # a dead member's walk could leave the kept cells, and its path is -1s anyway
     alive = np.flatnonzero(costs <= bound)
     k = k[alive]
     kept = np.empty((n, len(alive)), dtype=np.int64)
     kept[-1] = k
-    for i in range(n - 1, 0, -1):
+    i = n - 1
+    while i:
         row_lo, ch = choices[i]
-        k = k + _STEP[ch[k - row_lo, alive]]
-        kept[i - 1] = k
+        if ch is None:  # a run: rows row_lo..i keep the column they end on
+            kept[row_lo - 1:i] = k
+            i = row_lo - 1
+        else:
+            k = k + _STEP[ch[k - row_lo, alive]]
+            kept[i - 1] = k
+            i -= 1
     paths = np.full((B, n), -1, dtype=np.int64)
     paths[alive] = kept.T + (shift[alive] - s_hi)[:, None]
     costs[costs > bound] = np.inf
     return costs, paths
+
+
+def _straight_run(prev, block, bound):
+    """Each member's one kept column if a row block can step straight down it, else None.
+
+    prev (columns, B) is the row before the block and block (rows,
+    columns, B) its pruned local costs on the same columns; a cell is kept
+    when it is <= its member's bound. The block steps straight when prev
+    keeps at most one cell per member and every block row keeps exactly
+    the cells that prev keeps. A member that keeps none gets column 0 and
+    stays +inf.
+    """
+    keep = prev.real <= bound
+    if keep.sum(axis=0).max() > 1 or not (keep == (block <= bound)).all():
+        return None
+    return keep.argmax(axis=0)
 
 
 def _lift_path(times: np.ndarray, path_k: np.ndarray, W: int, h: float,

@@ -58,7 +58,7 @@ def test_reparam_requires_strict_monotonicity():
 def test_reparam_identity_extension():
     r = Reparam.identity(-2.0, 2.0)
     assert r(5.0) == 5.0 and r(-7.0) == -7.0
-    sh = Reparam.shift(-2.0, 2.0, 0.5)
+    sh = Reparam(np.array([-2.0, 2.0]), np.array([-1.5, 2.5]))
     assert sh(3.0) == pytest.approx(3.5, abs=1e-15)
 
 
@@ -347,6 +347,108 @@ def test_minimax_kernel_abandons_without_more_blocks(monkeypatch):
     assert pulled == [(i, i + 1) for i in range(6)]
     assert costs.tolist() == [math.inf, math.inf]
     assert (paths == -1).all()
+
+
+def _one_column_batch(n, W, cols, seed):
+    """Member b keeps only column cols[b]: it costs 0 or 1 there and 2 or 3 elsewhere."""
+    rng = np.random.default_rng(seed)
+    lc = rng.integers(2, 4, size=(len(cols), n, 2 * W + 1)).astype(float)
+    for b, c in enumerate(cols):
+        lc[b, :, c] = rng.integers(0, 2, size=n)
+    return lc
+
+
+def _straight_blocks(lc, W, bound, fix_row=None, shift=None, block_values=40, margin=1,
+                     log=None):
+    """Run the kernel with small blocks, check it against the oracle, and return
+    what each _straight_run call decided (True: the block stepped straight)."""
+    n = lc.shape[1]
+    decided = []
+
+    def spy(prev, block, bound):
+        col = straight_run(prev, block, bound)
+        decided.append(col is not None)
+        return col
+
+    straight_run = alignment._straight_run
+    with mock.patch.object(alignment, "_BLOCK_VALUES", block_values), \
+            mock.patch.object(alignment, "_BLOCK_MARGIN", margin), \
+            mock.patch.object(alignment, "_straight_run", side_effect=spy):
+        costs, paths = _minimax_band_dp(_local_cost(lc, log, shift), n, W, bound, fix_row,
+                                        shift)
+    for b in range(lc.shape[0]):
+        ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
+        if ref_cost > bound[b]:
+            ref_cost, ref_path = math.inf, np.full(n, -1)
+        assert costs[b] == ref_cost
+        assert paths[b].tolist() == ref_path.tolist()
+    return decided
+
+
+@pytest.mark.parametrize("shift", [None, [2, 0, -1]])
+@pytest.mark.parametrize("event", ["none", "rises", "sideways"])
+@pytest.mark.parametrize("block_values,margin", [(1, 0), (100, 1), (200, 2)])
+def test_minimax_kernel_straight_blocks_match_oracle(shift, event, block_values, margin):
+    # each member keeps one column, every other cell is above its bound, so
+    # whole blocks step straight down it; at row 17 member 1's kept cell
+    # either goes above its bound (it dies) or moves one column right
+    n, W = 40, 3
+    lc = _one_column_batch(n, W, [1, 3, 5], seed=5)
+    if event == "rises":
+        lc[1, 17, 3] = 5.0
+    if event == "sideways":
+        lc[1, 17:, 4] = lc[1, 17:, 3]
+        lc[1, 17:, 3] = 2.0
+    shift = None if shift is None else np.array(shift)
+    decided = _straight_blocks(lc, W, np.ones(3), shift=shift, block_values=block_values,
+                               margin=margin)
+    assert any(decided)
+    if event != "none":
+        assert not all(decided)  # the block holding row 17 steps row by row
+
+
+def test_minimax_kernel_pinned_block_steps_row_by_row():
+    # every member keeps its zero offset, on three different buffer columns;
+    # a block that holds the pin steps row by row, every other block runs
+    n, W = 40, 2
+    lc = _one_column_batch(n, W, [W, W, W], seed=6)
+    shift, bound = np.array([1, 0, -2]), np.ones(3)
+    pulled = []  # row 0, then one entry per block
+    assert all(_straight_blocks(lc, W, bound, shift=shift, block_values=200, log=pulled))
+    b0, b1 = pulled[3]
+    assert b1 - b0 >= 3
+    # the pin as the last row before a block, its first row, inside it, its last row
+    for fix_row in (b0 - 1, b0, b0 + 1, b1 - 1):
+        blocks = []
+        decided = _straight_blocks(lc, W, bound, fix_row, shift, 200, log=blocks)
+        assert blocks == pulled
+        assert decided == [True] * (len(blocks) - 2)
+
+
+def test_minimax_kernel_infinite_bound_keeps_infinite_cells():
+    # a +inf bound keeps +inf cells, so rows with a single finite cell are
+    # not a straight run for it, and its tie path still bends: alone, and
+    # beside members that keep one column each
+    lc = np.full((8, 3), math.inf)
+    lc[[0, 2, 3, 5], 0] = [0.0, 0.0, 0.0, 1.0]
+    lc[[1, 7], 1] = lc[4, 2] = 2.0
+    assert _ref_minimax_band_dp(lc, 1)[1].tolist() == [0, 1, 0, 0, 1, 1, 1, 1]
+    _straight_blocks(lc[None], 1, np.array([math.inf]), block_values=4, margin=1)
+    batch = _one_column_batch(8, 1, [0, 2], seed=7)
+    _straight_blocks(np.concatenate([batch, lc[None]]), 1, np.array([1.0, 1.0, math.inf]),
+                     block_values=4, margin=1)
+
+
+@pytest.mark.parametrize("block_values", [1, 2 ** 17])
+def test_minimax_kernel_pinned_infinite_member_keeps_tie_path(block_values):
+    # member 1's pinned cell is +inf, and its +inf bound keeps it: the
+    # member costs +inf and its tie path still runs through the pin
+    lc = np.zeros((2, 4, 7))
+    lc[1, 2, 3] = math.inf
+    with mock.patch.object(alignment, "_BLOCK_VALUES", block_values):
+        costs, paths = _minimax_band_dp(_local_cost(lc), 4, 3, np.array([0.0, math.inf]), 2)
+    assert costs.tolist() == [0.0, math.inf]
+    assert paths[1].tolist() == [3, 3, 3, 3]
 
 
 def _ref_lift_knots(times, path_k, W, h, fix_idx):
