@@ -12,24 +12,26 @@ piecewise-linear maps.
 One kernel runs this bottleneck DP for a batch of pairs on (band, pairs)
 rows. It asks a callable for the local costs of a row block at a column
 range, computed from a strided window view of each extended y-orbit, so no
-pair's full cost tensor is built. Each pair comes with a bound, the cost
-of its cheapest reference path (constant offsets: zero, and the cheapest
-column of three sampled rows); a cell above the bound lies on no optimal
-path and is set to +inf. Each pair's columns are shifted so that its
-cheapest reference sits on one shared column, unless that fails to narrow
-the cells within the bounds on the sampled rows. Each row then sweeps only
-the columns next to the previous row's finite cells, and stores its path
-choices for those columns only: at T = 20, h = 0.01, band 2 about 1/20 of
-the band. A row block in which every pair keeps one cell a row, on one
-column, is stepped whole and stores no choices: each path runs straight
-down its column, and its running max takes the column's max (at that
-scale nearly every block). Costs, paths and ties are those of the full
-sweep. BATCH_CELLS caps the cells of a full sweep (41 pairs at that
-scale); align_batch splits longer lists, and align is the batch of one.
-A call that prunes
-nothing stores at most 64 MiB of int8 path choices unshifted, and under
-(4W + 1) / (2W + 1) times that, below 128 MiB, shifted. The shadow cone
-search in shadowing runs on this kernel too, so both share its tie rule.
+pair's full cost tensor is built. A live range moves at most one column a
+side per row, so a block spans its first row's range, widened by the
+block's rows only on a side where the range left the block before. Each
+pair comes with a bound, the cost of its cheapest reference path (constant
+offsets: zero, and the cheapest column of three sampled rows); a cell above
+the bound lies on no optimal path and is set to +inf. Each pair's columns
+are shifted so that its cheapest reference sits on one shared column,
+unless that fails to narrow the cells within the bounds on the sampled
+rows. Each row then sweeps only the columns next to the previous row's
+finite cells, and stores its path choices for those columns only: at
+T = 20, h = 0.01, band 2 about 1/20 of the band. A row block in which every
+pair keeps one cell a row, on one column, is stepped whole and stores no
+choices: each path runs straight down its column, and its running max takes
+the column's max (at that scale nearly every block). Costs, paths and ties
+are those of the full sweep. BATCH_CELLS caps the cells of a full sweep
+(41 pairs at that scale); align_batch splits longer lists, and align is the
+batch of one. A call that prunes nothing stores at most 64 MiB of int8 path
+choices unshifted, and under (4W + 1) / (2W + 1) times that, below 128 MiB,
+shifted. The shadow cone search in shadowing runs on this kernel too, so
+both share its tie rule.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ from .spaces import as_coords
 _PEN_INF = 2.0 ** 40  # penalty of pad and out-of-band cells, far above any path's
 _STEP = np.array([0, 1, -1])  # k of the predecessor minus k, by tie priority
 BATCH_CELLS = 2 ** 26  # band cells of one kernel call, as if none were pruned
-_BLOCK_VALUES = 2 ** 17  # local costs built per row block
-_BLOCK_MARGIN = 2  # columns a row block adds either side of its first row's range
-_BLOCK_ROWS = 32  # rows per block at most, so a growing range wastes few cells
+_BLOCK_VALUES = 2 ** 17  # local costs of a row block over its first row's range
+_BLOCK_ROWS = 32  # rows per block at most, so a widened side wastes few cells
 _FLAT_SLOPE = 1e-12  # spread applied to flat runs so knots stay strictly monotone
 
 
@@ -177,9 +178,10 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     so the cap changes no cost, path or tie; a member whose bound is +inf
     keeps every cell. Each row updates only the columns between the first
     and last finite cell of the row before, widened by one and clipped to
-    the buffer, asks local_cost for little more than those, and keeps its
-    path choices for those columns only. The call returns as soon as a row
-    has no finite cell left.
+    the buffer, and keeps its path choices for those columns only. A row
+    whose range left the current block asks local_cost for a new one by
+    _block's rule: those columns, a side that left widened by the block's
+    rows. The call returns as soon as a row has no finite cell left.
 
     A row block with no fix_row steps whole when the row before keeps at
     most one cell per member (value <= its bound) and every block row keeps
@@ -230,7 +232,7 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     cur.real, cur.imag = pruned(0, 1, lo, hi)[0], pen[lo:hi]
     # per swept row (lo, (hi - lo, B) int8 choices); a run's last row holds (its first row, None)
     choices = [None] * n
-    blk, b0, b1, c0, c1, col = None, 0, 0, 0, 0, None
+    blk, b0, b1, c0, c1, col = None, 0, 1, 0, width, None  # row 0 as a block over the buffer
     written = [None, None]
     members = np.arange(B)
     i = 0
@@ -238,10 +240,8 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
         if i:
             d, cur = D[(i - 1) % 2, lo + 1:hi + 3], D[i % 2, lo + 2:hi + 2]
             if not (i < b1 and c0 <= lo and hi <= c1):
-                # a block of rows at this row's columns widened by _BLOCK_MARGIN
-                b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, width)
-                rows = _BLOCK_VALUES // (B * (c1 - c0))
-                b1 = min(n, i + max(1, min(_BLOCK_ROWS, rows)))
+                b0 = i
+                b1, c0, c1 = _block(i, lo, hi, c0, c1, n, width, B)
                 blk = pruned(b0, b1, c0, c1)
                 # more live columns than members means some member keeps two
                 col = _straight_run(d[1:-1], blk[:, lo - c0:hi - c0], bound) \
@@ -306,6 +306,20 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
     paths[alive] = kept.T + (shift[alive] - s_hi)[:, None]
     costs[costs > bound] = np.inf
     return costs, paths
+
+
+def _block(i, lo, hi, c0, c1, n, width, per_row):
+    """(b1, c0, c1): the row block i:b1 to fetch for row i's range lo:hi after block c0:c1.
+
+    A live range moves at most one column a side per row, so a side where
+    lo:hi left c0:c1 is widened by the block's rows and is not left again
+    within the block; a side that did not leave is fetched as it stands.
+    _BLOCK_VALUES caps the cells of the range (per_row values a cell), and
+    a widened side adds at most rows^2 cells per member.
+    """
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // (per_row * (hi - lo)), n - i))
+    return (i + rows, max(lo - rows, 0) if lo < c0 else lo,
+            min(hi + rows, width) if hi > c1 else hi)
 
 
 def _straight_run(prev, block, bound):

@@ -130,6 +130,7 @@ def _run_shadow(flow, eps, seed, pseudo_orbit_file=None, **opts):
                           f" config key(s) {', '.join(map(repr, opts))}")
     else:
         po = shad.PseudoOrbit.load(pseudo_orbit_file)
+        po.validate(flow)
     result = shad.find_shadow(flow, po, eps, **search)
     files = {"pseudo_orbit.txt": po.save}
     if result is None:

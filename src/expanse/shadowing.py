@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .alignment import _BLOCK_MARGIN, _BLOCK_ROWS, _BLOCK_VALUES, Reparam, _minimax_band_dp
+from .alignment import Reparam, _block, _minimax_band_dp
 from .config import require
 from .flows import FlowModel
 from .spaces import CircleUnion, Point
@@ -72,12 +72,12 @@ class PseudoOrbit:
         return np.asarray(self.points[p], dtype=float), float(self.durations[p])
 
     def validate(self, flow: FlowModel) -> None:
-        for i in range(self.i_min, self.i_max):
-            x, t = self.entry(i)
-            nxt, _ = self.entry(i + 1)
+        """SpaceError for a point outside flow.space, ShadowingError for a jump above delta."""
+        pts = [flow.space.point(p).vec for p in self.points]
+        for i, (x, t, nxt) in enumerate(zip(pts, self.durations, pts[1:]), self.i_min):
             jump = flow.space.distance(flow.evaluate(t, x), nxt)
             if jump > self.delta + 1e-12:
-                raise ShadowingError(f"jump {jump} at index {i} exceeds delta")
+                raise ShadowingError(f"jump {jump} at index {i} exceeds delta {self.delta!r}")
 
     def save(self, path) -> None:
         lines = [f"# i_min={self.i_min} T_min={self.T_min:.12g} delta={self.delta:.12g}"]
@@ -221,12 +221,14 @@ def _cone_search(space, cell, ref, q, threshold):
     Row r pairs ref[r] with orbit cell r*q + o, where o starts at 0 and
     moves by -1, 0 or +1 per row (cell steps q - 1, q, q + 1). This is the
     alignment band DP with W = len(ref) - 1 pinned at row 0, band offset
-    k - W = o. cell(c) evaluates the orbit at an array of cells c >= 0:
-    the zero-offset path's cells r*q, then, into a window buffer, the cells
-    up to the last one each sweep block reads, and the rest at once before
-    the kernel runs. With a threshold, a search whose zero-offset path
-    exceeds it is first decided by the reachability sweep and returns None
-    if that fails; one that passes runs the kernel bound by threshold.
+    k - W = o. cell(c) evaluates the orbit at an array of cells c >= 0: the
+    zero-offset path's cells r*q, then, into a window buffer, the cells up
+    to the last one each sweep block reads, and the rest at once before the
+    kernel runs. A cone's range grows at most a column a side per row, so a
+    sweep block widened by its rows on a side the range left covers the
+    range to its last row. With a threshold, a search whose zero-offset
+    path exceeds it is first decided by the reachability sweep and returns
+    None if that fails; one that passes runs the kernel bound by threshold.
     Without one the bound is the zero-offset path's cost.
     """
     W = len(ref) - 1
@@ -266,19 +268,21 @@ def _reaches_last_row(local_cost, n, W, eps):
     costs, paths or ties: row 0 keeps only offset 0 (column W), and each
     later row keeps the cells with local cost <= eps next to (k - 1, k or
     k + 1) a cell kept in the row before, until a row keeps none. Local
-    costs are fetched in row blocks at the live column range, as the
-    kernel fetches them; each block row's cells <= eps are packed once
+    costs are fetched by the kernel's block rule (alignment._block), the pin
+    counting as block W:W + 1: the live range, a side that left the block
+    before widened by the block's rows, since the reach grows at most a
+    column a side per row; each block row's cells <= eps are packed once
     into a Python int, so a row is an and, shifts and ors. Row i's cells
     lie within i of column W, so every range stays inside the band.
     """
     # bit j of reach and of a packed row is column base + j; bit 0 is a guard
     # column left of the block, so no row keeps it and kept >> 1 drops nothing
-    reach, base, b1, c1 = 1, W, 0, 0  # the pin
+    reach, base, b1, c0, c1 = 1, W, 0, W, W + 1  # the pin, as a block W:W + 1
     for i in range(n):
         if i >= b1 or reach & 1 or reach.bit_length() > c1 - base:
             lo, hi = base + (reach & -reach).bit_length() - 1, base + reach.bit_length()
-            b0, c0, c1 = i, max(lo - _BLOCK_MARGIN, 0), min(hi + _BLOCK_MARGIN, 2 * W + 1)
-            b1 = min(n, i + max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // (c1 - c0))))
+            b0 = i
+            b1, c0, c1 = _block(i, lo, hi, c0, c1, n, 2 * W + 1, 1)
             rows = [int.from_bytes(r.tobytes(), "little") << 1 for r in np.packbits(
                 local_cost(b0, b1, c0, c1)[0] <= eps, axis=1, bitorder="little")]
             reach = reach << (base - c0 + 1) if base >= c0 - 1 else reach >> (c0 - 1 - base)

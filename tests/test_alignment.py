@@ -209,17 +209,18 @@ def _local_cost(lc, log=None, shift=None):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_dp_batches(), st.integers(1, 40), st.integers(0, 2))
-def test_minimax_kernel_matches_oracle(case, block_values, margin):
+@given(_dp_batches(), st.integers(1, 40), st.integers(1, 3))
+def test_minimax_kernel_matches_oracle(case, block_values, block_rows):
     lc, W, fix_row, slack, shift = case
     n = lc.shape[1]
     brute = [_brute_min_sup(m, W, fix_row) for m in lc]
     # a bound below an infinite optimum is any finite one
     bound = np.array([c + s if s >= 0 else (c + s if math.isfinite(c) else 2.0)
                       for c, s in zip(brute, slack)])
-    # small blocks and margins make the kernel ask again whenever its range moves
+    # small blocks make the kernel ask again whenever its range moves, with
+    # a side widened where the range left the block and as it stands elsewhere
     with mock.patch.object(alignment, "_BLOCK_VALUES", block_values), \
-            mock.patch.object(alignment, "_BLOCK_MARGIN", margin):
+            mock.patch.object(alignment, "_BLOCK_ROWS", block_rows):
         costs, paths = _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, fix_row,
                                         shift)
         for b in range(lc.shape[0]):
@@ -358,7 +359,7 @@ def _one_column_batch(n, W, cols, seed):
     return lc
 
 
-def _straight_blocks(lc, W, bound, fix_row=None, shift=None, block_values=40, margin=1,
+def _straight_blocks(lc, W, bound, fix_row=None, shift=None, block_values=40, block_rows=32,
                      log=None):
     """Run the kernel with small blocks, check it against the oracle, and return
     what each _straight_run call decided (True: the block stepped straight)."""
@@ -372,7 +373,7 @@ def _straight_blocks(lc, W, bound, fix_row=None, shift=None, block_values=40, ma
 
     straight_run = alignment._straight_run
     with mock.patch.object(alignment, "_BLOCK_VALUES", block_values), \
-            mock.patch.object(alignment, "_BLOCK_MARGIN", margin), \
+            mock.patch.object(alignment, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(alignment, "_straight_run", side_effect=spy):
         costs, paths = _minimax_band_dp(_local_cost(lc, log, shift), n, W, bound, fix_row,
                                         shift)
@@ -387,8 +388,10 @@ def _straight_blocks(lc, W, bound, fix_row=None, shift=None, block_values=40, ma
 
 @pytest.mark.parametrize("shift", [None, [2, 0, -1]])
 @pytest.mark.parametrize("event", ["none", "rises", "sideways"])
-@pytest.mark.parametrize("block_values,margin", [(1, 0), (100, 1), (200, 2)])
-def test_minimax_kernel_straight_blocks_match_oracle(shift, event, block_values, margin):
+# a block always holds its first row, so block_rows 0 steps like 1; at
+# (200, 32) _BLOCK_VALUES caps blocks at 9 rows, 6 shifted
+@pytest.mark.parametrize("block_values,block_rows", [(1, 0), (100, 1), (200, 2), (200, 32)])
+def test_minimax_kernel_straight_blocks_match_oracle(shift, event, block_values, block_rows):
     # each member keeps one column, every other cell is above its bound, so
     # whole blocks step straight down it; at row 17 member 1's kept cell
     # either goes above its bound (it dies) or moves one column right
@@ -401,7 +404,7 @@ def test_minimax_kernel_straight_blocks_match_oracle(shift, event, block_values,
         lc[1, 17:, 3] = 2.0
     shift = None if shift is None else np.array(shift)
     decided = _straight_blocks(lc, W, np.ones(3), shift=shift, block_values=block_values,
-                               margin=margin)
+                               block_rows=block_rows)
     assert any(decided)
     if event != "none":
         assert not all(decided)  # the block holding row 17 steps row by row
@@ -433,10 +436,10 @@ def test_minimax_kernel_infinite_bound_keeps_infinite_cells():
     lc[[0, 2, 3, 5], 0] = [0.0, 0.0, 0.0, 1.0]
     lc[[1, 7], 1] = lc[4, 2] = 2.0
     assert _ref_minimax_band_dp(lc, 1)[1].tolist() == [0, 1, 0, 0, 1, 1, 1, 1]
-    _straight_blocks(lc[None], 1, np.array([math.inf]), block_values=4, margin=1)
+    _straight_blocks(lc[None], 1, np.array([math.inf]), block_values=4)
     batch = _one_column_batch(8, 1, [0, 2], seed=7)
     _straight_blocks(np.concatenate([batch, lc[None]]), 1, np.array([1.0, 1.0, math.inf]),
-                     block_values=4, margin=1)
+                     block_values=4)
 
 
 @pytest.mark.parametrize("block_values", [1, 2 ** 17])
@@ -449,6 +452,37 @@ def test_minimax_kernel_pinned_infinite_member_keeps_tie_path(block_values):
         costs, paths = _minimax_band_dp(_local_cost(lc), 4, 3, np.array([0.0, math.inf]), 2)
     assert costs.tolist() == [0.0, math.inf]
     assert paths[1].tolist() == [3, 3, 3, 3]
+
+
+def test_minimax_kernel_fetches_held_ranges_as_they_stand():
+    # the members keep columns 5, 6 and 7, so every row's range is 4:9 and
+    # never leaves a block: each fetch after row 0 spans exactly 4:9
+    n, W = 200, 6
+    lc = _one_column_batch(n, W, [5, 6, 7], seed=8)
+    fetched, local_cost = [], _local_cost(lc)
+
+    def logged(i0, i1, lo, hi):
+        fetched.append((lo, hi))
+        return local_cost(i0, i1, lo, hi)
+
+    costs, paths = _minimax_band_dp(logged, n, W, np.ones(3))
+    for b in range(3):
+        ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W)
+        assert costs[b] == ref_cost and paths[b].tolist() == ref_path.tolist()
+    assert fetched[0] == (0, 2 * W + 1) and len(fetched) > 2
+    assert fetched[1:] == [(4, 9)] * (len(fetched) - 1)
+
+
+def test_minimax_kernel_fetches_a_growing_cone_in_few_blocks():
+    # a cone pinned at row 0 with zero costs grows a column a side every
+    # row; a block fetched as the range stands is left a row later, and the
+    # next is widened by its rows, so two fetches cover _BLOCK_ROWS + 1 rows
+    n = W = 300
+    pulled = []
+    costs, paths = _minimax_band_dp(_local_cost(np.zeros((1, n, 2 * W + 1)), pulled), n, W,
+                                    [0.0], fix_row=0)
+    assert costs[0] == 0.0 and paths[0].tolist() == [W] * n
+    assert len(pulled) <= 2 * -(-n // (alignment._BLOCK_ROWS + 1)) + 1
 
 
 def _ref_lift_knots(times, path_k, W, h, fix_idx):

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,19 @@ def test_shadow_off_space_pseudo_orbit_file_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
     assert "(1.7,) not in interval01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shadow_pseudo_orbit_file_jumping_past_delta_exit_one(tmp_path, capsys):
+    # a file whose jump exceeds its own delta used to be searched as given
+    po_file = tmp_path / "po.txt"
+    po_file.write_text("# i_min=0 T_min=1 delta=0.001\n0.3,1.5\n0.9,1.5\n")
+    cfg = write_cfg(tmp_path, {"flow": {"name": "interval", "lambda": 1.0}, "eps": 0.05,
+                               "pseudo_orbit_file": str(po_file), "seed": 0})
+    out = tmp_path / "out"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 1
+    assert re.search(r"error: jump \S+ at index 0 exceeds delta 0\.001$",
+                     capsys.readouterr().err.strip())
     assert not out.exists()
 
 

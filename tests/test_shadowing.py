@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expanse import shadowing
+from expanse import alignment, shadowing
 from expanse.alignment import rep_epsilon_check
 from expanse.flows import (
     FlowModel,
@@ -558,12 +558,13 @@ def _sweep_tables(draw):
 
 # tiny blocks refetch every few rows, and a range that grows or moves on
 # either side moves the block origin left or right; a corridor that keeps
-# stepping one way leaves a margin-0 block at that side within three rows
+# stepping one way ends each widened block at its widened edge, so the next
+# block is fetched as the range stands and left on that side a row later
 @settings(max_examples=300, deadline=None)
-@given(_sweep_tables(), st.integers(1, 3), st.integers(0, 2), st.integers(1, 12))
-@example((9, _corridor([3.0] * 190, [-1] * 9), 0.5), 3, 0, 12)
-@example((9, _corridor([3.0] * 190, [1] * 9), 0.5), 3, 0, 12)
-def test_reaches_last_row_matches_brute_force(case, rows, margin, values):
+@given(_sweep_tables(), st.integers(1, 3), st.integers(1, 12))
+@example((9, _corridor([3.0] * 190, [-1] * 9), 0.5), 3, 12)
+@example((9, _corridor([3.0] * 190, [1] * 9), 0.5), 3, 12)
+def test_reaches_last_row_matches_brute_force(case, rows, values):
     W, table, eps = case
     n = W + 1
 
@@ -571,11 +572,24 @@ def test_reaches_last_row_matches_brute_force(case, rows, margin, values):
         assert 0 <= r0 < r1 <= n and 0 <= lo < hi <= 2 * W + 1
         return table[None, r0:r1, lo:hi]
 
-    with mock.patch.multiple(shadowing, _BLOCK_ROWS=rows, _BLOCK_MARGIN=margin,
-                             _BLOCK_VALUES=values):
+    with mock.patch.multiple(alignment, _BLOCK_ROWS=rows, _BLOCK_VALUES=values):
         reached = shadowing._reaches_last_row(local_cost, n, W, eps)
     # some pinned path, column W at row 0 and a step of -1, 0 or +1 a row,
     # has every local cost <= eps
     steps = np.array(list(itertools.product((-1, 0, 1), repeat=W)), dtype=np.int64)
     cols = W + np.cumsum(np.c_[np.zeros(len(steps), np.int64), steps], axis=1)
     assert reached == bool((table[np.arange(n), cols].max(axis=1) <= eps).any())
+
+
+def test_reaches_last_row_fetches_a_growing_cone_in_few_blocks():
+    # on a zero table the reach grows a column a side every row; as in the
+    # kernel, two fetches cover _BLOCK_ROWS + 1 rows, the pin's block first
+    W = 300
+    pulled = []
+
+    def local_cost(r0, r1, lo, hi):
+        pulled.append((r0, r1))
+        return np.zeros((1, r1 - r0, hi - lo))
+
+    assert shadowing._reaches_last_row(local_cost, W + 1, W, 0.5)
+    assert len(pulled) <= 2 * -(-(W + 1) // (alignment._BLOCK_ROWS + 1)) + 1
