@@ -5,33 +5,18 @@ paths on the sample grid: each x-time t_i is paired with one y-time u_j,
 and j advances by 0, 1 or 2 cells per step inside a fixed offset band
 |u - t| <= band_width. The path cost is the sup (not the sum) of the
 weighted separations, matching the "for every t" bound of the expansivity
-definitions; ties lean toward the identity cell by cell, by the rule that
-_minimax_band_dp states. Lattice paths are lifted to strictly increasing
+definitions. Lattice paths are lifted to strictly increasing
 piecewise-linear maps.
 
-One kernel runs this bottleneck DP for a batch of pairs on (band, pairs)
-rows. It asks a callable for the local costs of a row block at a column
-range, computed from a strided window view of each extended y-orbit, so no
-pair's full cost tensor is built. A live range moves at most one column a
-side per row, so a block spans its first row's range, widened by the
-block's rows only on a side where the range left the block before. Each
-pair comes with a bound, the cost of its cheapest reference path (constant
-offsets: zero, and the cheapest column of three sampled rows); a cell above
-the bound lies on no optimal path and is set to +inf. Each pair's columns
-are shifted so that its cheapest reference sits on one shared column,
-unless that fails to narrow the cells within the bounds on the sampled
-rows. Each row then sweeps only the columns next to the previous row's
-finite cells, and stores its path choices for those columns only: at
-T = 20, h = 0.01, band 2 about 1/20 of the band. A row block in which every
-pair keeps one cell a row, on one column, is stepped whole and stores no
-choices: each path runs straight down its column, and its running max takes
-the column's max (at that scale nearly every block). Costs, paths and ties
-are those of the full sweep. BATCH_CELLS caps the cells of a full sweep
-(41 pairs at that scale); align_batch splits longer lists, and align is the
-batch of one. A call that prunes nothing stores at most 64 MiB of int8 path
-choices unshifted, and under (4W + 1) / (2W + 1) times that, below 128 MiB,
-shifted. The shadow cone search in shadowing runs on this kernel too, so
-both share its tie rule.
+One kernel, _minimax_band_dp, runs this bottleneck DP for a batch of pairs:
+a float sweep of the running max gives every cost, and a path pass on
+bit-packed rows, run only on the pairs whose path a caller reads, picks one
+path by the tie rule stated there (it leans toward the identity). Local
+costs come in row blocks from a strided window view of each extended
+y-orbit. Cells above a pair's reference bound are pruned and pairs share
+one corridor where that narrows the sweep: at T = 20, h = 0.01, band 2 a
+row sweeps about 1/20 of the band, nearly every row block steps whole, and
+BATCH_CELLS caps a call at 41 pairs. The shadow cone search runs on it too.
 """
 
 from __future__ import annotations
@@ -47,8 +32,6 @@ from .config import require
 from .flows import FlowModel, OrbitSample, field_norm, sample_orbit
 from .spaces import as_coords
 
-_PEN_INF = 2.0 ** 40  # penalty of pad and out-of-band cells, far above any path's
-_STEP = np.array([0, 1, -1])  # k of the predecessor minus k, by tie priority
 BATCH_CELLS = 2 ** 26  # band cells of one kernel call, as if none were pruned
 _BLOCK_VALUES = 2 ** 17  # local costs of a row block over its first row's range
 _BLOCK_ROWS = 32  # rows per block at most, so a widened side wastes few cells
@@ -106,10 +89,10 @@ class Reparam:
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Minimized sup of weighted separation and the reparam achieving it."""
+    """Minimized sup of weighted separation and the reparam achieving it (or None, unread)."""
 
     cost: float
-    reparam: Reparam
+    reparam: Optional[Reparam]
     argmax_t: float
     weight_kind: str
 
@@ -147,75 +130,42 @@ def _weighted_ratio(dists: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] = None,
-                     shift=None):
+                     shift=None, path_below: float = math.inf):
     """Minimax DP over monotone lattice paths in an offset band, B pairs at once.
 
     lc[b, i, k] is the cost of pairing x-time i with y-offset k - W cells,
-    for band columns 0 <= k <= 2W, and j advances by 0, 1 or 2 per i step.
-    The tie rule acts cell by cell: each cell keeps the predecessor with
-    the least running max, then the least running penalty (its prefix's
-    sum of |offset|), then the diagonal, k+1 and k-1 predecessor in that
-    order, and the last row keeps the least cost, then the least penalty,
-    then the least k. Max and sum do not distribute, so among equal-cost
-    paths the one kept need not have the least summed |offset|: a cheaper
-    prefix can win a cell from which both reach the same cost.
+    for band columns 0 <= k <= 2W; j advances by 0, 1 or 2 per i step, so k
+    moves by -1, 0 or +1, and row fix_row admits only k = W. A member's cost
+    C* is the least max of lc along such a path. Returns (costs (B,),
+    k-paths (B, n)). The tie rule: the path pass (_reach) keeps the cells
+    with lc <= C* next to (k - 1, k or k + 1) a kept cell of the row before,
+    any cell on row 0; the path (_backtrack) ends on the kept last-row cell
+    with the least |offset|, the lesser k of two, and steps back to the
+    diagonal predecessor if kept, else k + 1, else k - 1. A path depends
+    only on its member's local costs, not on the batch, bound or blocks,
+    and need not have the least summed |offset| among equal-cost paths.
 
-    A cell is cost + 1j * penalty and a candidate adds priority / 4 (0,
-    0.25, 0.5) to it; numpy orders complex values by real, then imaginary
-    part, so np.minimum applies the rule and np.modf splits the winner's
-    priority from its penalty. An in-band penalty stays far below 2^51,
-    where quarters are exact; pad and out-of-band cells cost +inf and gain
-    _PEN_INF a row, so they never beat the in-band diagonal. Cells are
-    added, compared and split, never multiplied (inf * 0 is nan). Row
-    fix_row keeps only each member's zero offset k = W: its other cells
-    become pad cells, as if cut, so a finite cell of a later row i has
-    |k - W| <= i - fix_row. Returns (costs (B,), k-paths (B, n)).
-
-    bound (B,) caps each member: a cell whose running value exceeds its
-    member's bound is +inf, and a member whose cost exceeds its bound gets
-    cost +inf and a path of -1s. The cost of any admissible path is a
-    bound that never fires, and a cell above it lies on no optimal path,
-    so the cap changes no cost, path or tie; a member whose bound is +inf
-    keeps every cell. Each row updates only the columns between the first
-    and last finite cell of the row before, widened by one and clipped to
-    the buffer, and keeps its path choices for those columns only. A row
-    whose range left the current block asks local_cost for a new one by
-    _block's rule: those columns, a side that left widened by the block's
-    rows. The call returns as soon as a row has no finite cell left.
-
-    A row block with no fix_row steps whole when the row before keeps at
-    most one cell per member (value <= its bound) and every block row keeps
-    exactly those cells. Each other cell of a member is then +inf, so the
-    kept cell's only finite predecessor is its diagonal one: the member's
-    path runs straight down the column, its value becomes the max of the
-    previous value and the column's block costs, and its penalty gains
-    rows * |offset|, exact in integers, as the row-by-row step gives. The
-    other cells stay +inf with their old penalties, which no returned path
-    reads (a +inf cell never beats a finite one, and a member with a finite
-    bound and no finite cell returns -1s), so no cost, path or tie changes;
-    the backtrack copies the column over the block's rows. A member with a
-    +inf bound keeps every cell of a range at least two columns wide, so
-    its batch steps row by row.
-
-    shift (B,) centres each member's corridor: member b's column k sits at
-    buffer column k + max(shift) - shift[b], so the buffer is 2W + 1 +
-    (max(shift) - min(shift)) columns wide and members whose best paths
-    lie at different offsets share one narrow column range. Buffer columns
-    outside a member's band are +inf. local_cost(i0, i1, lo, hi) returns
-    the local costs of rows i0..i1-1 at buffer columns lo..hi-1, shape
-    (B, i1 - i0, hi - lo); its values outside a member's band are ignored.
+    The costs come from a float sweep of the running max. A cell whose
+    running max exceeds its member's bound (B,) is +inf; a member whose
+    cost exceeds it gets cost +inf and -1s, and one with cost > path_below
+    gets -1s. Each row updates the columns next to the row before's finite
+    cells and fetches a new block by _block's rule once its range leaves
+    the last. A block without fix_row steps whole when the row before keeps
+    at most one cell per member (<= its bound) and every block row keeps
+    exactly those: each path of cost <= bound runs straight down that
+    column, whose block max the value takes, and the path pass sets those
+    rows without a fetch. shift (B,) puts member b's column k at buffer
+    column k + max(shift) - shift[b], so members whose best paths lie at
+    different offsets share one narrow range. local_cost(i0, i1, lo, hi)
+    returns the costs of rows i0..i1-1 at buffer columns lo..hi-1, (B,
+    i1 - i0, hi - lo); its values outside a member's band are ignored.
     """
     bound = np.asarray(bound, dtype=float)
     B = len(bound)
-    shift = np.zeros(B, dtype=np.int64) if shift is None else np.asarray(shift, np.int64)
-    s_hi = int(shift.max())
-    width = 2 * W + 1 + int(np.ptp(shift))
     # the kernel's arrays are column-major, (columns, B): a row's range is contiguous
-    k_of = np.arange(width)[:, None] - s_hi + shift  # member b's band column at each buffer column
-    in_band = (k_of >= 0) & (k_of <= 2 * W)
-    pen = np.where(in_band, np.abs(k_of - W), _PEN_INF).astype(float)
+    shift, width, k_of = _layout(W, shift, B)
     # a cell above its member's cap is +inf; the cap is -inf outside the band
-    cap = np.where(in_band, bound, -np.inf)
+    cap = np.where((k_of >= 0) & (k_of <= 2 * W), bound, -np.inf)
     # a kept cell is within its member's bound, so a column keeps one iff its min <= top
     top = bound.max()
 
@@ -224,14 +174,12 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
         return np.ascontiguousarray(np.where(lc > cap[lo:hi], np.inf, lc))
 
     # two row buffers with two pad columns a side; column c sits at c + 2,
-    # and a cell outside the previous row's range reads as the pad value
-    pad = complex(np.inf, _PEN_INF)
+    # and a cell outside the previous row's range reads as +inf
     lo, hi = 0, width
-    D = np.full((2, width + 4, B), pad)
+    D = np.full((2, width + 4, B), np.inf)
     cur = D[0, lo + 2:hi + 2]
-    cur.real, cur.imag = pruned(0, 1, lo, hi)[0], pen[lo:hi]
-    # per swept row (lo, (hi - lo, B) int8 choices); a run's last row holds (its first row, None)
-    choices = [None] * n
+    cur[...] = pruned(0, 1, lo, hi)[0]
+    runs = []  # (first row, end row, kept buffer column per member) of each block stepped whole
     blk, b0, b1, c0, c1, col = None, 0, 1, 0, width, None  # row 0 as a block over the buffer
     written = [None, None]
     members = np.arange(B)
@@ -253,69 +201,55 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
                 cur = D[i % 2, lo + 2:hi + 2]
                 if (b1 - b0) % 2:
                     cur[...] = prev
-                cur.real[col, members] = np.maximum(prev.real[col, members],
-                                                    blk[:, lo - c0 + col, members].max(axis=0))
-                cur.imag[col, members] += (b1 - b0) * pen[lo + col, members]
-                choices[i] = b0, None
+                cur[col, members] = np.maximum(prev[col, members],
+                                               blk[:, lo - c0 + col, members].max(axis=0))
+                # a run that continues the last one on the same columns extends it
+                b0 = runs.pop()[0] if runs and runs[-1][1] == b0 and (
+                    runs[-1][2] == lo + col).all() else b0
+                runs.append((b0, b1, lo + col))
             else:
-                # predecessor of offset k is k (diagonal, dj=1), k+1 (dj=0) or k-1
-                # (dj=2); its tie priority / 4 joins the penalty in the key
-                np.add(d[2:], 0.25j, out=cur)
-                np.minimum(d[1:-1], cur, out=cur)
-                c = d[:-2] + 0.5j
-                np.minimum(cur, c, out=cur)
-                np.modf(cur.imag, out=(c.real, cur.imag))
-                choices[i] = lo, np.empty((hi - lo, B), dtype=np.int8)
-                np.multiply(c.real, 4, out=choices[i][1], casting="unsafe")
-                cur.imag += pen[lo:hi]
+                # predecessor of offset k is k (dj=1), k+1 (dj=0) or k-1 (dj=2);
                 # a pruned predecessor is +inf, so the max is <= the bound or +inf
-                np.maximum(blk[i - b0, lo - c0:hi - c0], cur.real, out=cur.real)
+                np.minimum(d[2:], d[1:-1], out=cur)
+                np.minimum(cur, d[:-2], out=cur)
+                np.maximum(blk[i - b0, lo - c0:hi - c0], cur, out=cur)
         if i == fix_row:  # the pin cuts every cell but each member's zero offset
-            np.copyto(cur, pad, where=pen[lo:hi] != 0)
+            np.copyto(cur, np.inf, where=k_of[lo:hi] != W)
         # the next row reads at most two cells past this row's range; clear
         # them unless this buffer's last row had the same range and cleared them
         if written[i % 2] != (lo, hi):
-            D[i % 2, lo:lo + 2] = D[i % 2, hi + 2:hi + 4] = pad
+            D[i % 2, lo:lo + 2] = D[i % 2, hi + 2:hi + 4] = np.inf
             written[i % 2] = lo, hi
-        live = (np.minimum.reduce(cur.real, axis=1) <= top).nonzero()[0]
+        live = (np.minimum.reduce(cur, axis=1) <= top).nonzero()[0]
         if not live.size:  # no cell left
             return np.full(B, np.inf), np.full((B, n), -1, dtype=np.int64)
-        last_lo = lo
         lo, hi = max(lo + int(live[0]) - 1, 0), min(lo + int(live[-1]) + 2, width)
         i += 1
-    # numpy orders complex values by real part, then by imaginary part
-    k = cur.argmin(axis=0)
-    costs = cur.real[k, members]
-    k += last_lo
-    # a dead member's walk could leave the kept cells, and its path is -1s anyway
-    alive = np.flatnonzero(costs <= bound)
-    k = k[alive]
-    kept = np.empty((n, len(alive)), dtype=np.int64)
-    kept[-1] = k
-    i = n - 1
-    while i:
-        row_lo, ch = choices[i]
-        if ch is None:  # a run: rows row_lo..i keep the column they end on
-            kept[row_lo - 1:i] = k
-            i = row_lo - 1
-        else:
-            k = k + _STEP[ch[k - row_lo, alive]]
-            kept[i - 1] = k
-            i -= 1
+    costs = cur.min(axis=0)
+    alive = costs <= bound
+    read = np.flatnonzero(alive & (costs <= path_below))
+    costs[~alive] = np.inf
     paths = np.full((B, n), -1, dtype=np.int64)
-    paths[alive] = kept.T + (shift[alive] - s_hi)[:, None]
-    costs[costs > bound] = np.inf
+    if read.size:
+        paths[read] = _backtrack(*_reach(local_cost, n, W, costs[read], fix_row, shift, read,
+                                         runs), W, k_of[0, read])
     return costs, paths
+
+
+def _layout(W, shift, B):
+    """(shift, buffer width, band column k of each member at each buffer column (width, B))."""
+    shift = np.zeros(B, dtype=np.int64) if shift is None else np.asarray(shift, np.int64)
+    top = int(shift.max())
+    width = 2 * W + 1 + top - int(shift.min())
+    return shift, width, np.arange(-top, width - top)[:, None] + shift
 
 
 def _block(i, lo, hi, c0, c1, n, width, per_row):
     """(b1, c0, c1): the row block i:b1 to fetch for row i's range lo:hi after block c0:c1.
 
-    A live range moves at most one column a side per row, so a side where
-    lo:hi left c0:c1 is widened by the block's rows and is not left again
-    within the block; a side that did not leave is fetched as it stands.
-    _BLOCK_VALUES caps the cells of the range (per_row values a cell), and
-    a widened side adds at most rows^2 cells per member.
+    A range moves at most a column a side per row, so a side where lo:hi
+    left c0:c1 is widened by the block's rows, the other fetched as it
+    stands; _BLOCK_VALUES caps the range's cells (per_row values a cell).
     """
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // (per_row * (hi - lo)), n - i))
     return (i + rows, max(lo - rows, 0) if lo < c0 else lo,
@@ -325,17 +259,120 @@ def _block(i, lo, hi, c0, c1, n, width, per_row):
 def _straight_run(prev, block, bound):
     """Each member's one kept column if a row block can step straight down it, else None.
 
-    prev (columns, B) is the row before the block and block (rows,
-    columns, B) its pruned local costs on the same columns; a cell is kept
-    when it is <= its member's bound. The block steps straight when prev
-    keeps at most one cell per member and every block row keeps exactly
-    the cells that prev keeps. A member that keeps none gets column 0 and
-    stays +inf.
+    prev (columns, B) is the row before the block and block (rows, columns,
+    B) its pruned local costs; a cell is kept when <= its member's bound. A
+    member that keeps none gets column 0 and stays +inf.
     """
-    keep = prev.real <= bound
+    keep = prev <= bound
     if keep.sum(axis=0).max() > 1 or not (keep == (block <= bound)).all():
         return None
     return keep.argmax(axis=0)
+
+
+def _one_cell(cols, S):
+    """The packed row holding bit cols[m] of each member m (see _reach)."""
+    cells = bytearray(len(cols) * S // 8)
+    for m, c in enumerate(cols.tolist()):
+        cells[(m * S + c) // 8] = 1 << c % 8
+    return int.from_bytes(cells, "little")
+
+
+def _reach(local_cost, n, W, limit, fix_row=None, shift=None, of=slice(None), runs=()):
+    """The path pass's (kept rows, their blocks, S), or None once a row keeps none.
+
+    Member m is batch member of[m]. A cell is kept when it is in the band,
+    its local cost is <= limit[m] and a kept cell of the row before is at
+    its k - 1, k or k + 1 (row 0: any; row fix_row: k = W only). A row is
+    one Python int, bit m * S + c + 1 - base for member m's buffer column c,
+    with a zero bit on each side of a member's columns; base is the first
+    column of the row's block (blocks: (first row, base) each), so the ints
+    stay as short as the range. On the rows of runs, the sweep's whole-block
+    steps, and the row before, a member keeps only the run's column.
+    """
+    limit = np.asarray(limit, dtype=float)
+    shift, width, k_of = _layout(W, shift, len(limit))
+    M, S = len(limit), (width + 9) // 8 * 8  # a member's columns, a zero, in whole bytes
+    shifted = width > 2 * W + 1  # then some buffer columns lie outside a member's band
+    ok = ((k_of[:, of] >= 0) & (k_of[:, of] <= 2 * W)).T[:, None] if shifted else None
+    every = int.from_bytes((b"\1" + bytes(S // 8 - 1)) * M, "little")  # bit 0 of each member
+    pin, limit = _one_cell(W + 1 - k_of[0, of], S), limit[:, None, None]
+    reach = pin if fix_row == 0 else ((1 << width) - 1 << 1) * every
+    b0 = b1 = out = base = start = c0 = 0
+    c1, kept, blocks = width, [], []
+    for s0, s1, run in [(b0 - 1, b1, col) for b0, b1, col in runs] + [(n, n, None)]:
+        for i in range(start, s0):  # the rows before the next run
+            if i >= b1 or reach & out:
+                span, m = reach, M  # or the upper half of the members onto the lower
+                while m > 1:
+                    m = (m + 1) // 2
+                    span |= span >> m * S
+                lo, hi = (span & -span).bit_length() - 1, (span & (1 << S) - 1).bit_length()
+                b0, (b1, c0, c1) = i, _block(i, max(lo - 1 + base, 0),
+                                             min(hi - 1 + base, width), c0, c1, s0, width,
+                                             len(shift))
+                reach, base = reach >> c0 - base if c0 >= base else reach << base - c0, c0
+                blocks.append((i, base))
+                keep = local_cost(b0, b1, c0, c1)[of] <= limit  # (M, rows, columns)
+                if shifted:
+                    keep &= ok[..., c0:c1]
+                if M > 1:  # member m's block columns at m * S.., up to the last member's
+                    cells = np.zeros((b1 - b0, M, S), dtype=bool)
+                    cells[:, :, :c1 - c0] = keep.transpose(1, 0, 2)
+                    keep = cells.reshape(b1 - b0, -1)[:, :(M - 1) * S + c1 - c0]
+                rows = [int.from_bytes(r.tobytes(), "little") << 1 for r in np.packbits(
+                    keep.reshape(b1 - b0, -1), axis=1, bitorder="little")]
+                if fix_row is not None and b0 <= fix_row < b1:
+                    rows[fix_row - b0] &= pin >> base
+                # a reach grows a column a side per row: it leaves at column c0 - 1 or c1
+                out = ((c0 > 0) | (c1 < width) << c1 - c0 + 1) * every
+            row = reach & rows[i - b0]
+            if not row:
+                return None
+            kept.append(row)
+            reach = row >> 1 | row | row << 1
+        if run is not None:  # consecutive runs share a row
+            s0, row, base, b1 = max(s0, start), _one_cell(run[of] + 1, S), 0, 0
+            kept += [row] * (s1 - s0)
+            blocks.append((s0, base))
+            reach = row >> 1 | row | row << 1
+        start = s1
+    return kept, blocks, S
+
+
+def _backtrack(kept, blocks, S, W, k0):
+    """Each member's k-path by the tie rule through _reach's kept rows, (M, n).
+
+    k0 (M,) is each member's band column at buffer column 0. All members step
+    back at once on the packed rows; only rows where one moves are unpacked.
+    """
+    n, M, blocks = len(kept), len(k0), iter(blocks[::-1])
+    start, base = next(blocks)
+    last = np.unpackbits(np.frombuffer((kept[-1] << base).to_bytes(M * S // 8, "little"),
+                                       np.uint8), bitorder="little").reshape(M, S)[:, 1:]
+    m, c = np.nonzero(last)  # the kept last-row cells, member by member
+    order = np.lexsort((2 * np.abs(c + k0[m] - W) + (c + k0[m] > W), m))
+    sel = _one_cell(c[order[np.searchsorted(m, np.arange(M))]] + 1, S) >> base
+    marks = [(n - 1, sel, base)]  # each row whose cells differ from the row after
+    for i in range(n - 1, 0, -1):
+        prev = kept[i - 1]
+        if i == start:  # row i - 1 is in the block before
+            start, b = next(blocks)
+            sel, base = sel << base - b if b < base else sel >> b - base, b
+        elif prev is kept[i]:  # the same cells: every member steps on its diagonal
+            continue
+        rest = sel & ~prev  # the members whose diagonal predecessor is not kept
+        if rest:
+            up = rest << 1 & prev
+            rest ^= up >> 1
+            sel = (sel & prev) | up | rest >> 1 & prev
+            marks.append((i - 1, sel, base))
+    rows, sels, bases = zip(*marks)
+    # a member's S bits are whole bytes, so its one cell is in its one nonzero byte
+    raw = np.frombuffer(b"".join(s.to_bytes(M * S // 8, "little") for s in sels),
+                        np.uint8).reshape(len(sels), M, S // 8)
+    cols = 8 * raw.argmax(axis=2) + np.log2(raw.max(axis=2), dtype=float).astype(np.int64) \
+        + np.array(bases)[:, None] - 1
+    return np.repeat((cols + k0)[::-1].T, np.diff((-1,) + rows[::-1]), axis=1)
 
 
 def _lift_path(times: np.ndarray, path_k: np.ndarray, W: int, h: float,
@@ -371,12 +408,9 @@ def align(xs: OrbitSample, ys: OrbitSample, weight_kind: str = "unit",
 def pairs_per_batch(T: float, h: float, band_width: float) -> int:
     """How many pairs sampled over [-T, T] with step h one kernel call takes.
 
-    The cap, BATCH_CELLS, counts every band cell, pruned or not, so an
-    unshifted call that prunes nothing stores at most BATCH_CELLS int8 path
-    choices (64 MiB); at T = 20, h = 0.01, band 2 that is 41 pairs. A
-    shifted call stores its choices over a buffer up to 4W + 1 columns
-    wide, so at most BATCH_CELLS * (4W + 1) / (2W + 1), below 128 MiB. The
-    drivers also batch their pair scans by it.
+    BATCH_CELLS counts every band cell, pruned or not: 41 pairs at T = 20,
+    h = 0.01, band 2. The path pass keeps under 4 bits per band cell (32 MiB
+    unshifted, under twice that shifted). The drivers batch their scans by it.
     """
     n = 2 * int(round(T / h)) + 1
     return max(1, BATCH_CELLS // (n * (2 * int(math.floor(band_width / h + 1e-9)) + 1)))
@@ -388,6 +422,11 @@ def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
 
     Lists longer than pairs_per_batch go through the kernel in chunks.
     """
+    return _align_batch(pairs, weight_kind, fix_zero, band_width)
+
+
+def _align_batch(pairs, weight_kind, fix_zero, band_width, path_below=math.inf) -> list:
+    """align_batch; only pairs with cost <= path_below get a path, the rest reparam None."""
     require(AlignmentError, "positive", band_width=band_width)
     if not pairs:
         return []
@@ -401,7 +440,7 @@ def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
     per = pairs_per_batch(xs0.window_T, h, band_width)
     if len(pairs) > per:
         return [res for lo in range(0, len(pairs), per) for res in
-                align_batch(pairs[lo:lo + per], weight_kind, fix_zero, band_width)]
+                _align_batch(pairs[lo:lo + per], weight_kind, fix_zero, band_width, path_below)]
 
     space, n = ys0.flow.space, len(xs0.times)
     n_half = (n - 1) // 2
@@ -435,13 +474,14 @@ def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
     def local_cost(i0, i1, lo, hi):
         return cells(windows[:, i0:i1, lo:hi], slice(i0, i1))
 
-    costs, paths = _minimax_band_dp(local_cost, n, W, bound, fix_idx, shift)
-    # the local costs along each chosen path, recomputed to locate its max
+    costs, paths = _minimax_band_dp(local_cost, n, W, bound, fix_idx, shift, path_below)
+    # the local costs along each path, to locate its max (a path of -1s reads valid cells)
     along = cells(y_ext[members[:, None], np.arange(n) + paths])
-    return [AlignmentResult(cost=float(c), reparam=_lift_path(xs.times, path, W, h, fix_idx),
-                            argmax_t=float(xs.times[int(np.argmax(a))]),
-                            weight_kind=weight_kind)
-            for (xs, _), c, path, a in zip(pairs, costs, paths, along)]
+    argmax_t = np.where(paths[:, 0] >= 0, xs0.times[np.argmax(along, axis=1)], math.nan)
+    return [AlignmentResult(cost=float(c), weight_kind=weight_kind, argmax_t=float(t),
+                            reparam=_lift_path(xs.times, path, W, h, fix_idx)
+                            if path[0] >= 0 else None)
+            for (xs, _), c, path, t in zip(pairs, costs, paths, argmax_t)]
 
 
 def _reference_bound(cells, band, fix_idx: Optional[int]):

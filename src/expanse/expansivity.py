@@ -8,6 +8,7 @@ falsification, which exhibits a concrete witness pair, is conclusive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,8 +19,8 @@ import numpy as np
 from .alignment import (
     AlignmentResult,
     Reparam,
+    _align_batch,
     _find_orbit_time,
-    align_batch,
     pairs_per_batch,
 )
 from .config import require
@@ -176,7 +177,7 @@ def _scan_pairs(flow, pairs, T, h, cost, batch=1):
     is sampled once over [-T, T] with step h, however many pairs share it,
     and its sample is held only until the last distinct pair that needs it
     is costed. A pair listed more than once is costed once; its cost is
-    held only until its last listing, since a cost may carry a full path. A
+    held only until its last listing, since a cost may carry a path. A
     point outside flow.space raises SpaceError before any pair is costed.
     """
     pairs = [(flow.space.point(x).vec, flow.space.point(y).vec) for x, y in pairs]
@@ -204,20 +205,17 @@ def _scan_pairs(flow, pairs, T, h, cost, batch=1):
         yield x, y, c
 
 
-def _falsify(flow, pairs, max_pairs, T, h, cost, fails, batch=1):
-    """Scan pairs for a witness; returns (verdict, witness, pair_costs).
+def _falsify(flow, pairs, max_pairs, scan, fails):
+    """The one verdict rule: (verdict, witness, pair_costs) of a scan for a witness.
 
-    cost maps a list of orbit sample pairs to AlignmentResults, `batch` at a
-    time (see _scan_pairs), and fails(x, y, result) marks a witness. The
-    scan stops at the first witness ("falsified"); one cut short by
-    max_pairs without a witness is "inconclusive", a full scan without one
-    "certified_at_scale".
+    scan maps pairs[:max_pairs] to (x, y, result) triples; the first that
+    fails is the witness ("falsified"), else a scan cut short by max_pairs
+    is "inconclusive" and a full one "certified_at_scale".
     """
     if max_pairs is not None:
         require(ExpansivityError, "count", max_pairs=max_pairs)
-    scanned = pairs[:max_pairs]
-    pair_costs = []
-    for x, y, res in _scan_pairs(flow, scanned, T, h, cost, batch):
+    scanned, pair_costs = pairs[:max_pairs], []
+    for x, y, res in scan(scanned):
         pair_costs.append((tuple(x), tuple(y), res.cost))
         if fails(x, y, res):
             witness = Witness(flow.space.point(*x), flow.space.point(*y), res)
@@ -226,10 +224,9 @@ def _falsify(flow, pairs, max_pairs, T, h, cost, fails, batch=1):
     return verdict, None, pair_costs
 
 
-def _aligner(weight_kind, fix_zero, band_width):
-    def cost(orbit_pairs):
-        return align_batch(orbit_pairs, weight_kind, fix_zero, band_width)
-    return cost
+def _aligner(weight_kind, fix_zero, band_width, path_below=math.inf):
+    return lambda orbit_pairs: _align_batch(orbit_pairs, weight_kind, fix_zero, band_width,
+                                            path_below)
 
 
 def check_property(flow: FlowModel, property: str, eps: float, delta: float,
@@ -257,9 +254,11 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
         return res.cost <= delta and not _conclusion_holds(
             flow, x, y, eps, t0_mode, res.reparam, ladder)
 
+    # only a pair with cost <= delta can be a witness, so only its path is read
+    cost = _aligner(weight_kind, fix_zero, band_width, delta)
+    batch = pairs_per_batch(T, h, band_width)
     verdict, witness, pair_costs = _falsify(
-        flow, pairs, max_pairs, T, h, _aligner(weight_kind, fix_zero, band_width), fails,
-        pairs_per_batch(T, h, band_width))
+        flow, pairs, max_pairs, lambda some: _scan_pairs(flow, some, T, h, cost, batch), fails)
     return PropertyReport(
         property=property, verdict=verdict, eps=eps, delta=delta,
         witness=witness,
@@ -325,7 +324,8 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
                                 argmax_t=float(xs.times[i]), weight_kind="unit")]
 
     verdict, witness, pair_costs = _falsify(
-        flow, pairs, max_pairs, T, h, sup_separation, lambda x, y, res: res.cost > eps)
+        flow, pairs, max_pairs, lambda some: _scan_pairs(flow, some, T, h, sup_separation),
+        lambda x, y, res: res.cost > eps)
     return PropertyReport(
         property=name, verdict=verdict, eps=eps, delta=delta, witness=witness,
         scale={"T": T, "h": h},
@@ -353,31 +353,27 @@ def ball_inclusion_check(flow: FlowModel, eps: float, delta: float,
         raise ExpansivityError(f"delta must lie in (0, 1/2), got {delta!r}")
     grid = x_grid if x_grid is not None else flow.space.grid(1000)
     xs = np.array([as_coords(p)[0] for p in grid])
-    witness = None
-    max_abs_t = 0.0
-    argmax = None
-    for x in xs:
-        rho = delta * float(flow.singular.distances(np.array([x])))
-        if rho == 0.0:
-            continue
-        ys = np.linspace(x - rho, x + rho, ball_samples)
-        ts = np.asarray(flow.orbit_times(np.array([x]), ys[:, None], -math.inf, math.inf))
-        worst = int(np.argmax(np.abs(ts)))
-        if abs(ts[worst]) > max_abs_t:
-            max_abs_t = float(abs(ts[worst]))
-            argmax = (float(x), float(ys[worst]))
-        if abs(ts[worst]) > eps + 1e-9:
-            res = AlignmentResult(cost=float(abs(ts[worst])),
-                                  reparam=Reparam.identity(-eps, eps),
-                                  argmax_t=float(ts[worst]), weight_kind="unit")
-            witness = Witness(flow.space.point(x), flow.space.point(ys[worst]), res)
-            break
-    verdict = "falsified" if witness is not None else "certified_at_scale"
+
+    def transits(xs):  # (x, the ball point of longest transit, that transit)
+        for x in xs:
+            rho = delta * float(flow.singular.distances(np.array([x])))
+            if rho == 0.0:
+                continue
+            ys = np.linspace(x - rho, x + rho, ball_samples)
+            ts = np.asarray(flow.orbit_times(np.array([x]), ys[:, None], -math.inf, math.inf))
+            j = int(np.argmax(np.abs(ts)))
+            yield [float(x)], [float(ys[j])], AlignmentResult(
+                cost=float(abs(ts[j])), reparam=Reparam.identity(-eps, eps),
+                argmax_t=float(ts[j]), weight_kind="unit")
+
+    verdict, witness, transit = _falsify(flow, xs, None, transits,
+                                         lambda x, y, res: res.cost > eps + 1e-9)
+    (x,), (y,), top = max(transit, key=lambda row: row[2], default=((0.0,), (0.0,), 0.0))
     return PropertyReport(
         property="ball_inclusion", verdict=verdict, eps=eps, delta=delta,
         witness=witness,
         scale={"grid": len(xs), "ball_samples": ball_samples},
-        stats={"max_transit_time": max_abs_t, "argmax_pair": argmax},
+        stats={"max_transit_time": top, "argmax_pair": (x, y) if top > 0.0 else None},
     )
 
 
@@ -533,10 +529,10 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
     pairs = list(pairs) if pairs is not None else default_pair_grid(flow, delta)
     diam = flow.space.diameter
 
-    def costs(orbit_pairs):
+    def costs(orbit_pairs):  # no path is read
         return [(s.cost, u.cost) for s, u in zip(
-            align_batch(orbit_pairs, "sing_dist", band_width=band_width),
-            align_batch(orbit_pairs, "unit", band_width=band_width))]
+            _align_batch(orbit_pairs, "sing_dist", False, band_width, -math.inf),
+            _align_batch(orbit_pairs, "unit", False, band_width, -math.inf))]
 
     rows = [(tuple(x), tuple(y), c_sing, c_unit) for x, y, (c_sing, c_unit)
             in _scan_pairs(flow, pairs, T, h, costs, pairs_per_batch(T, h, band_width))]
@@ -555,8 +551,9 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     The violation set {delta : some pair has cost <= delta and a failed
     conclusion} is monotone, so the largest violation-free delta is exactly
     the minimum cost among conclusion-failing pairs; no bisection needed at
-    a fixed sample set. Returns [(eps, delta_star)] with inf when no pair
-    fails.
+    a fixed sample set. Each eps scans pair_grid, or by default its own
+    default_pair_grid(flow, eps), and a pair on several grids is costed
+    once. Returns [(eps, delta_star)] with inf when no pair fails.
     """
     if property not in PROPERTY_RULES:
         raise ExpansivityError(f"unknown property: {property!r}")
@@ -565,15 +562,17 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     require(ExpansivityError, "positive", T=T, h=h, band_width=band_width, t0_step=t0_step,
             **{f"eps_values[{i}]": eps for i, eps in enumerate(eps_values)})
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
-    pairs = list(pair_grid) if pair_grid is not None \
-        else default_pair_grid(flow, min(eps_values))
-    aligned = list(_scan_pairs(flow, pairs, T, h, _aligner(weight_kind, fix_zero, band_width),
-                               pairs_per_batch(T, h, band_width)))
+    # each eps on its own grid, so its delta* does not depend on the ladder;
+    # _scan_pairs costs a pair that several grids share once
+    grids = [default_pair_grid(flow, eps) for eps in eps_values] if pair_grid is None \
+        else [list(pair_grid)] * len(eps_values)
+    scanned = _scan_pairs(flow, [pair for grid in grids for pair in grid], T, h,
+                          _aligner(weight_kind, fix_zero, band_width),
+                          pairs_per_batch(T, h, band_width))
     ladder = _t0_ladder(T, t0_step)
     curve = []
-    for eps in eps_values:
-        fail_costs = [res.cost for x, y, res in aligned
-                      if not _conclusion_holds(flow, x, y, eps, t0_mode,
-                                               res.reparam, ladder)]
+    for eps, grid in zip(eps_values, grids):
+        fail_costs = [res.cost for x, y, res in itertools.islice(scanned, len(grid))
+                      if not _conclusion_holds(flow, x, y, eps, t0_mode, res.reparam, ladder)]
         curve.append((float(eps), min(fail_costs) if fail_costs else math.inf))
     return curve

@@ -8,18 +8,15 @@ set is kept strictly inside [1 - eps, 1 + eps], so every returned
 reparametrization is admissible by construction. Each direction is one
 call of the alignment band kernel (alignment._minimax_band_dp), pinned at
 clock 0, with its tie rule (stated at _minimax_band_dp), which leans
-each cell toward the slope-1 path.
+toward the slope-1 path.
 
-Mode "first" only decides whether a candidate's error is <= eps, so a
-direction whose zero-offset path exceeds eps is first decided by a
-bitmask reachability sweep (_reaches_last_row), which stops at the first
-row with no offset kept: a failing direction evaluates the orbit only at
-the cells of the rows it reached and never reaches the kernel, and a
-candidate that fails forward never searches its backward half. A direction that passes runs the
-kernel bound by eps, which keeps exactly the cells the sweep keeps, so a
-passing candidate gets the same result, bit for bit, as a search bound
-by the cost of an admissible path. Mode "best" needs every error; it
-bounds each direction by the cost of its zero-offset path.
+Mode "first" only decides whether a candidate's error is <= eps: a
+direction whose zero-offset path exceeds it is first decided by the
+kernel's path pass (alignment._reach) at eps, which stops at the first row
+that keeps no cell, so a failing direction evaluates the orbit only on the
+rows it reached and a candidate that fails forward never searches its
+backward half. A path depends only on the local costs and the error, so
+mode "best" returns the same result for a passing candidate.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .alignment import Reparam, _block, _minimax_band_dp
+from .alignment import Reparam, _minimax_band_dp, _reach
 from .config import require
 from .flows import FlowModel
 from .spaces import CircleUnion, Point
@@ -224,16 +221,13 @@ def _cone_search(space, cell, ref, q, threshold):
     k - W = o. cell(c) evaluates the orbit at an array of cells c >= 0: the
     zero-offset path's cells r*q, then, into a window buffer, the cells up
     to the last one each sweep block reads, and the rest at once before the
-    kernel runs. A cone's range grows at most a column a side per row, so a
-    sweep block widened by its rows on a side the range left covers the
-    range to its last row. With a threshold, a search whose zero-offset
-    path exceeds it is first decided by the reachability sweep and returns
-    None if that fails; one that passes runs the kernel bound by threshold.
-    Without one the bound is the zero-offset path's cost.
+    kernel runs. With a threshold, a search whose zero-offset path exceeds
+    it runs the path pass at the threshold first, None if no path reaches
+    the last row; the kernel is bound by the lesser of the two.
     """
     W = len(ref) - 1
     on_zero = cell(np.arange(W + 1) * q)
-    zero = space.distance(on_zero, ref).max()  # the zero-offset path's cost
+    bound = space.distance(on_zero, ref).max()  # the zero-offset path's cost
     # window r starts at buffer row r*q, cell r*q - W, so its column k is the
     # offset k - W; the W edge rows left of cell 0 lie outside every row's cone
     buf = np.empty((W * (q + 2) + 1,) + on_zero.shape[1:])
@@ -250,48 +244,13 @@ def _cone_search(space, cell, ref, q, threshold):
         fill((r1 - 1) * q + hi)  # one past the last buffer row the block reads
         return space.distance(windows[r0:r1, lo:hi], ref[r0:r1, None])[None]
 
-    if threshold is not None and zero > threshold \
-            and not _reaches_last_row(local_cost, W + 1, W, threshold):
-        return None
+    if threshold is not None and bound > threshold:
+        if _reach(local_cost, W + 1, W, [threshold], fix_row=0) is None:
+            return None
+        bound = threshold
     fill(len(buf))  # one flow call, not one per kernel block
-    bound = threshold if threshold is not None else zero
     costs, paths = _minimax_band_dp(local_cost, W + 1, W, [bound], fix_row=0)
-    if paths[0, 0] < 0:  # abandoned: no path
-        return None
     return float(costs[0]), np.arange(W + 1) * q + paths[0] - W
-
-
-def _reaches_last_row(local_cost, n, W, eps):
-    """Whether a pinned cone path reaches row n - 1 with every local cost <= eps.
-
-    The decision the kernel's pruning makes at bound eps, without its
-    costs, paths or ties: row 0 keeps only offset 0 (column W), and each
-    later row keeps the cells with local cost <= eps next to (k - 1, k or
-    k + 1) a cell kept in the row before, until a row keeps none. Local
-    costs are fetched by the kernel's block rule (alignment._block), the pin
-    counting as block W:W + 1: the live range, a side that left the block
-    before widened by the block's rows, since the reach grows at most a
-    column a side per row; each block row's cells <= eps are packed once
-    into a Python int, so a row is an and, shifts and ors. Row i's cells
-    lie within i of column W, so every range stays inside the band.
-    """
-    # bit j of reach and of a packed row is column base + j; bit 0 is a guard
-    # column left of the block, so no row keeps it and kept >> 1 drops nothing
-    reach, base, b1, c0, c1 = 1, W, 0, W, W + 1  # the pin, as a block W:W + 1
-    for i in range(n):
-        if i >= b1 or reach & 1 or reach.bit_length() > c1 - base:
-            lo, hi = base + (reach & -reach).bit_length() - 1, base + reach.bit_length()
-            b0 = i
-            b1, c0, c1 = _block(i, lo, hi, c0, c1, n, 2 * W + 1, 1)
-            rows = [int.from_bytes(r.tobytes(), "little") << 1 for r in np.packbits(
-                local_cost(b0, b1, c0, c1)[0] <= eps, axis=1, bitorder="little")]
-            reach = reach << (base - c0 + 1) if base >= c0 - 1 else reach >> (c0 - 1 - base)
-            base = c0 - 1
-        kept = reach & rows[i - b0]
-        if not kept:
-            return False
-        reach = kept >> 1 | kept | kept << 1
-    return True
 
 
 def _try_candidate(flow, po, z, h, q, ts, ref, seg, threshold=None):

@@ -278,7 +278,7 @@ CRITERION_10_SHA256 = {
     "shadow/pseudo_orbit.txt":
         "0977fde58fd289d2fbfae4aa861904fca2a691b75201cc680253c4a26d73cc14",
     "shadow/report.json":
-        "75c3cd00c85302f655f36ebf6d9a73ec726066c2fe89a6eaba2cd7d89006f734",
+        "c6765a97b861aac72429e5a6cd5dce129b1117497429b3b569f417b8263b87ed",
     "entropy/report.json":
         "fe668fec9d5f887a258dfcb4e82e13d6441f29d6297b3c91d2cf42e71766ee66",
     "entropy/triples.csv":

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 from unittest import mock
@@ -18,7 +19,7 @@ from expanse.alignment import (
     recompute_cost,
     rep_epsilon_check,
 )
-from expanse.expansivity import default_pair_grid
+from expanse.expansivity import check_property, default_pair_grid
 from expanse.flows import (
     interval_flow,
     rotation_flow,
@@ -88,56 +89,38 @@ def test_reparam_compression_roundtrip():
 
 # ------------------------------------------------------- minimax DP oracle
 
-_REF_PEN_INF = np.int64(2 ** 62)
-
-
-def _ref_lex_min3(c1, p1, c0, p0, c2, p2):
-    """Lexicographic (cost, penalty) min of three candidate rows.
-
-    The first candidate wins ties, so the diagonal step is preferred.
-    """
-    best_c, best_p = c1.copy(), p1.copy()
-    choice = np.ones(c1.shape, dtype=np.int8)
-    for cand_c, cand_p, tag in ((c0, p0, np.int8(0)), (c2, p2, np.int8(2))):
-        better = (cand_c < best_c) | ((cand_c == best_c) & (cand_p < best_p))
-        best_c = np.where(better, cand_c, best_c)
-        best_p = np.where(better, cand_p, best_p)
-        choice = np.where(better, tag, choice)
-    return best_c, best_p, choice
-
-
 def _ref_minimax_band_dp(lc, W, fix_row=None):
-    """The per-pair recurrence the batched kernel replaces; the tie-break reference."""
+    """The kernel's stated rule for one pair, a row at a time: (cost, k-path).
+
+    The cost is the least max of lc along a band path. The path keeps the
+    cells with lc <= cost next to (k - 1, k or k + 1) a kept cell of the row
+    before (row 0: any cell; row fix_row: only k = W), ends on the kept
+    last-row cell with the least |k - W| (the lesser k of two), and steps
+    back to the diagonal predecessor if kept, else k + 1, else k - 1.
+    """
     n, width = lc.shape
-    pen_unit = np.abs(np.arange(width, dtype=np.int64) - W)
-    D = lc[0].copy()
-    P = pen_unit.copy()
-    choices = np.empty((n, width), dtype=np.int8)
-    if fix_row == 0:
-        D[np.arange(width) != W] = np.inf
-        P[np.arange(width) != W] = _REF_PEN_INF
+    admitted = [np.arange(width) == W if i == fix_row else np.ones(width, bool)
+                for i in range(n)]
+
+    def near(row, pad):  # each cell's k - 1, k and k + 1 neighbours in row
+        ext = np.r_[pad, row, pad]
+        return ext[:-2], ext[1:-1], ext[2:]
+
+    D = np.where(admitted[0], lc[0], math.inf)
     for i in range(1, n):
-        # predecessor of offset k is k+1 (dj=0), k (dj=1) or k-1 (dj=2)
-        c0 = np.append(D[1:], np.inf)
-        p0 = np.append(P[1:], _REF_PEN_INF)
-        c2 = np.concatenate(([np.inf], D[:-1]))
-        p2 = np.concatenate(([_REF_PEN_INF], P[:-1]))
-        best_c, best_p, ch = _ref_lex_min3(D, P, c0, p0, c2, p2)
-        D = np.maximum(lc[i], best_c)
-        P = best_p + pen_unit
-        choices[i] = ch
-        if fix_row == i:
-            D = np.where(np.arange(width) == W, D, np.inf)
-            P = np.where(np.arange(width) == W, P, _REF_PEN_INF)
-    order = np.lexsort((P, D))
-    k = int(order[0])
-    cost = float(D[k])
-    path = np.empty(n, dtype=np.int64)
-    path[-1] = k
+        D = np.where(admitted[i], np.maximum(lc[i], np.minimum.reduce(near(D, math.inf))),
+                     math.inf)
+    cost = float(D.min())
+    kept = [admitted[0] & (lc[0] <= cost)]
+    for i in range(1, n):
+        kept.append(admitted[i] & (lc[i] <= cost) & np.logical_or.reduce(near(kept[-1], False)))
+    ks = np.flatnonzero(kept[-1])
+    k = int(ks[np.lexsort((ks, np.abs(ks - W)))[0]])
+    path = [k]
     for i in range(n - 1, 0, -1):
-        k = k + 1 - int(choices[i, k])
-        path[i - 1] = k
-    return cost, path
+        k = next(j for j in (k, k + 1, k - 1) if 0 <= j < width and kept[i - 1][j])
+        path.append(k)
+    return cost, np.array(path[::-1], dtype=np.int64)
 
 
 def _brute_min_sup(lc, W, fix_row):
@@ -174,6 +157,12 @@ def _dp_batches(draw):
         centre = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=batch * n,
                                max_size=batch * n))
         lc[:, :, W] = np.array(centre).reshape(batch, n)
+    elif draw(st.booleans()):
+        # each member cheap on one column only: at a bound below 2 the rows
+        # after row 0 keep one cell a member, so unpinned blocks step straight
+        cols = draw(st.lists(st.integers(0, 2 * W), min_size=batch, max_size=batch))
+        lc = np.minimum(lc, 1.0) + 2.0
+        lc[np.arange(batch), :, cols] -= 2.0
     # each member's bound lies this far above its optimum, or below it when
     # negative; the alphabet makes bounds often equal the optimum or +inf
     slack = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, math.inf, -0.5, -1.0]),
@@ -208,9 +197,25 @@ def _local_cost(lc, log=None, shift=None):
     return local_cost
 
 
+@contextlib.contextmanager
+def _marking_path_pass(log):
+    """Append None to log as the kernel's path pass starts."""
+    reach = alignment._reach
+    with mock.patch.object(alignment, "_reach",
+                           side_effect=lambda *args: log.append(None) or reach(*args)):
+        yield
+
+
+def _passes(log):
+    """A fetch log split into the cost sweep's fetches and the path pass's."""
+    cut = log.index(None) if None in log else len(log)
+    return log[:cut], log[cut + 1:]
+
+
 @settings(max_examples=400, deadline=None)
-@given(_dp_batches(), st.integers(1, 40), st.integers(1, 3))
-def test_minimax_kernel_matches_oracle(case, block_values, block_rows):
+@given(_dp_batches(), st.integers(1, 40), st.integers(1, 3),
+       st.sampled_from([math.inf, math.inf, 1.0, -math.inf]))
+def test_minimax_kernel_matches_oracle(case, block_values, block_rows, path_below):
     lc, W, fix_row, slack, shift = case
     n = lc.shape[1]
     brute = [_brute_min_sup(m, W, fix_row) for m in lc]
@@ -222,14 +227,22 @@ def test_minimax_kernel_matches_oracle(case, block_values, block_rows):
     with mock.patch.object(alignment, "_BLOCK_VALUES", block_values), \
             mock.patch.object(alignment, "_BLOCK_ROWS", block_rows):
         costs, paths = _minimax_band_dp(_local_cost(lc, shift=shift), n, W, bound, fix_row,
-                                        shift)
+                                        shift, path_below)
         for b in range(lc.shape[0]):
             ref_cost, ref_path = _ref_minimax_band_dp(lc[b], W, fix_row)
             assert ref_cost == brute[b]
             if bound[b] < brute[b]:
                 ref_cost, ref_path = math.inf, np.full(n, -1)
             assert costs[b] == ref_cost
+            if ref_cost > path_below:  # a member whose path no caller reads
+                assert paths[b].tolist() == [-1] * n
+                continue
             assert paths[b].tolist() == ref_path.tolist()
+            if ref_path[0] >= 0:  # admissible, and its max local cost is the cost
+                assert (ref_path >= 0).all() and (ref_path <= 2 * W).all()
+                assert (np.abs(np.diff(ref_path)) <= 1).all()
+                assert fix_row is None or ref_path[fix_row] == W
+                assert lc[b, np.arange(n), ref_path].max() == ref_cost
             single_cost, single_path = _minimax_band_dp(_local_cost(lc[b:b + 1]), n, W,
                                                         bound[b:b + 1], fix_row)
             assert single_cost[0] == ref_cost
@@ -260,9 +273,8 @@ def test_minimax_kernel_keeps_infinite_members_path(fix_row):
 def test_minimax_kernel_keeps_infinite_member_in_shifted_batch():
     # the infinite member 0 sits 260 columns right of member 2, so 260 of
     # its buffer columns lie outside its band. Their cells cost +inf like
-    # every cell of member 0, so only the tie key keeps them off its path:
-    # a key there grows by _PEN_INF a row and must never fall below an
-    # in-band key
+    # every cell of member 0, so only the band mask keeps them off the path
+    # its +inf cost keeps every in-band cell for
     n, W = 300, 130
     rng = np.random.default_rng(11)
     lc = rng.integers(0, 4, size=(3, n, 2 * W + 1)).astype(float)
@@ -290,25 +302,35 @@ def test_minimax_kernel_keeps_infinite_member_in_shifted_batch():
 
 
 def test_minimax_kernel_tie_rule_is_per_cell():
-    # the identity path (k = W on every row) and [1 2 2 2 2] both cost 2, and
-    # the identity has the smaller sum of |offset| (0 against 1). The kernel
-    # keeps [1 2 2 2 2]: row 1's column 2 takes the predecessor with the least
-    # running max, row 0's column 1 (1) over column 2 (2), though both paths
-    # cost 2 once that cell's own cost is added
+    # the backtrack decides cell by cell: the least |offset| on the last row,
+    # then the diagonal, k + 1, k - 1 predecessor. The identity path (k = W
+    # on every row) costs 2, the least cost, so the kernel returns it; the
+    # rule it replaced let row 1 take row 0's cheaper column 1 and kept
+    # [1 2 2 2 2], which costs 2 as well
     W = 2
     lc = np.array([[1, 1, 2, 2, 2], [1, 2, 2, 1, 2], [2, 2, 1, 2, 0],
                    [1, 2, 2, 1, 1], [0, 1, 1, 2, 2]], dtype=float)
-    n = len(lc)
-    assert lc[np.arange(n), W].max() == 2.0
-    costs, paths = _minimax_band_dp(_local_cost(lc[None]), n, W, [math.inf])
-    assert costs[0] == 2.0
-    assert paths[0].tolist() == [1, 2, 2, 2, 2]
-    assert _ref_minimax_band_dp(lc, W)[1].tolist() == [1, 2, 2, 2, 2]
+    assert lc[np.arange(len(lc)), W].max() == 2.0
+    cases = [(lc, [2, 2, 2, 2, 2]),
+             # [2 2 2] and [1 1 2] both cost 0; the diagonal keeps k = 2 though
+             # [1 1 2] has the smaller sum of |offset| (1 against 3)
+             (np.array([[1, 0, 0], [1, 0, 0], [1, 1, 0]]), [2, 2, 2]),
+             # row 1 keeps k = 0 and 2, not the diagonal 1: k + 1 comes first
+             (np.array([[0, 0, 0], [0, 1, 0], [1, 0, 1]]), [2, 2, 1]),
+             # the last row keeps k = 0 and 2, as far from k = 1: the lesser k
+             (np.array([[0, 0, 0], [0, 1, 0]]), [0, 0])]
+    for lc, path in cases:
+        lc = np.asarray(lc, dtype=float)
+        W = lc.shape[1] // 2
+        costs, paths = _minimax_band_dp(_local_cost(lc[None]), len(lc), W, [math.inf])
+        assert costs[0] == lc[np.arange(len(lc)), path].max()
+        assert paths[0].tolist() == path
+        assert _ref_minimax_band_dp(lc, W)[1].tolist() == path
 
 
 def test_minimax_kernel_matches_oracle_at_falsify_scale():
     # criterion 1's kernel shape (n = 4001, W = 200) on integer costs, so
-    # nearly every cell ties on cost and the tie keys decide each path
+    # nearly every cell ties on cost and the tie rule decides each path
     n, W = 4001, 200
     rng = np.random.default_rng(3)
     lc = rng.integers(0, 3, size=(2, n, 2 * W + 1)).astype(float)
@@ -316,9 +338,8 @@ def test_minimax_kernel_matches_oracle_at_falsify_scale():
     lc[1, :, W] = np.minimum(lc[1, :, W], 1.0)  # member 1's zero offset prunes
     refs = [_ref_minimax_band_dp(m, W) for m in lc]
     assert refs[0][0] == math.inf and refs[1][0] == 1.0
-    # shifted W apart, member 0's 2W out-of-band columns gain _PEN_INF a
-    # row, so their keys pass 2^51, where a float drops the quarter bits
-    # that hold the tie priority
+    # shifted W apart, member 0 has 2W buffer columns outside its band, each
+    # +inf like its cells, which its path must never take
     for shift in (None, np.array([W, -W])):
         costs, paths = _minimax_band_dp(_local_cost(lc, shift=shift), n, W,
                                         np.array([math.inf, 1.0]), shift=shift)
@@ -335,9 +356,11 @@ def test_minimax_kernel_abandons_without_more_blocks(monkeypatch):
     monkeypatch.setattr(alignment, "_BLOCK_VALUES", 1)  # one row per request
     pulled = []
     free_costs, free_paths = _minimax_band_dp(_local_cost(lc), n, W, np.full(3, math.inf))
-    # a mixed batch sweeps every row and keeps the survivor's cost and path
-    costs, paths = _minimax_band_dp(_local_cost(lc, pulled), n, W, np.full(3, 2.0))
-    assert pulled == [(i, i + 1) for i in range(n)]
+    # a mixed batch sweeps every row and keeps the survivor's cost and path;
+    # the survivor keeps every column, so its path pass reads every row too
+    with _marking_path_pass(pulled):
+        costs, paths = _minimax_band_dp(_local_cost(lc, pulled), n, W, np.full(3, 2.0))
+    assert pulled == [(i, i + 1) for i in range(n)] + [None] + [(i, i + 1) for i in range(n)]
     assert costs.tolist() == [free_costs[0], math.inf, math.inf]
     assert paths[0].tolist() == free_paths[0].tolist()
     assert (paths[1:] == -1).all()
@@ -361,20 +384,27 @@ def _one_column_batch(n, W, cols, seed):
 
 def _straight_blocks(lc, W, bound, fix_row=None, shift=None, block_values=40, block_rows=32,
                      log=None):
-    """Run the kernel with small blocks, check it against the oracle, and return
-    what each _straight_run call decided (True: the block stepped straight)."""
+    """Run the kernel with small blocks, check it against the oracle, check
+    that its path pass fetches no row of a block stepped straight nor the
+    row before one, and return what each _straight_run call decided (True:
+    the block stepped straight). log gets the fetched (first row, end row)
+    of the cost sweep, None, then those of the path pass."""
     n = lc.shape[1]
-    decided = []
+    log = [] if log is None else log
+    decided, straight = [], set()
 
     def spy(prev, block, bound):
         col = straight_run(prev, block, bound)
         decided.append(col is not None)
+        if col is not None:  # the block just fetched steps whole
+            straight.update(range(log[-1][0] - 1, log[-1][1]))
         return col
 
     straight_run = alignment._straight_run
     with mock.patch.object(alignment, "_BLOCK_VALUES", block_values), \
             mock.patch.object(alignment, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(alignment, "_straight_run", side_effect=spy):
+            mock.patch.object(alignment, "_straight_run", side_effect=spy), \
+            _marking_path_pass(log):
         costs, paths = _minimax_band_dp(_local_cost(lc, log, shift), n, W, bound, fix_row,
                                         shift)
     for b in range(lc.shape[0]):
@@ -383,6 +413,7 @@ def _straight_blocks(lc, W, bound, fix_row=None, shift=None, block_values=40, bl
             ref_cost, ref_path = math.inf, np.full(n, -1)
         assert costs[b] == ref_cost
         assert paths[b].tolist() == ref_path.tolist()
+    assert not any(straight.intersection(range(i0, i1)) for i0, i1 in _passes(log)[1])
     return decided
 
 
@@ -413,29 +444,39 @@ def test_minimax_kernel_straight_blocks_match_oracle(shift, event, block_values,
 def test_minimax_kernel_pinned_block_steps_row_by_row():
     # every member keeps its zero offset, on three different buffer columns;
     # a block that holds the pin steps row by row, every other block runs
+    # a block that holds the pin steps row by row, every other block runs;
+    # the path pass copies the columns of the runs and reads only the rows
+    # of the block that holds the pin
     n, W = 40, 2
     lc = _one_column_batch(n, W, [W, W, W], seed=6)
     shift, bound = np.array([1, 0, -2]), np.ones(3)
-    pulled = []  # row 0, then one entry per block
-    assert all(_straight_blocks(lc, W, bound, shift=shift, block_values=200, log=pulled))
+    log = []  # row 0, then one entry per block; the path pass reads nothing
+    assert all(_straight_blocks(lc, W, bound, shift=shift, block_values=200, log=log))
+    pulled, path_pass = _passes(log)
+    assert path_pass == []
     b0, b1 = pulled[3]
     assert b1 - b0 >= 3
     # the pin as the last row before a block, its first row, inside it, its last row
     for fix_row in (b0 - 1, b0, b0 + 1, b1 - 1):
-        blocks = []
-        decided = _straight_blocks(lc, W, bound, fix_row, shift, 200, log=blocks)
+        log = []
+        decided = _straight_blocks(lc, W, bound, fix_row, shift, 200, log=log)
+        blocks, path_pass = _passes(log)
         assert blocks == pulled
         assert decided == [True] * (len(blocks) - 2)
+        p0, p1 = next(block for block in blocks if block[0] <= fix_row < block[1])
+        assert path_pass and all(p0 <= i0 < i1 <= p1 for i0, i1 in path_pass)
 
 
 def test_minimax_kernel_infinite_bound_keeps_infinite_cells():
     # a +inf bound keeps +inf cells, so rows with a single finite cell are
-    # not a straight run for it, and its tie path still bends: alone, and
-    # beside members that keep one column each
+    # not a straight run for it, and at cost +inf its path keeps every cell
+    # and runs down the zero offset: alone, and beside members that keep
+    # one column each
     lc = np.full((8, 3), math.inf)
     lc[[0, 2, 3, 5], 0] = [0.0, 0.0, 0.0, 1.0]
     lc[[1, 7], 1] = lc[4, 2] = 2.0
-    assert _ref_minimax_band_dp(lc, 1)[1].tolist() == [0, 1, 0, 0, 1, 1, 1, 1]
+    cost, path = _ref_minimax_band_dp(lc, 1)
+    assert cost == math.inf and path.tolist() == [1] * 8
     _straight_blocks(lc[None], 1, np.array([math.inf]), block_values=4)
     batch = _one_column_batch(8, 1, [0, 2], seed=7)
     _straight_blocks(np.concatenate([batch, lc[None]]), 1, np.array([1.0, 1.0, math.inf]),
@@ -476,13 +517,16 @@ def test_minimax_kernel_fetches_held_ranges_as_they_stand():
 def test_minimax_kernel_fetches_a_growing_cone_in_few_blocks():
     # a cone pinned at row 0 with zero costs grows a column a side every
     # row; a block fetched as the range stands is left a row later, and the
-    # next is widened by its rows, so two fetches cover _BLOCK_ROWS + 1 rows
+    # next is widened by its rows, so in the cost sweep and in the path pass
+    # alike two fetches cover _BLOCK_ROWS + 1 rows
     n = W = 300
-    pulled = []
-    costs, paths = _minimax_band_dp(_local_cost(np.zeros((1, n, 2 * W + 1)), pulled), n, W,
-                                    [0.0], fix_row=0)
+    log = []
+    with _marking_path_pass(log):
+        costs, paths = _minimax_band_dp(_local_cost(np.zeros((1, n, 2 * W + 1)), log), n, W,
+                                        [0.0], fix_row=0)
     assert costs[0] == 0.0 and paths[0].tolist() == [W] * n
-    assert len(pulled) <= 2 * -(-n // (alignment._BLOCK_ROWS + 1)) + 1
+    for pulled in _passes(log):
+        assert len(pulled) <= 2 * -(-n // (alignment._BLOCK_ROWS + 1)) + 1
 
 
 def _ref_lift_knots(times, path_k, W, h, fix_idx):
@@ -715,9 +759,9 @@ def test_align_batch_mixed_offsets_match_dense_oracle(monkeypatch, extra, weight
     shifts = []
     kernel = alignment._minimax_band_dp
 
-    def spy(local_cost, n, W, bound, fix_row=None, shift=None):
+    def spy(local_cost, n, W, bound, fix_row=None, shift=None, path_below=math.inf):
         shifts.append(shift)
-        return kernel(local_cost, n, W, bound, fix_row, shift)
+        return kernel(local_cost, n, W, bound, fix_row, shift, path_below)
 
     monkeypatch.setattr(alignment, "_minimax_band_dp", spy)
     n_half = (len(pairs[0][0].times) - 1) // 2
@@ -761,6 +805,45 @@ def test_align_batch_sweeps_few_cells_on_falsify_grid(monkeypatch):
     n, W = 2 * int(round(T / h)) + 1, int(math.floor(band / h + 1e-9))
     assert sum(asked) < len(pairs) * n * (2 * W + 1) / 40
     assert len(asked) <= 126
+
+
+def test_falsify_scale_path_pass_fetches_nothing(monkeypatch):
+    # criterion 1's falsifier steps every row after row 0 in straight blocks,
+    # so the path pass copies their columns and the three kernel calls fetch
+    # only what the cost sweep fetches
+    calls, fetched = [], []
+    kernel = alignment._minimax_band_dp
+
+    def counting(local_cost, *args):
+        def counted(*block):
+            out = local_cost(*block)
+            fetched.append(out.size)
+            return out
+        calls.append(1)
+        return kernel(counted, *args)
+
+    monkeypatch.setattr(alignment, "_minimax_band_dp", counting)
+    rep = check_property(rotation_flow(CircleUnion(harmonic_radii(16))), "singular_expansive",
+                         eps=1.0, delta=0.1)
+    assert rep.verdict == "falsified"
+    assert (len(calls), len(fetched), sum(fetched)) == (3, 378, 1_535_081)
+
+
+def test_align_batch_reads_paths_below_a_cost(harmonic_rot):
+    # the private entry gives a path only to the pairs a caller reads; their
+    # results, and every cost, are align_batch's
+    orbits = [sample_orbit(harmonic_rot, np.array([r, 0.0]), T=3.0, h=0.05)
+              for r in (1.0, 0.5, 1.0 / 3.0, 0.25)]
+    pairs = [(a, b) for a in orbits for b in orbits]
+    every = align_batch(pairs, "sing_dist", False, 1.0)
+    cut = float(np.median([res.cost for res in every]))
+    for res, some in zip(every, alignment._align_batch(pairs, "sing_dist", False, 1.0, cut)):
+        assert some.cost == res.cost
+        if res.cost <= cut:
+            assert some.argmax_t == res.argmax_t
+            assert some.reparam.knots_s.tobytes() == res.reparam.knots_s.tobytes()
+        else:
+            assert some.reparam is None and math.isnan(some.argmax_t)
 
 
 def test_align_batch_needs_shared_grid(harmonic_rot):

@@ -5,8 +5,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from expanse.alignment import Reparam, recompute_cost, rep_epsilon_check
 from expanse.cli import (
     COMMON_KEYS,
     KEY_KINDS,
@@ -18,8 +20,10 @@ from expanse.cli import (
     run,
 )
 from expanse.config import KINDS
-from expanse.flows import FLOW_KEYS, flow_from_config
+from expanse.expansivity import check_property
+from expanse.flows import FLOW_KEYS, flow_from_config, interval_flow
 from expanse.reports import dumps_report, load_report, write_report
+from expanse.shadowing import PseudoOrbit, cumulative_clock, find_shadow
 from expanse.spaces import SPACE_KEYS
 
 
@@ -478,3 +482,60 @@ def test_readme_cli_example_is_a_valid_config():
     assert set(kwargs) == set(example) - set(COMMON_KEYS) | set(example["scale"])
     flow = flow_from_config(example["flow"])
     assert flow.name == "circles" and len(flow.space.radii) == 16
+
+
+# criterion 10's shadow config; its falsify config is GABI_FALSIFY
+_C10_SHADOW = {"flow": _INTERVAL, "eps": 0.05, "x0": [0.3], "n_segments": 6, "delta": 1e-3,
+               "seed": 7}
+
+
+def _audit_witness(flow, rep):
+    """recompute_cost along a falsified report's witness knots, from fresh flow evaluations."""
+    w, scale = rep["witness"], rep["scale"]
+    n_half = int(round(scale["T"] / scale["h"]))
+    times = np.arange(-n_half, n_half + 1) * scale["h"]
+    reparam = Reparam(np.array(w["reparam_knots_t"]), np.array(w["reparam_knots_s"]))
+    cost, _ = recompute_cost(flow, w["x"], w["y"], times, reparam, w["weight_kind"])
+    assert abs(cost - w["cost"]) <= 1e-9
+
+
+@pytest.mark.parametrize("task, cfg", [("falsify", GABI_FALSIFY), ("shadow", _C10_SHADOW)]
+                         + [row[:2] for row in _PINNED if row[0] in ("falsify", "shadow")],
+                         ids=["c10-falsify", "c10-shadow", "pinned-falsify", "pinned-shadow-0",
+                              "pinned-shadow-1"])
+def test_pinned_reports_reaudit(tmp_path, task, cfg):
+    # every falsified or shadowed report among the pinned configs holds up
+    # against fresh flow evaluations: a witness's cost along its knots, and
+    # a shadow's per-segment errors along its reparametrization
+    run(task, json.loads(json.dumps(cfg)), tmp_path)
+    rep = load_report(tmp_path / "report.json")["report"]
+    flow = flow_from_config(cfg["flow"])
+    if task == "falsify":
+        assert rep["verdict"] == "falsified"
+        _audit_witness(flow, rep)
+        return
+    assert rep["shadowed"] and rep["rep_eps_ok"]
+    # the report has no knots, so the search runs again for its reparametrization
+    po = PseudoOrbit.load(tmp_path / "pseudo_orbit.txt")
+    res = find_shadow(flow, po, rep["eps"], h=cfg.get("h_shadow", 0.02))
+    assert list(res.shadow_point.coords) == pytest.approx(rep["shadow_point"], abs=1e-9)
+    assert rep_epsilon_check(res.reparam, rep["eps"])
+    clock = [cumulative_clock(po, i) for i in range(po.i_min, po.i_max + 2)]
+    errors = [0.0] * len(po.points)
+    z = np.array(res.shadow_point.coords)
+    for t in res.reparam.knots_t:  # each sample time, in the segment whose clock it is on
+        p = min(max(sum(s <= t for s in clock) - 1, 0), len(po.points) - 1)
+        x, _ = po.entry(po.i_min + p)
+        gap = flow.space.distance(flow.evaluate(res.reparam(t), z), flow.evaluate(t - clock[p], x))
+        errors[p] = max(errors[p], float(gap))
+    assert errors == pytest.approx(rep["per_segment_errors"], abs=1e-9)
+    assert max(errors) == pytest.approx(rep["max_error"], abs=1e-9) and max(errors) <= rep["eps"]
+
+
+def test_interval_expansive_witness_reaudits():
+    # the interval's expansive witness at the default scale, whose knots
+    # depend on the kernel's tie rule
+    flow = interval_flow(1.0)
+    rep = check_property(flow, "expansive", eps=1.0, delta=0.1).to_dict()
+    assert rep["verdict"] == "falsified"
+    _audit_witness(flow, rep)

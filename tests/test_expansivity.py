@@ -20,7 +20,7 @@ from expanse.expansivity import (
     local_norm_constant,
     return_time_bound_check,
 )
-from expanse.alignment import align_batch, recompute_cost
+from expanse.alignment import recompute_cost
 from expanse.flows import interval_flow, rotation_flow, sample_orbit, trivial_flow
 from expanse.spaces import CircleUnion, FiniteSet, SpaceError, exp_radii, harmonic_radii
 
@@ -371,9 +371,9 @@ def test_repeated_pairs_aligned_once(monkeypatch):
     def counting_align_batch(orbit_pairs, weight_kind, *args, **kwargs):
         costed.extend((weight_kind, tuple(xs.base), tuple(ys.base))
                       for xs, ys in orbit_pairs)
-        return align_batch(orbit_pairs, weight_kind, *args, **kwargs)
+        return alignment._align_batch(orbit_pairs, weight_kind, *args, **kwargs)
 
-    monkeypatch.setattr(expansivity, "align_batch", counting_align_batch)
+    monkeypatch.setattr(expansivity, "_align_batch", counting_align_batch)
     rep = hierarchy_check(flow, [(a, b), (b, b), (a, b)], delta=0.25,
                           T=1.0, h=0.05, band_width=0.5)
     # each distinct pair is costed once per weight kind
@@ -433,9 +433,9 @@ def test_check_property_same_at_every_batch_size(monkeypatch):
 
     def sizing_align_batch(orbit_pairs, *args, **kwargs):
         sizes.append(len(orbit_pairs))
-        return align_batch(orbit_pairs, *args, **kwargs)
+        return alignment._align_batch(orbit_pairs, *args, **kwargs)
 
-    monkeypatch.setattr(expansivity, "align_batch", sizing_align_batch)
+    monkeypatch.setattr(expansivity, "_align_batch", sizing_align_batch)
     reports = {}
     for per in (1, 3, n_pairs):
         monkeypatch.setattr(alignment, "BATCH_CELLS", per * cells)
@@ -487,6 +487,20 @@ def test_delta_star_curve_gabi(harmonic_rot):
     (eps, d_star), = curve
     # smallest falsifying cost: ratio 1/(n+1) at n = 9
     assert d_star == pytest.approx(0.1, abs=1e-9)
+
+
+def test_delta_star_does_not_depend_on_the_ladder():
+    # each eps scans its own default grid: the interval's ladder [0.05, 0.5]
+    # used to scan the grid of 0.05 for both and gave delta*(0.5) = 0.0631,
+    # where [0.5] alone gives 0.25
+    flow = interval_flow(1.0)
+    scale = {"T": 2.0, "h": 0.05, "band_width": 0.5}
+    ladder = [0.05, 0.5, 0.2]
+    curve = delta_star(flow, "kstar", ladder, **scale)
+    assert [eps for eps, _ in curve] == ladder
+    for eps, d_star in curve:
+        assert delta_star(flow, "kstar", [eps], **scale) == [(eps, d_star)]
+    assert curve[1] == (0.5, 0.25)
 
 
 def test_equicontinuity_implication_arithmetic(exp_rot):

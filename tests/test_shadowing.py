@@ -215,8 +215,8 @@ def test_first_mode_threshold_keeps_results(make, shadowed):
     assert _digest(res) == _digest(_first_without_threshold(flow, po, 0.05))
 
 
-# a side that fails is decided by the reachability sweep and never reaches the
-# kernel: every drift candidate fails forward; interval seed 0's first candidate
+# a side that fails is decided by the kernel's path pass at eps and never reaches
+# its cost sweep: every drift candidate fails forward; interval seed 0's first candidate
 # passes both sides; seed 4's first passes forward, fails backward, and its
 # second passes both
 @pytest.mark.parametrize("make, kernel_calls", [
@@ -520,7 +520,7 @@ def test_threshold_search_matches_brute_force(case, data):
                            wraps=shadowing._minimax_band_dp) as kernel:
         tried = _try_table_candidate(case, threshold)
     # the backward side is searched only once the forward side passes, and
-    # only a side that passes the sweep reaches the kernel
+    # only a side that passes the path pass at the threshold reaches the kernel
     passes = [forward <= threshold, max(forward, backward) <= threshold]
     assert kernel.call_count == sum(passes)
     if not passes[1]:
@@ -573,7 +573,7 @@ def test_reaches_last_row_matches_brute_force(case, rows, values):
         return table[None, r0:r1, lo:hi]
 
     with mock.patch.multiple(alignment, _BLOCK_ROWS=rows, _BLOCK_VALUES=values):
-        reached = shadowing._reaches_last_row(local_cost, n, W, eps)
+        reached = alignment._reach(local_cost, n, W, [eps], fix_row=0) is not None
     # some pinned path, column W at row 0 and a step of -1, 0 or +1 a row,
     # has every local cost <= eps
     steps = np.array(list(itertools.product((-1, 0, 1), repeat=W)), dtype=np.int64)
@@ -583,7 +583,7 @@ def test_reaches_last_row_matches_brute_force(case, rows, values):
 
 def test_reaches_last_row_fetches_a_growing_cone_in_few_blocks():
     # on a zero table the reach grows a column a side every row; as in the
-    # kernel, two fetches cover _BLOCK_ROWS + 1 rows, the pin's block first
+    # cost sweep, two fetches cover _BLOCK_ROWS + 1 rows, the pin's block first
     W = 300
     pulled = []
 
@@ -591,5 +591,5 @@ def test_reaches_last_row_fetches_a_growing_cone_in_few_blocks():
         pulled.append((r0, r1))
         return np.zeros((1, r1 - r0, hi - lo))
 
-    assert shadowing._reaches_last_row(local_cost, W + 1, W, 0.5)
+    assert alignment._reach(local_cost, W + 1, W, [0.5], fix_row=0) is not None
     assert len(pulled) <= 2 * -(-(W + 1) // (alignment._BLOCK_ROWS + 1)) + 1
