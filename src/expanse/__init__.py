@@ -30,7 +30,6 @@ from .alignment import (
     AlignmentResult,
     Reparam,
     align,
-    align_batch,
     recompute_cost,
     rep_epsilon_check,
 )

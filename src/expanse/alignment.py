@@ -16,7 +16,10 @@ costs come in row blocks from a strided window view of each extended
 y-orbit. Cells above a pair's reference bound are pruned and pairs share
 one corridor where that narrows the sweep: at T = 20, h = 0.01, band 2 a
 row sweeps about 1/20 of the band, nearly every row block steps whole, and
-BATCH_CELLS caps a call at 41 pairs. The shadow cone search runs on it too.
+BATCH_CELLS caps a call at 41 pairs. _align_batch is the one batch entry:
+align is a batch of one, and the drivers' scans reach it through
+expansivity._scan_pairs, the only batcher, in chunks of pairs_per_batch.
+The shadow cone search runs on the kernel too.
 """
 
 from __future__ import annotations
@@ -226,9 +229,7 @@ def _minimax_band_dp(local_cost, n: int, W: int, bound, fix_row: Optional[int] =
         lo, hi = max(lo + int(live[0]) - 1, 0), min(lo + int(live[-1]) + 2, width)
         i += 1
     costs = cur.min(axis=0)
-    alive = costs <= bound
-    read = np.flatnonzero(alive & (costs <= path_below))
-    costs[~alive] = np.inf
+    read = np.flatnonzero((costs <= bound) & (costs <= path_below))
     paths = np.full((B, n), -1, dtype=np.int64)
     if read.size:
         paths[read] = _backtrack(*_reach(local_cost, n, W, costs[read], fix_row, shift, read,
@@ -402,7 +403,7 @@ def align(xs: OrbitSample, ys: OrbitSample, weight_kind: str = "unit",
     sup_t d(phi_t(x), phi_{s(t)}(y)) / w(phi_t(x)). With fix_zero the path
     is constrained through s(0) = 0.
     """
-    return align_batch([(xs, ys)], weight_kind, fix_zero, band_width)[0]
+    return _align_batch([(xs, ys)], weight_kind, fix_zero, band_width)[0]
 
 
 def pairs_per_batch(T: float, h: float, band_width: float) -> int:
@@ -410,23 +411,19 @@ def pairs_per_batch(T: float, h: float, band_width: float) -> int:
 
     BATCH_CELLS counts every band cell, pruned or not: 41 pairs at T = 20,
     h = 0.01, band 2. The path pass keeps under 4 bits per band cell (32 MiB
-    unshifted, under twice that shifted). The drivers batch their scans by it.
+    unshifted, under twice that shifted). _scan_pairs batches every scan by it.
     """
     n = 2 * int(round(T / h)) + 1
     return max(1, BATCH_CELLS // (n * (2 * int(math.floor(band_width / h + 1e-9)) + 1)))
 
 
-def align_batch(pairs, weight_kind: str = "unit", fix_zero: bool = False,
-                band_width: float = 2.0) -> list:
-    """align for each (xs, ys) in pairs; all samples share T, h and a space.
-
-    Lists longer than pairs_per_batch go through the kernel in chunks.
-    """
-    return _align_batch(pairs, weight_kind, fix_zero, band_width)
-
-
 def _align_batch(pairs, weight_kind, fix_zero, band_width, path_below=math.inf) -> list:
-    """align_batch; only pairs with cost <= path_below get a path, the rest reparam None."""
+    """align for each (xs, ys) in pairs, in one kernel call; all share T, h and a space.
+
+    Only pairs with cost <= path_below get a path, the rest reparam None.
+    The call costs every pair it is given: a caller sends at most
+    pairs_per_batch(T, h, band_width) pairs, as _scan_pairs does.
+    """
     require(AlignmentError, "positive", band_width=band_width)
     if not pairs:
         return []
@@ -437,11 +434,6 @@ def _align_batch(pairs, weight_kind, fix_zero, band_width, path_below=math.inf) 
     W = int(math.floor(band_width / h + 1e-9))
     if W < 1:
         raise AlignmentError("infeasible band: band_width < h")
-    per = pairs_per_batch(xs0.window_T, h, band_width)
-    if len(pairs) > per:
-        return [res for lo in range(0, len(pairs), per) for res in
-                _align_batch(pairs[lo:lo + per], weight_kind, fix_zero, band_width, path_below)]
-
     space, n = ys0.flow.space, len(xs0.times)
     n_half = (n - 1) // 2
     # only the W margin samples on each side of a y-window are new

@@ -151,16 +151,14 @@ def _t0_ladder(T: float, step: float) -> np.ndarray:
     return np.r_[0.0, np.column_stack((ts, -ts)).ravel()]
 
 
-def _conclusion_holds(flow, x, y, eps, mode, reparam, ladder) -> bool:
+def _conclusion_holds(flow, x, y, eps, reparam, ladder) -> bool:
     """The definition's conclusion: the aligned point lies on the x-orbit.
 
-    t0_zero checks phi_{s(0)}(y) in phi_[-eps,eps](x); t0_free scans the
-    t0 ladder (_t0_ladder) for phi_{s(t0)}(y) in phi_[t0-eps,t0+eps](x). Each
-    membership, up to TOL_ORBIT, is decided in closed form (_find_orbit_time).
+    Scans the t0 ladder for phi_{s(t0)}(y) in phi_[t0-eps,t0+eps](x): a
+    t0_free property scans _t0_ladder, a t0_zero property or strict_t0 the
+    one-point ladder [0.0]. Each membership, up to TOL_ORBIT, is decided in
+    closed form (_find_orbit_time).
     """
-    if mode == "t0_zero":
-        p = flow.evaluate(reparam(0.0), as_coords(y))
-        return _find_orbit_time(flow, x, p, -eps, eps, TOL_ORBIT) is not None
     for t0 in ladder:
         p = flow.evaluate(reparam(float(t0)), as_coords(y))
         if _find_orbit_time(flow, x, p, t0 - eps, t0 + eps, TOL_ORBIT) is not None:
@@ -173,12 +171,15 @@ def _scan_pairs(flow, pairs, T, h, cost, batch=1):
 
     cost maps a list of (x orbit, y orbit) samples to a list of costs.
     Distinct pairs are costed `batch` at a time in first-listing order, so
-    pairs after the one being yielded may already be costed. Each base point
-    is sampled once over [-T, T] with step h, however many pairs share it,
-    and its sample is held only until the last distinct pair that needs it
-    is costed. A pair listed more than once is costed once; its cost is
-    held only until its last listing, since a cost may carry a path. A
-    point outside flow.space raises SpaceError before any pair is costed.
+    pairs after the one being yielded may already be costed. This is the
+    only batcher: the alignment drivers pass pairs_per_batch(T, h,
+    band_width), and _align_batch costs each chunk in one kernel call. Each
+    base point is sampled once over [-T, T] with step h, however many pairs
+    share it, and its sample is held only until the last distinct pair that
+    needs it is costed. A pair listed more than once is costed once; its
+    cost is held only until its last listing, since a cost may carry a
+    path. A point outside flow.space raises SpaceError before any pair is
+    costed.
     """
     pairs = [(flow.space.point(x).vec, flow.space.point(y).vec) for x, y in pairs]
     keys = [(tuple(x), tuple(y)) for x, y in pairs]
@@ -224,11 +225,6 @@ def _falsify(flow, pairs, max_pairs, scan, fails):
     return verdict, None, pair_costs
 
 
-def _aligner(weight_kind, fix_zero, band_width, path_below=math.inf):
-    return lambda orbit_pairs: _align_batch(orbit_pairs, weight_kind, fix_zero, band_width,
-                                            path_below)
-
-
 def check_property(flow: FlowModel, property: str, eps: float, delta: float,
                    pair_grid=None, *, T: float = DEFAULT_T, h: float = DEFAULT_H,
                    band_width: float = DEFAULT_BAND, strict_t0: bool = False,
@@ -245,17 +241,17 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
     require(ExpansivityError, "positive", eps=eps, delta=delta, T=T, h=h,
             band_width=band_width, t0_step=t0_step)
     weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
-    if strict_t0:
-        t0_mode = "t0_zero"
     pairs = list(pair_grid) if pair_grid is not None else default_pair_grid(flow, delta)
-    ladder = _t0_ladder(T, t0_step)
+    ladder = [0.0] if strict_t0 or t0_mode == "t0_zero" else _t0_ladder(T, t0_step)
 
     def fails(x, y, res):
         return res.cost <= delta and not _conclusion_holds(
-            flow, x, y, eps, t0_mode, res.reparam, ladder)
+            flow, x, y, eps, res.reparam, ladder)
 
     # only a pair with cost <= delta can be a witness, so only its path is read
-    cost = _aligner(weight_kind, fix_zero, band_width, delta)
+    def cost(orbit_pairs):
+        return _align_batch(orbit_pairs, weight_kind, fix_zero, band_width, delta)
+
     batch = pairs_per_batch(T, h, band_width)
     verdict, witness, pair_costs = _falsify(
         flow, pairs, max_pairs, lambda some: _scan_pairs(flow, some, T, h, cost, batch), fails)
@@ -566,13 +562,16 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     # _scan_pairs costs a pair that several grids share once
     grids = [default_pair_grid(flow, eps) for eps in eps_values] if pair_grid is None \
         else [list(pair_grid)] * len(eps_values)
-    scanned = _scan_pairs(flow, [pair for grid in grids for pair in grid], T, h,
-                          _aligner(weight_kind, fix_zero, band_width),
+
+    def cost(orbit_pairs):
+        return _align_batch(orbit_pairs, weight_kind, fix_zero, band_width)
+
+    scanned = _scan_pairs(flow, [pair for grid in grids for pair in grid], T, h, cost,
                           pairs_per_batch(T, h, band_width))
-    ladder = _t0_ladder(T, t0_step)
+    ladder = [0.0] if t0_mode == "t0_zero" else _t0_ladder(T, t0_step)
     curve = []
     for eps, grid in zip(eps_values, grids):
         fail_costs = [res.cost for x, y, res in itertools.islice(scanned, len(grid))
-                      if not _conclusion_holds(flow, x, y, eps, t0_mode, res.reparam, ladder)]
+                      if not _conclusion_holds(flow, x, y, eps, res.reparam, ladder)]
         curve.append((float(eps), min(fail_costs) if fail_costs else math.inf))
     return curve

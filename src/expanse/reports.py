@@ -51,10 +51,6 @@ def write_report(doc: dict, path) -> None:
     Path(path).write_text(dumps_report(doc))
 
 
-def load_report(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12g}"

@@ -157,8 +157,7 @@ def generate_pseudo_orbit(flow: FlowModel, x0, n_segments: int, delta: float,
                        i_min=-(n_segments // 2), T_min=T_min, delta=delta)
 
 
-def default_candidates(flow: FlowModel, po: PseudoOrbit, eps: float,
-                       level: int = 1) -> list:
+def default_candidates(flow: FlowModel, po: PseudoOrbit, eps: float) -> list:
     """Candidate shadow start points: pulled-back entries plus perturbations.
 
     Every entry x_i is flowed to clock 0 (z_i = phi_{-S(i)}(x_i)): whichever
@@ -182,8 +181,7 @@ def default_candidates(flow: FlowModel, po: PseudoOrbit, eps: float,
             continue
         x_i, _ = po.entry(i)
         push(flow.evaluate(-s_i, x_i))
-    taus = [k * eps / (2.0 * level) for k in range(-level, level + 1) if k != 0]
-    for tau in taus:
+    for tau in (-eps / 2.0, eps / 2.0):
         if not flow.forward_only or tau >= 0:
             push(flow.evaluate(float(tau), z0))
     if isinstance(flow.space, CircleUnion):

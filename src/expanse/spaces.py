@@ -62,7 +62,7 @@ class Space:
         """Metric. Broadcasts over leading axes of coordinate arrays."""
         raise NotImplementedError
 
-    def contains(self, coords, tol=CONTAIN_TOL) -> bool:
+    def contains(self, coords) -> bool:
         raise NotImplementedError
 
     def point(self, *coords) -> Point:
@@ -106,9 +106,9 @@ class Interval01(Space):
         b = np.asarray(b, dtype=float)
         return np.abs(a[..., 0] - b[..., 0])
 
-    def contains(self, coords, tol=CONTAIN_TOL):
+    def contains(self, coords):
         c = as_coords(coords)
-        return c.shape == (1,) and -tol <= c[0] <= 1.0 + tol
+        return c.shape == (1,) and -CONTAIN_TOL <= c[0] <= 1.0 + CONTAIN_TOL
 
     def grid(self, n):
         return [np.array([x]) for x in np.linspace(0.0, 1.0, n + 2)[1:-1]]
@@ -160,14 +160,14 @@ class CircleUnion(Space):
         d0, d1 = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]
         return np.hypot(d0, d1, out=d0 if d0.ndim else None)
 
-    def contains(self, coords, tol=CONTAIN_TOL):
+    def contains(self, coords):
         c = as_coords(coords)
         if c.shape != (2,):
             return False
         r = math.hypot(c[0], c[1])
-        if self.include_origin and r <= tol:
+        if self.include_origin and r <= CONTAIN_TOL:
             return True
-        return any(abs(r - rad) <= tol for rad in self.radii)
+        return any(abs(r - rad) <= CONTAIN_TOL for rad in self.radii)
 
     def on_circle(self, n: int, angle: float) -> np.ndarray:
         r = self.radii[n]
@@ -266,9 +266,10 @@ class Torus2(Space):
         d1 = self._wrap(a[..., 1] - b[..., 1])
         return np.hypot(d0, d1, out=d0 if d0.ndim else None)
 
-    def contains(self, coords, tol=CONTAIN_TOL):
+    def contains(self, coords):
         c = as_coords(coords)
-        return c.shape == (2,) and -tol <= c[0] < 1.0 + tol and -tol <= c[1] < 1.0 + tol
+        return (c.shape == (2,) and -CONTAIN_TOL <= c[0] < 1.0 + CONTAIN_TOL
+                and -CONTAIN_TOL <= c[1] < 1.0 + CONTAIN_TOL)
 
     def grid(self, n=8):
         us = np.arange(n) / n
@@ -316,11 +317,11 @@ class FiniteSet(Space):
         b = np.asarray(b, dtype=float)
         return np.sqrt(((a - b) ** 2).sum(-1))
 
-    def contains(self, coords, tol=CONTAIN_TOL):
+    def contains(self, coords):
         c = as_coords(coords)
         if c.shape != (self.points_arr.shape[1],):
             return False
-        return bool((self.distance(self.points_arr, c[None, :]) <= tol).any())
+        return bool((self.distance(self.points_arr, c[None, :]) <= CONTAIN_TOL).any())
 
     def grid(self, n=None):
         return [p.copy() for p in self.points_arr]

@@ -15,7 +15,6 @@ from expanse.alignment import (
     _find_orbit_time,
     _minimax_band_dp,
     align,
-    align_batch,
     recompute_cost,
     rep_epsilon_check,
 )
@@ -668,17 +667,14 @@ def test_align_fix_zero_pins_origin():
 
 
 @pytest.mark.parametrize("fix_zero", [False, True])
-def test_align_batch_matches_single_pairs(harmonic_rot, monkeypatch, fix_zero):
+def test_align_batch_matches_single_pairs(harmonic_rot, fix_zero):
     orbits = [sample_orbit(harmonic_rot, np.array([r, 0.0]), T=3.0, h=0.05)
               for r in (1.0, 0.5, 1.0 / 3.0, 0.25)]
     orbits.append(sample_orbit(harmonic_rot, harmonic_rot.evaluate(0.8, orbits[1].base),
                                T=3.0, h=0.05))
     pairs = [(orbits[i], orbits[j]) for i in range(5) for j in range(5)]
     singles = [align(xs, ys, "sing_dist", fix_zero, 1.0) for xs, ys in pairs]
-    # a budget of three pairs per kernel call splits the batch into chunks
-    monkeypatch.setattr(alignment, "BATCH_CELLS", 3 * 121 * 41)
-    assert alignment.pairs_per_batch(3.0, 0.05, 1.0) == 3
-    for one, res in zip(singles, align_batch(pairs, "sing_dist", fix_zero, 1.0)):
+    for one, res in zip(singles, alignment._align_batch(pairs, "sing_dist", fix_zero, 1.0)):
         assert res.cost == one.cost and res.argmax_t == one.argmax_t
         assert np.array_equal(res.reparam.knots_s, one.reparam.knots_s)
 
@@ -720,7 +716,7 @@ def test_align_batch_matches_dense_oracle(flow, weight, fix_zero):
     W = int(math.floor(band / 0.05 + 1e-9))
     n_half = (len(pairs[0][0].times) - 1) // 2
     fix_idx = n_half if fix_zero else None
-    for (xs, ys), res in zip(pairs, align_batch(pairs, weight, fix_zero, band)):
+    for (xs, ys), res in zip(pairs, alignment._align_batch(pairs, weight, fix_zero, band)):
         lc = _dense_local_costs(xs, ys, weight, W)
         cost, path = _ref_minimax_band_dp(lc, W, fix_idx)
         assert res.cost == cost
@@ -766,7 +762,7 @@ def test_align_batch_mixed_offsets_match_dense_oracle(monkeypatch, extra, weight
     monkeypatch.setattr(alignment, "_minimax_band_dp", spy)
     n_half = (len(pairs[0][0].times) - 1) // 2
     fix_idx = n_half if fix_zero else None
-    results = align_batch(pairs, weight, fix_zero, band)
+    results = alignment._align_batch(pairs, weight, fix_zero, band)
     # an antipodal pair's cheapest cells lie at both band edges, and the
     # origin pair's at every column (under sing_dist its bound is +inf), so
     # centring would not narrow the sweep: the layout rule keeps the band
@@ -801,7 +797,7 @@ def test_align_batch_sweeps_few_cells_on_falsify_grid(monkeypatch):
         return kernel(counted, *args)
 
     monkeypatch.setattr(alignment, "_minimax_band_dp", counting)
-    align_batch(pairs, "sing_dist", False, band)
+    alignment._align_batch(pairs, "sing_dist", False, band)
     n, W = 2 * int(round(T / h)) + 1, int(math.floor(band / h + 1e-9))
     assert sum(asked) < len(pairs) * n * (2 * W + 1) / 40
     assert len(asked) <= 126
@@ -830,12 +826,12 @@ def test_falsify_scale_path_pass_fetches_nothing(monkeypatch):
 
 
 def test_align_batch_reads_paths_below_a_cost(harmonic_rot):
-    # the private entry gives a path only to the pairs a caller reads; their
-    # results, and every cost, are align_batch's
+    # a batch gives a path only to the pairs a caller reads; their results,
+    # and every cost, are those of the batch that reads every path
     orbits = [sample_orbit(harmonic_rot, np.array([r, 0.0]), T=3.0, h=0.05)
               for r in (1.0, 0.5, 1.0 / 3.0, 0.25)]
     pairs = [(a, b) for a in orbits for b in orbits]
-    every = align_batch(pairs, "sing_dist", False, 1.0)
+    every = alignment._align_batch(pairs, "sing_dist", False, 1.0)
     cut = float(np.median([res.cost for res in every]))
     for res, some in zip(every, alignment._align_batch(pairs, "sing_dist", False, 1.0, cut)):
         assert some.cost == res.cost
@@ -850,7 +846,7 @@ def test_align_batch_needs_shared_grid(harmonic_rot):
     a = sample_orbit(harmonic_rot, np.array([1.0, 0.0]), T=2.0, h=0.05)
     b = sample_orbit(harmonic_rot, np.array([0.5, 0.0]), T=3.0, h=0.05)
     with pytest.raises(AlignmentError):
-        align_batch([(a, a), (b, b)], band_width=1.0)
+        alignment._align_batch([(a, a), (b, b)], "unit", False, 1.0)
 
 
 def test_align_infeasible_band():

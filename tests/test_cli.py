@@ -22,7 +22,7 @@ from expanse.cli import (
 from expanse.config import KINDS
 from expanse.expansivity import check_property
 from expanse.flows import FLOW_KEYS, flow_from_config, interval_flow
-from expanse.reports import dumps_report, load_report, write_report
+from expanse.reports import dumps_report, write_report
 from expanse.shadowing import PseudoOrbit, cumulative_clock, find_shadow
 from expanse.spaces import SPACE_KEYS
 
@@ -47,7 +47,7 @@ def test_falsify_exit_code_2_and_witness(tmp_path):
     out = tmp_path / "out"
     code = main(["falsify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-    rep = load_report(out / "report.json")["report"]
+    rep = json.loads((out / "report.json").read_text())["report"]
     assert rep["verdict"] == "falsified"
     rx = math.hypot(*rep["witness"]["x"])
     assert round(1 / rx) >= 9
@@ -61,7 +61,7 @@ def test_ball_inclusion_exit_zero(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["ball-inclusion", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = load_report(out / "report.json")["report"]
+    rep = json.loads((out / "report.json").read_text())["report"]
     assert rep["verdict"] == "certified_at_scale"
 
 
@@ -73,7 +73,7 @@ def test_entropy_trivial_exit_zero(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["entropy", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = load_report(out / "report.json")["report"]
+    rep = json.loads((out / "report.json").read_text())["report"]
     assert rep["h_estimate"] == pytest.approx(0.0, abs=1e-12)
     assert (out / "triples.csv").exists()
 
@@ -192,7 +192,7 @@ def test_int_scale_values_write_the_same_report(tmp_path):
     written = []
     for name, c in (("float", cfg), ("int", as_int)):
         assert run("check", c, tmp_path / name) == 0
-        doc = load_report(tmp_path / name / "report.json")
+        doc = json.loads((tmp_path / name / "report.json").read_text())
         written.append((dumps_report({k: v for k, v in doc.items() if k != "config"}),
                         (tmp_path / name / "pairs.csv").read_bytes()))
     assert written[0] == written[1]
@@ -324,7 +324,7 @@ def test_shadow_task_roundtrip(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = load_report(out / "report.json")["report"]
+    rep = json.loads((out / "report.json").read_text())["report"]
     assert rep["shadowed"] is True
     assert rep["rep_eps_ok"] is True
     assert (out / "pseudo_orbit.txt").exists()
@@ -349,7 +349,7 @@ def test_override_and_seed_flags(tmp_path):
                  "--seed", "9", "--override", "n_segments=5",
                  "--override", "flow.lambda=1.0"])
     assert code == 0
-    doc = load_report(out / "report.json")
+    doc = json.loads((out / "report.json").read_text())
     assert doc["config"]["seed"] == 9
     assert doc["config"]["n_segments"] == 5
 
@@ -423,7 +423,7 @@ def test_delta_star_task_curve(tmp_path):
     # the smallest falsifying cost at eps 1 is the ratio 1/(n+1) at n = 9
     task, cfg, code, _ = _PINNED[-1]
     assert run(task, json.loads(json.dumps(cfg)), tmp_path) == code
-    curve = load_report(tmp_path / "report.json")["report"]["curve"]
+    curve = json.loads((tmp_path / "report.json").read_text())["report"]["curve"]
     assert curve[0][0] == 1.0 and curve[0][1] == pytest.approx(0.1, abs=1e-9)
 
 
@@ -432,7 +432,7 @@ def test_emit_report_roundtrip(tmp_path):
            "cost": 0.09999999999999996}
     path = tmp_path / "r.json"
     write_report(doc, path)
-    back = load_report(path)
+    back = json.loads(path.read_text())
     assert back["witness"]["x"][0] == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert back["cost"] == pytest.approx(doc["cost"], abs=1e-12)
     # byte stability
@@ -508,7 +508,7 @@ def test_pinned_reports_reaudit(tmp_path, task, cfg):
     # against fresh flow evaluations: a witness's cost along its knots, and
     # a shadow's per-segment errors along its reparametrization
     run(task, json.loads(json.dumps(cfg)), tmp_path)
-    rep = load_report(tmp_path / "report.json")["report"]
+    rep = json.loads((tmp_path / "report.json").read_text())["report"]
     flow = flow_from_config(cfg["flow"])
     if task == "falsify":
         assert rep["verdict"] == "falsified"

@@ -424,7 +424,9 @@ def test_scan_pairs_frees_each_sample_after_its_last_pair(batch):
 
 
 def test_check_property_same_at_every_batch_size(monkeypatch):
-    # criterion 1's falsification at a small scale: the witness is pair 97 of 116
+    # criterion 1's falsification at a small scale: the witness is pair 97 of
+    # 116; delta_star and hierarchy_check scan on the same batcher. Every
+    # kernel call takes at most pairs_per_batch pairs, and no result moves
     flow = rotation_flow(CircleUnion(harmonic_radii(10)))
     T, h, band = 2.0, 0.05, 1.0
     cells = (2 * int(round(T / h)) + 1) * (2 * int(round(band / h)) + 1)
@@ -435,23 +437,30 @@ def test_check_property_same_at_every_batch_size(monkeypatch):
         sizes.append(len(orbit_pairs))
         return alignment._align_batch(orbit_pairs, *args, **kwargs)
 
+    def witness(rep):
+        w = rep.witness
+        return (rep.verdict, rep.pair_costs, w.x, w.y, w.alignment.reparam.knots_t.tobytes(),
+                w.alignment.reparam.knots_s.tobytes())
+
+    drivers = {  # name: (run, what must not move)
+        "check_property": (functools.partial(check_property, flow, "singular_expansive",
+                                             eps=1.0, delta=0.1), witness),
+        "delta_star": (functools.partial(delta_star, flow, "singular_expansive", [1.0, 0.5]),
+                       list),
+        "hierarchy_check": (functools.partial(hierarchy_check, flow, delta=0.1), dict),
+    }
     monkeypatch.setattr(expansivity, "_align_batch", sizing_align_batch)
-    reports = {}
-    for per in (1, 3, n_pairs):
-        monkeypatch.setattr(alignment, "BATCH_CELLS", per * cells)
-        sizes.clear()
-        reports[per] = rep = check_property(flow, "singular_expansive", eps=1.0, delta=0.1,
-                                            T=T, h=h, band_width=band)
-        assert max(sizes) == min(per, n_pairs)
-    ref = reports[n_pairs]
-    assert ref.verdict == "falsified" and len(ref.pair_costs) < n_pairs
-    for rep in reports.values():
-        assert rep.verdict == ref.verdict
-        assert rep.pair_costs == ref.pair_costs
-        assert rep.witness.x == ref.witness.x and rep.witness.y == ref.witness.y
-        for knots in ("knots_t", "knots_s"):
-            assert (getattr(rep.witness.alignment.reparam, knots).tobytes()
-                    == getattr(ref.witness.alignment.reparam, knots).tobytes())
+    for name, (run, kept) in drivers.items():
+        outs = {}
+        for per in (1, 3, n_pairs):
+            monkeypatch.setattr(alignment, "BATCH_CELLS", per * cells)
+            sizes.clear()
+            outs[per] = kept(run(T=T, h=h, band_width=band))
+            assert max(sizes) <= alignment.pairs_per_batch(T, h, band) == per, name
+            assert max(sizes) == min(per, n_pairs), name  # the cap binds
+        assert outs[1] == outs[3] == outs[n_pairs], name
+        if name == "check_property":
+            assert outs[1][0] == "falsified" and len(outs[1][1]) < n_pairs
 
 
 # a pair off exp(4)'s circles, which every pair scan used to cost and certify

@@ -273,8 +273,10 @@ def test_orbit_cells_match_one_call(flow, z, m_lo):
 def test_shadow_error_monotone_under_candidate_refinement():
     flow = interval_flow(1.0)
     po = generate_pseudo_orbit(flow, np.array([0.3]), 8, delta=5e-3, seed=11)
-    lvl1 = default_candidates(flow, po, 0.05, level=1)
-    lvl2 = lvl1 + default_candidates(flow, po, 0.05, level=2)
+    lvl1 = default_candidates(flow, po, 0.05)
+    # refine the tau ladder around the index-0 entry from eps/2 steps to eps/4
+    z0, _ = po.entry(0)
+    lvl2 = lvl1 + [flow.evaluate(k * 0.05 / 4.0, z0) for k in (-2, -1, 1, 2)]
     e1 = find_shadow(flow, po, 0.05, candidate_grid=lvl1, mode="best").max_error
     e2 = find_shadow(flow, po, 0.05, candidate_grid=lvl2, mode="best").max_error
     assert e2 <= e1 + 1e-15
