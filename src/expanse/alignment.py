@@ -128,7 +128,6 @@ def _weighted_ratio(dists: np.ndarray, w: np.ndarray) -> np.ndarray:
     bad = w <= 0.0
     if bad.any():
         ratio = np.where(bad & (dists <= 0.0), 0.0, ratio)
-        ratio = np.where(bad & (dists > 0.0), np.inf, ratio)
     return ratio
 
 

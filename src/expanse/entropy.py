@@ -136,28 +136,15 @@ def _greedy_cover(cover: np.ndarray) -> list:
 def _exact_minimum_cover(cover: np.ndarray) -> list:
     """First minimum cover in itertools.combinations order, on int bitmasks.
 
-    Bit p of rows[c] says centre c covers point p. The minimum size comes
-    from branching on the coverers of the lowest uncovered point; the
-    centres then come from a search in lexicographic order, pruned when the
-    union of all centres still allowed cannot finish the cover.
+    Bit p of rows[c] says centre c covers point p. One search in
+    lexicographic order runs for k = 1, 2, ... centres, pruned when the
+    union of all centres still allowed cannot finish the cover; the first
+    cover it finds is of the least size and first in that order.
     """
     m = cover.shape[0]
     rows = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
             for r in cover]
     full = (1 << m) - 1
-    coverers = [[c for c in range(m) if rows[c] >> p & 1] for p in range(m)]
-
-    def coverable(covered: int, k: int) -> bool:
-        if covered == full:
-            return True
-        if k == 0:
-            return False
-        p = (~covered & (covered + 1)).bit_length() - 1  # lowest uncovered point
-        return any(coverable(covered | rows[c], k - 1) for c in coverers[p])
-
-    size = next((k for k in range(1, m + 1) if coverable(0, k)), None)
-    if size is None:
-        raise EntropyError("grid point not coverable (should cover itself)")
     suffix = [0] * (m + 1)  # suffix[c]: union of rows[c:]
     for c in range(m - 1, -1, -1):
         suffix[c] = suffix[c + 1] | rows[c]
@@ -173,7 +160,11 @@ def _exact_minimum_cover(cover: np.ndarray) -> list:
                 return [c] + rest
         return None
 
-    return first(0, 0, size)
+    for k in range(1, m + 1):
+        chosen = first(0, 0, k)
+        if chosen is not None:
+            return chosen
+    raise EntropyError("grid point not coverable (should cover itself)")
 
 
 def _min_cover(cover: np.ndarray) -> tuple:

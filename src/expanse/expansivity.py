@@ -32,7 +32,7 @@ DEFAULT_H = 0.01
 DEFAULT_BAND = 2.0
 TOL_ORBIT = 1e-7
 
-# weight kind and zero-fixing flag mandated by each definition
+# weight kind, zero-fixing flag and t0 quantifier mandated by each definition
 PROPERTY_RULES = {
     "expansive": ("unit", True, "t0_zero"),
     "kstar": ("unit", True, "t0_free"),
@@ -151,21 +151,6 @@ def _t0_ladder(T: float, step: float) -> np.ndarray:
     return np.r_[0.0, np.column_stack((ts, -ts)).ravel()]
 
 
-def _conclusion_holds(flow, x, y, eps, reparam, ladder) -> bool:
-    """The definition's conclusion: the aligned point lies on the x-orbit.
-
-    Scans the t0 ladder for phi_{s(t0)}(y) in phi_[t0-eps,t0+eps](x): a
-    t0_free property scans _t0_ladder, a t0_zero property or strict_t0 the
-    one-point ladder [0.0]. Each membership, up to TOL_ORBIT, is decided in
-    closed form (_find_orbit_time).
-    """
-    for t0 in ladder:
-        p = flow.evaluate(reparam(float(t0)), as_coords(y))
-        if _find_orbit_time(flow, x, p, t0 - eps, t0 + eps, TOL_ORBIT) is not None:
-            return True
-    return False
-
-
 def _scan_pairs(flow, pairs, T, h, cost, batch=1):
     """Yield (x, y, cost of the pair) for each pair, in order.
 
@@ -206,6 +191,38 @@ def _scan_pairs(flow, pairs, T, h, cost, batch=1):
         yield x, y, c
 
 
+def _property_scan(flow, property, T, h, band_width, t0_step, strict_t0=False,
+                   path_below=math.inf):
+    """(scan, holds) for a property: its PROPERTY_RULES row is read only here.
+
+    scan maps pairs to _scan_pairs' (x, y, alignment) triples, costed by
+    _align_batch under the property's weight and pin in batches of
+    pairs_per_batch; only pairs with cost <= path_below get a path.
+    holds(x, y, eps, res) is the conclusion: phi_{s(t0)}(y) in
+    phi_[t0-eps,t0+eps](x), up to TOL_ORBIT in closed form (_find_orbit_time),
+    for some t0 on _t0_ladder(T, t0_step), or at t0 = 0 alone for a t0_zero
+    property or strict_t0.
+    """
+    if property not in PROPERTY_RULES:
+        raise ExpansivityError(f"unknown property: {property!r}")
+    require(ExpansivityError, "positive", T=T, h=h, band_width=band_width, t0_step=t0_step)
+    weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
+    ladder = [0.0] if strict_t0 or t0_mode == "t0_zero" else _t0_ladder(T, t0_step)
+    batch = pairs_per_batch(T, h, band_width)
+
+    def cost(orbit_pairs):
+        return _align_batch(orbit_pairs, weight_kind, fix_zero, band_width, path_below)
+
+    def holds(x, y, eps, res):
+        for t0 in ladder:
+            p = flow.evaluate(res.reparam(float(t0)), as_coords(y))
+            if _find_orbit_time(flow, x, p, t0 - eps, t0 + eps, TOL_ORBIT) is not None:
+                return True
+        return False
+
+    return (lambda pairs: _scan_pairs(flow, pairs, T, h, cost, batch)), holds
+
+
 def _falsify(flow, pairs, max_pairs, scan, fails):
     """The one verdict rule: (verdict, witness, pair_costs) of a scan for a witness.
 
@@ -236,25 +253,13 @@ def check_property(flow: FlowModel, property: str, eps: float, delta: float,
     the mandated t0 quantifier, over the sampled window) is a witness. The
     strict_t0 flag strengthens the free-t0 conclusions to t0 = 0.
     """
-    if property not in PROPERTY_RULES:
-        raise ExpansivityError(f"unknown property: {property!r}")
-    require(ExpansivityError, "positive", eps=eps, delta=delta, T=T, h=h,
-            band_width=band_width, t0_step=t0_step)
-    weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
-    pairs = list(pair_grid) if pair_grid is not None else default_pair_grid(flow, delta)
-    ladder = [0.0] if strict_t0 or t0_mode == "t0_zero" else _t0_ladder(T, t0_step)
-
-    def fails(x, y, res):
-        return res.cost <= delta and not _conclusion_holds(
-            flow, x, y, eps, res.reparam, ladder)
-
+    require(ExpansivityError, "positive", eps=eps, delta=delta)
     # only a pair with cost <= delta can be a witness, so only its path is read
-    def cost(orbit_pairs):
-        return _align_batch(orbit_pairs, weight_kind, fix_zero, band_width, delta)
-
-    batch = pairs_per_batch(T, h, band_width)
+    scan, holds = _property_scan(flow, property, T, h, band_width, t0_step, strict_t0, delta)
+    pairs = list(pair_grid) if pair_grid is not None else default_pair_grid(flow, delta)
     verdict, witness, pair_costs = _falsify(
-        flow, pairs, max_pairs, lambda some: _scan_pairs(flow, some, T, h, cost, batch), fails)
+        flow, pairs, max_pairs, scan,
+        lambda x, y, res: res.cost <= delta and not holds(x, y, eps, res))
     return PropertyReport(
         property=property, verdict=verdict, eps=eps, delta=delta,
         witness=witness,
@@ -441,16 +446,14 @@ def local_norm_constant(flow: FlowModel, n_pairs: int = 10_000, seed: int = 0) -
         return math.inf, {"L_hat": 0.0, "halvings": 0, "pairs_checked": 0}
     c = 1.0 / (4.0 * L)
     rng = np.random.default_rng(seed)
-    nonsing = pts[norms > 0]
+    nonsing, nonsing_norms = pts[norms > 0], norms[norms > 0]
     halvings = 0
     while True:
         ok = True
         checked = 0
         for _ in range(n_pairs):
-            x = nonsing[rng.integers(len(nonsing))]
-            vx = field_norm(flow, x)
-            if vx == 0.0:
-                continue
+            i = rng.integers(len(nonsing))
+            x, vx = nonsing[i], float(nonsing_norms[i])
             y = flow.space.sample_near(rng, x, 0.999 * c * vx)
             vy = field_norm(flow, y)
             checked += 1
@@ -551,27 +554,19 @@ def delta_star(flow: FlowModel, property: str, eps_values, pair_grid=None, *,
     default_pair_grid(flow, eps), and a pair on several grids is costed
     once. Returns [(eps, delta_star)] with inf when no pair fails.
     """
-    if property not in PROPERTY_RULES:
-        raise ExpansivityError(f"unknown property: {property!r}")
+    scan, holds = _property_scan(flow, property, T, h, band_width, t0_step)
     if not len(eps_values):
         raise ExpansivityError("eps_values is empty")
-    require(ExpansivityError, "positive", T=T, h=h, band_width=band_width, t0_step=t0_step,
+    require(ExpansivityError, "positive",
             **{f"eps_values[{i}]": eps for i, eps in enumerate(eps_values)})
-    weight_kind, fix_zero, t0_mode = PROPERTY_RULES[property]
     # each eps on its own grid, so its delta* does not depend on the ladder;
     # _scan_pairs costs a pair that several grids share once
     grids = [default_pair_grid(flow, eps) for eps in eps_values] if pair_grid is None \
         else [list(pair_grid)] * len(eps_values)
-
-    def cost(orbit_pairs):
-        return _align_batch(orbit_pairs, weight_kind, fix_zero, band_width)
-
-    scanned = _scan_pairs(flow, [pair for grid in grids for pair in grid], T, h, cost,
-                          pairs_per_batch(T, h, band_width))
-    ladder = [0.0] if t0_mode == "t0_zero" else _t0_ladder(T, t0_step)
+    scanned = scan([pair for grid in grids for pair in grid])
     curve = []
     for eps, grid in zip(eps_values, grids):
         fail_costs = [res.cost for x, y, res in itertools.islice(scanned, len(grid))
-                      if not _conclusion_holds(flow, x, y, eps, res.reparam, ladder)]
+                      if not holds(x, y, eps, res)]
         curve.append((float(eps), min(fail_costs) if fail_costs else math.inf))
     return curve

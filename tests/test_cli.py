@@ -78,6 +78,43 @@ def test_entropy_trivial_exit_zero(tmp_path):
     assert (out / "triples.csv").exists()
 
 
+def test_check_trivial_torus_falsified(tmp_path):
+    # the identity flow on the torus is not expansive: the first pair of the
+    # default grid, (0, 0) and its first Torus2 partner at distance delta, fails
+    cfg = write_cfg(tmp_path, {
+        "flow": {"name": "trivial", "space": {"kind": "torus2"}},
+        "property": "expansive", "eps": 0.5, "delta": 0.1,
+        "scale": {"T": 1.0, "h": 0.1, "band_width": 0.5},
+    })
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    rep = json.loads((out / "report.json").read_text())["report"]
+    assert rep["verdict"] == "falsified"
+    assert rep["stats"]["pairs_total"] == 6 * 6 * 3  # a 6 x 6 grid, 3 partners each
+    assert (rep["witness"]["x"], rep["witness"]["y"]) == ([0.0, 0.0], [0.1, 0.0])
+    assert rep["witness"]["cost"] == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps, code, verdict, rows", [
+    (0.5, 0, "certified_at_scale", ["0,0.3,0.3", "0.3,0,0.3"]),
+    (0.2, 2, "falsified", ["0,0.3,0.3"]),
+])
+def test_equicontinuity_trivial_finite_set(tmp_path, eps, code, verdict, rows):
+    # the identity flow keeps every pair at its distance: the FiniteSet partners
+    # of 0 and 0.3 within delta are each other, and 1 has none
+    cfg = write_cfg(tmp_path, {
+        "flow": {"name": "trivial",
+                 "space": {"kind": "finite_set", "points": [[0.0], [0.3], [1.0]]}},
+        "eps": eps, "delta": 0.5, "scale": {"T": 1.0, "h": 0.1},
+    })
+    out = tmp_path / "out"
+    assert main(["equicontinuity", "--config", str(cfg), "--out", str(out)]) == code
+    rep = json.loads((out / "report.json").read_text())["report"]
+    assert rep["verdict"] == verdict
+    assert rep["stats"]["pairs_total"] == 2
+    assert (out / "pairs.csv").read_text().splitlines()[1:] == rows
+
+
 def test_unknown_flow_exit_one(tmp_path):
     cfg = write_cfg(tmp_path, {"flow": {"name": "lorenz"}, "eps": 1, "delta": 1,
                                "property": "kstar"})

@@ -444,6 +444,16 @@ def test_x_delta_beyond_diameter_empty(exp_rot):
                        grid=exp_rot.space.grid(4)) == []
 
 
+def test_x_delta_empty_singular_set_keeps_the_grid(monkeypatch):
+    # the doubling suspension has no singular point: dist(., Sing) is the
+    # diameter everywhere, so no orbit is sampled
+    flow = suspension_doubling()
+    monkeypatch.setattr(entropy, "sample_orbit", None)
+    kept = x_delta_set(flow, 0.5)
+    assert [p.tolist() for p in kept] == [p.tolist() for p in flow.space.grid(64)]
+    assert x_delta_set(flow, flow.space.diameter * (1.0 + 1e-12)) == []
+
+
 def test_x_delta_validation(exp_rot):
     with pytest.raises(EntropyError):
         x_delta_set(exp_rot, 0.0)

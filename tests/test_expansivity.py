@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import math
@@ -22,7 +23,14 @@ from expanse.expansivity import (
 )
 from expanse.alignment import recompute_cost
 from expanse.flows import interval_flow, rotation_flow, sample_orbit, trivial_flow
-from expanse.spaces import CircleUnion, FiniteSet, SpaceError, exp_radii, harmonic_radii
+from expanse.spaces import (
+    CircleUnion,
+    FiniteSet,
+    Interval01,
+    SpaceError,
+    exp_radii,
+    harmonic_radii,
+)
 
 FAST = dict(T=6.0, h=0.05, band_width=1.0)
 
@@ -306,6 +314,22 @@ def test_local_norm_constant_rotation(exp_rot):
     c, info = local_norm_constant(exp_rot, n_pairs=2000)
     assert c == pytest.approx(0.25, abs=1e-12)
     assert info["halvings"] == 0
+
+
+def test_local_norm_constant_halves_an_understated_start():
+    # L = 0.01 understates the logistic field's Lipschitz constant 1, so the
+    # start c = 1/(4 L) = 25 fails and is halved until every sampled pair holds
+    flow = dataclasses.replace(interval_flow(1.0), lipschitz_L=0.01)
+    c, info = local_norm_constant(flow, n_pairs=2000)
+    assert info["halvings"] >= 1
+    assert c == 25.0 * 0.5 ** info["halvings"]
+    assert info["pairs_checked"] == 2000
+
+
+def test_local_norm_constant_zero_field():
+    c, info = local_norm_constant(trivial_flow(Interval01()))
+    assert c == math.inf
+    assert info == {"L_hat": 0.0, "halvings": 0, "pairs_checked": 0}
 
 
 # ----------------------------------------------------------- return time

@@ -272,7 +272,8 @@ def test_orbit_cells_match_one_call(flow, z, m_lo):
 
 def test_shadow_error_monotone_under_candidate_refinement():
     flow = interval_flow(1.0)
-    po = generate_pseudo_orbit(flow, np.array([0.3]), 8, delta=5e-3, seed=11)
+    # a pseudo-orbit on which an eps/4 tau step finds a closer shadow
+    po = generate_pseudo_orbit(flow, np.array([0.3]), 8, delta=1e-2, seed=3)
     lvl1 = default_candidates(flow, po, 0.05)
     # refine the tau ladder around the index-0 entry from eps/2 steps to eps/4
     z0, _ = po.entry(0)
@@ -280,6 +281,7 @@ def test_shadow_error_monotone_under_candidate_refinement():
     e1 = find_shadow(flow, po, 0.05, candidate_grid=lvl1, mode="best").max_error
     e2 = find_shadow(flow, po, 0.05, candidate_grid=lvl2, mode="best").max_error
     assert e2 <= e1 + 1e-15
+    assert e2 < e1
 
 
 def test_find_shadow_validation():
