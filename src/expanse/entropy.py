@@ -3,12 +3,15 @@
 Bowen covers come from one sweep over the sampled time grid that keeps only
 live pairs: the running max of d(phi_s x, phi_s y) never falls, so a pair
 above the ladder's largest eps is dropped for good, and each ladder time
-writes one boolean cover per eps. No float distance matrix is kept.
+writes one boolean cover per eps. No float distance matrix is kept; each step
+measures the live pairs in blocks of _PAIR_BLOCK, whose temporaries are small
+enough to be reused from the heap rather than mapped and faulted in afresh.
 
 One cover rule, _min_cover, sizes every (t, eps) cell: exact up to
 EXACT_SMALL_LIMIT points, greedy beyond (set cover is NP-hard; the greedy
-updates its counts incrementally), verified either way. Greedy cardinalities
-are upper bounds whose approximation factor washes out of the
+updates its counts incrementally from the points-by-centres matrix, which for
+a symmetric Bowen cover is the cover itself), verified either way. Greedy
+cardinalities are upper bounds whose approximation factor washes out of the
 ln r(t, eps) / t slopes. Limits are replaced by finite ladders: the reports
 carry ladder statistics, never a claimed limit. Ladders and h_sample are
 checked before any sweep; a bad one raises EntropyError naming it.
@@ -27,6 +30,7 @@ from .flows import FlowModel, sample_orbit
 from .spaces import as_coords
 
 EXACT_SMALL_LIMIT = 20
+_PAIR_BLOCK = 1 << 13  # pairs per distance call in the Bowen sweep
 
 
 class EntropyError(ValueError):
@@ -55,8 +59,8 @@ def _ladders(t_ladder, eps_ladder, h_sample, min_times: int = 2) -> tuple:
     """(t ascending, eps descending) as floats; EntropyError names a bad input."""
     t_ladder = sorted(float(t) for t in t_ladder)
     eps_ladder = sorted((float(e) for e in eps_ladder), reverse=True)
-    if len(t_ladder) < min_times:
-        raise EntropyError(f"degenerate t ladder: need at least {min_times} times")
+    if len(set(t_ladder)) < min_times:
+        raise EntropyError(f"degenerate t_ladder: need at least {min_times} distinct times")
     if not eps_ladder:
         raise EntropyError("empty eps ladder")
     for t in t_ladder:
@@ -79,10 +83,12 @@ def _bowen_covers(flow, pts, t_ladder, eps_ladder, h_sample):
     """Bowen covers {(t, eps): (m, m) bool}: running max of d(phi_s x, phi_s y) <= eps.
 
     One pass over the time grid sweeps int32 index lists of the upper-half
-    pairs (i <= j) that are still live. A running max never falls, so after
-    each step a pair above max(eps_ladder) is dropped for good. At each
-    ladder time every eps writes one cover, mirrored; the mirror is exact
-    because every space's metric is symmetric bit for bit.
+    pairs (i <= j) that are still live, _PAIR_BLOCK pairs per distance call so
+    that a block's temporaries are reused from the heap. A running max never
+    falls, so after each step a pair above max(eps_ladder) is dropped for good.
+    At each ladder time every eps writes one cover, both halves from one
+    value (the metrics are symmetric bit for bit), so every cover is its own
+    transpose, the points-by-centres matrix _greedy_cover reads.
     """
     pts = np.array([as_coords(p) for p in pts])
     m = pts.shape[0]
@@ -96,8 +102,10 @@ def _bowen_covers(flow, pts, t_ladder, eps_ladder, h_sample):
     next_cp = 0
     for j in range(len(ts)):
         snap = orbits[j]
-        d = flow.space.distance(snap.take(rows, axis=0), snap.take(cols, axis=0))
-        np.maximum(running, d, out=running)
+        for s in range(0, rows.size, _PAIR_BLOCK):
+            e = s + _PAIR_BLOCK
+            d = flow.space.distance(snap.take(rows[s:e], axis=0), snap.take(cols[s:e], axis=0))
+            np.maximum(running[s:e], d, out=running[s:e])
         live = running <= eps_max
         if not live.all():
             rows, cols, running = rows[live], cols[live], running[live]
@@ -112,13 +120,16 @@ def _bowen_covers(flow, pts, t_ladder, eps_ladder, h_sample):
     return out
 
 
-def _greedy_cover(cover: np.ndarray) -> list:
+def _greedy_cover(cover: np.ndarray, covered_by: np.ndarray) -> list:
     """Greedy set cover on a boolean centers-by-points matrix; ties go low.
 
-    The counts of still-uncovered points per centre are kept incrementally:
-    each pick subtracts the columns of the points it newly covers.
+    covered_by is cover.T, the points-by-centres matrix (row p: the centres
+    covering point p); a Bowen cover is its own, so _min_cover passes it
+    rather than copy a transpose. The counts of still-uncovered points per
+    centre are kept incrementally: each pick subtracts the rows of covered_by
+    for the points it newly covers. A covered_by that is not cover.T raises
+    rather than loop on a pick that covers nothing.
     """
-    covered_by = np.ascontiguousarray(cover.T)  # row p: the centres covering point p
     counts = np.count_nonzero(cover, axis=1)
     uncovered = np.ones(cover.shape[0], dtype=bool)
     chosen = []
@@ -128,6 +139,8 @@ def _greedy_cover(cover: np.ndarray) -> list:
             raise EntropyError("grid point not coverable (should cover itself)")
         chosen.append(c)
         new = cover[c] & uncovered
+        if not new.any():
+            raise EntropyError("covered_by is not the transpose of cover")
         uncovered &= ~new
         counts -= np.count_nonzero(covered_by[new], axis=0)
     return chosen
@@ -172,7 +185,7 @@ def _min_cover(cover: np.ndarray) -> tuple:
     if cover.shape[0] <= EXACT_SMALL_LIMIT:
         chosen, method = _exact_minimum_cover(cover), "exact_small"
     else:
-        chosen, method = _greedy_cover(cover), "greedy_cover"
+        chosen, method = _greedy_cover(cover, cover), "greedy_cover"  # symmetric
     if not cover[chosen].any(axis=0).all():
         raise EntropyError("cover verification failed")
     return chosen, method

@@ -192,6 +192,10 @@ def test_criterion_7_entropy_ladders():
         pos = entropy_estimate(susp, section, [2.0, 3.0, 4.0, 5.0, 6.0],
                                [0.25, 0.2])
         assert 0.55 <= pos.h_estimate <= 0.85
+        # entropy-doubling's seed-0 input: the sweep runs through many pair blocks
+        assert pos.r_table == [(float(t), eps, r) for eps, rs in (
+            (0.25, (8, 16, 32, 61, 114)), (0.2, (10, 21, 41, 79, 147)))
+            for t, r in zip(range(2, 7), rs)]
 
 
 def test_criterion_8_shadowing():

@@ -221,6 +221,17 @@ def test_entropy_grid_beside_k_grid_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_entropy_repeated_time_exit_one(tmp_path, capsys):
+    # two equal times used to fit a slope to one distinct time and exit 0
+    cfg = write_cfg(tmp_path, {"flow": {"name": "suspension_doubling"},
+                               "K_grid": [[k / 64, 0.5] for k in range(64)],
+                               "t_ladder": [2.0, 2.0], "eps_ladder": [0.25]})
+    out = tmp_path / "out"
+    assert main(["entropy", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "t_ladder" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_int_scale_values_write_the_same_report(tmp_path):
     # the config subtree records the config as written
     cfg = {"flow": _INTERVAL, "property": "kstar", "eps": 1.0, "delta": 0.01,

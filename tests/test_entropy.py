@@ -98,7 +98,7 @@ def test_spanning_verifies_cover_and_exact_leq_greedy():
     grid = flow.space.grid(16, with_origin=False)
     cover = entropy._bowen_covers(flow, grid, [2.0], [0.5], 0.05)[(2.0, 0.5)]
     exact = entropy._exact_minimum_cover(cover)
-    greedy = entropy._greedy_cover(cover)
+    greedy = entropy._greedy_cover(cover, cover)  # a Bowen cover is its own transpose
     assert len(exact) <= len(greedy)
     est = spanning_cardinality(flow, grid, 2.0, 0.5)
     assert (est.cardinality, est.method) == (len(exact), "exact_small")
@@ -140,20 +140,41 @@ def assert_covers_match(flow, grid, t_ladder, eps_ladder, h_sample, want):
     for (t, e), cover in got.items():
         assert cover.dtype == bool and cover.shape == (len(grid), len(grid))
         assert np.array_equal(cover, want[t] <= e), (t, e)
+        assert np.array_equal(cover, cover.T), (t, e)  # _min_cover relies on it
 
 
-@pytest.mark.parametrize("flow, grid, t_ladder", [
-    *[(suspension_doubling(), section_grid(m), [2.0, 3.0, 4.0]) for m in (1, 127, 128, 129, 300)],
-    (suspension_doubling(), [np.array([k / 64 + 1 / 3, 0.25]) for k in range(64)], [0.5, 1.7]),
-    (rotation_flow(CircleUnion(exp_radii(4))), CircleUnion(exp_radii(4)).grid(40), [1.0, 2.5]),
-    (interval_flow(1.0), Interval01().grid(200), [1.0, 2.0, 3.0]),
-], ids=["doubling-1", "doubling-127", "doubling-128", "doubling-129", "doubling-300",
-        "doubling-offgrid", "circles-exp4", "interval"])
-def test_bowen_matrices_match_full_matrix_reference(flow, grid, t_ladder):
+def offgrid_section(m):
+    return [np.array([k / m + 1 / 3, 0.25]) for k in range(m)]
+
+
+BOWEN_CASES = {
+    **{f"doubling-{m}": (suspension_doubling, lambda m=m: section_grid(m), [2.0, 3.0, 4.0])
+       for m in (1, 127, 128, 129, 300)},
+    "doubling-offgrid": (suspension_doubling, lambda: offgrid_section(64), [0.5, 1.7]),
+    "doubling-offgrid-16": (suspension_doubling, lambda: offgrid_section(16), [0.5, 1.7]),
+    "circles-exp4": (lambda: rotation_flow(CircleUnion(exp_radii(4))),
+                     lambda: CircleUnion(exp_radii(4)).grid(40), [1.0, 2.5]),
+    "interval": (lambda: interval_flow(1.0), lambda: Interval01().grid(200), [1.0, 2.0, 3.0]),
+}
+
+
+# every case at the default block; blocks of 1 and 7 pairs, which split rows,
+# only where their per-block calls stay cheap
+@pytest.mark.parametrize("case, pair_block", [
+    *[pytest.param(case, entropy._PAIR_BLOCK, id=case) for case in BOWEN_CASES],
+    *[pytest.param(case, b, id=f"{case}-block{b}")
+      for case in ("doubling-1", "doubling-offgrid-16") for b in (1, 7)],
+])
+def test_bowen_matrices_match_full_matrix_reference(case, pair_block, monkeypatch):
     # the Bowen covers equal the full running-max matrices thresholded at each eps
+    make_flow, make_grid, t_ladder = BOWEN_CASES[case]
+    flow, grid = make_flow(), make_grid()
+    monkeypatch.setattr(entropy, "_PAIR_BLOCK", pair_block)
     want = bowen_matrices_reference(flow, grid, t_ladder, 0.05)
     eps_ladder = attained_eps(want)
     assert_covers_match(flow, grid, t_ladder, eps_ladder, 0.05, want)
+    # a lower largest eps drops pairs step by step, so the live set shrinks across blocks
+    assert_covers_match(flow, grid, t_ladder, eps_ladder[:2], 0.05, want)
     # an eps above the diameter keeps every pair live to the end
     above = flow.space.diameter + 0.1
     assert_covers_match(flow, grid, t_ladder, eps_ladder + [above], 0.05, want)
@@ -267,21 +288,30 @@ def tied_cover_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(cover_matrices(), tied_cover_matrices()))
 def test_greedy_cover_matches_recount_reference(cover):
-    assert entropy._greedy_cover(cover) == greedy_cover_reference(cover)
+    assert entropy._greedy_cover(cover, cover.T) == greedy_cover_reference(cover)
 
 
 def test_greedy_cover_rejects_uncoverable_point():
     cover = np.eye(4, dtype=bool)
     cover[2, 2] = False
     with pytest.raises(EntropyError, match="not coverable"):
-        entropy._greedy_cover(cover)
+        entropy._greedy_cover(cover, cover.T)
+
+
+def test_greedy_cover_rejects_covered_by_out_of_step():
+    # a non-symmetric cover passed as its own covered_by: the counts go wrong and
+    # centre 0 is picked again, covering nothing new
+    cover = np.array([[1, 0, 1], [0, 1, 1], [0, 1, 1]], dtype=bool)
+    assert entropy._greedy_cover(cover, cover.T) == greedy_cover_reference(cover)
+    with pytest.raises(EntropyError, match="not the transpose"):
+        entropy._greedy_cover(cover, cover)
 
 
 def test_entropy_estimate_verifies_cover(monkeypatch):
     flow = suspension_doubling()
     grid = section_grid(32)  # over EXACT_SMALL_LIMIT, so the greedy cover runs
     entropy_estimate(flow, grid, [1.0, 2.0], [0.25])
-    monkeypatch.setattr(entropy, "_greedy_cover", lambda cover: [0])
+    monkeypatch.setattr(entropy, "_greedy_cover", lambda cover, covered_by: [0])
     with pytest.raises(EntropyError, match="cover verification failed"):
         entropy_estimate(flow, grid, [1.0, 2.0], [0.25])
 
@@ -335,10 +365,12 @@ def test_spanning_matches_entropy_ladder_cells():
     # a NaN eps used to fail every comparison and answer False
     (lambda f, g: spanning_cardinality(f, g, 1.0, math.nan), "eps .* got nan"),
     (lambda f, g: x_delta_set(f, 0.1, grid=g, T_escape=math.nan), "T_escape .* got nan"),
+    # a repeated time used to count twice and fit a slope to one distinct time
+    (lambda f, g: entropy_estimate(f, g, [2.0, 2.0], [0.25]), "t_ladder"),
 ], ids=["empty-eps", "hstar-empty-eps", "negative-eps", "spanning-negative-eps",
         "hstar-negative-eps", "h-zero", "spanning-h-zero", "hstar-h-zero", "h-nan",
         "spanning-h-nan", "spanning-negative-t", "negative-t", "hstar-empty-delta",
-        "spanning-eps-nan", "xdelta-T-escape-nan"])
+        "spanning-eps-nan", "xdelta-T-escape-nan", "repeated-t"])
 def test_bad_inputs_fail_fast(run, match):
     # the interval flow's X_delta grids are all empty, so h_star_estimate must
     # reject its ladders before it would return an all-empty estimate
