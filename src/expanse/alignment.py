@@ -16,10 +16,10 @@ costs come in row blocks from a strided window view of each extended
 y-orbit. Cells above a pair's reference bound are pruned and pairs share
 one corridor where that narrows the sweep: at T = 20, h = 0.01, band 2 a
 row sweeps about 1/20 of the band, nearly every row block steps whole, and
-BATCH_CELLS caps a call at 41 pairs. _align_batch is the one batch entry:
-align is a batch of one, and the drivers' scans reach it through
-expansivity._scan_pairs, the only batcher, in chunks of pairs_per_batch.
-The shadow cone search runs on the kernel too.
+BATCH_CELLS caps a call at 41 pairs. _align_batch, the one batch entry,
+samples its point pairs' orbits: align is a batch of one, and the drivers'
+scans reach it through expansivity._scan_pairs, the only batcher, in chunks
+of pairs_per_batch. The shadow cone search runs on the kernel too.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import require
-from .flows import FlowModel, OrbitSample, field_norm, sample_orbit
+from .flows import FlowModel, OrbitSample, _grid, field_norm, sample_orbit
 from .spaces import as_coords
 
 BATCH_CELLS = 2 ** 26  # band cells of one kernel call, as if none were pruned
@@ -110,14 +110,14 @@ def rep_epsilon_check(s: Reparam, eps: float) -> bool:
     return bool(np.all(np.abs(s.slopes() - 1.0) <= eps + 1e-9))
 
 
-def _weights(xs: OrbitSample, weight_kind: str) -> np.ndarray:
-    """The weight at each point of xs: 1, dist(., Sing) or ||V(.)||."""
+def _weights(flow: FlowModel, points: np.ndarray, weight_kind: str) -> np.ndarray:
+    """The weight at each of points (n, d): 1, dist(., Sing) or ||V(.)||."""
     if weight_kind == "unit":
-        return np.ones_like(xs.times)
+        return np.ones(len(points))
     if weight_kind == "sing_dist":
-        return xs.flow.singular.distances(xs.points)
+        return flow.singular.distances(points)
     if weight_kind == "field_norm":
-        return field_norm(xs.flow, xs.points)
+        return field_norm(flow, points)
     raise AlignmentError(f"unknown weight kind: {weight_kind!r}")
 
 
@@ -400,9 +400,13 @@ def align(xs: OrbitSample, ys: OrbitSample, weight_kind: str = "unit",
     Searches monotone lattice paths with |s(t) - t| <= band_width and
     returns the piecewise-linear reparametrization achieving the minimum of
     sup_t d(phi_t(x), phi_{s(t)}(y)) / w(phi_t(x)). With fix_zero the path
-    is constrained through s(0) = 0.
+    is constrained through s(0) = 0. _align_batch samples the orbits of
+    xs.base and ys.base afresh; the samples must share a flow, T and h.
     """
-    return _align_batch([(xs, ys)], weight_kind, fix_zero, band_width)[0]
+    if xs.flow is not ys.flow or (xs.window_T, xs.step_h) != (ys.window_T, ys.step_h):
+        raise AlignmentError("samples must share a flow, T and h")
+    return _align_batch(xs.flow, [(xs.base, ys.base)], xs.window_T, xs.step_h, weight_kind,
+                        fix_zero, band_width)[0]
 
 
 def pairs_per_batch(T: float, h: float, band_width: float) -> int:
@@ -416,33 +420,32 @@ def pairs_per_batch(T: float, h: float, band_width: float) -> int:
     return max(1, BATCH_CELLS // (n * (2 * int(math.floor(band_width / h + 1e-9)) + 1)))
 
 
-def _align_batch(pairs, weight_kind, fix_zero, band_width, path_below=math.inf) -> list:
-    """align for each (xs, ys) in pairs, in one kernel call; all share T, h and a space.
+def _align_batch(flow, pairs, T, h, weight_kind, fix_zero, band_width,
+                 path_below=math.inf) -> list:
+    """align for each point pair (x, y) of flow on _grid(T, h), in one kernel call.
 
-    Only pairs with cost <= path_below get a path, the rest reparam None.
-    The call costs every pair it is given: a caller sends at most
-    pairs_per_batch(T, h, band_width) pairs, as _scan_pairs does.
+    Each distinct point is evaluated once, in one flow.evaluate call, on its
+    y-window _grid(T, h, W); an x reads the middle n rows, and its weights
+    are computed once. Only pairs with cost <= path_below get a path and an
+    argmax_t, the rest reparam None and argmax_t NaN. A caller sends at most
+    pairs_per_batch(T, h, band_width) pairs.
     """
     require(AlignmentError, "positive", band_width=band_width)
     if not pairs:
         return []
-    (xs0, ys0), h = pairs[0], pairs[0][0].step_h
-    if any(abs(s.step_h - h) > 1e-15 or abs(s.window_T - xs0.window_T) > 1e-12
-           for pair in pairs for s in pair):
-        raise AlignmentError("samples must share T and h")
     W = int(math.floor(band_width / h + 1e-9))
     if W < 1:
         raise AlignmentError("infeasible band: band_width < h")
-    space, n = ys0.flow.space, len(xs0.times)
-    n_half = (n - 1) // 2
-    # only the W margin samples on each side of a y-window are new
-    margin = np.r_[-(n_half + W):-n_half, n_half + 1:n_half + W + 1] * h
-    margins = [ys.flow.evaluate(margin, ys.base) for _, ys in pairs]
-    y_ext = np.stack([np.concatenate([m[:W], ys.points, m[W:]])
-                      for m, (_, ys) in zip(margins, pairs)])
-    x_pts = np.stack([xs.points for xs, _ in pairs])
-    w = np.stack([_weights(xs, weight_kind) for xs, _ in pairs])
-    members = np.arange(len(pairs))
+    window = _grid(T, h, W)
+    space, n = flow.space, len(window) - 2 * W
+    times = window[W:W + n]
+    index = {}  # each distinct point's row of ext, in first-listing order
+    x_of, y_of = np.array([[index.setdefault(tuple(p), len(index)) for p in pair]
+                           for pair in pairs]).T
+    ext = np.stack([flow.evaluate(window, p) for p in index])
+    xu, x_at = np.unique(x_of, return_inverse=True)
+    w = np.stack([_weights(flow, ext[i, W:W + n], weight_kind) for i in xu])[x_at]
+    x_pts, y_ext = ext[x_of, W:W + n], ext[y_of]
 
     def cells(y, rows=slice(None), of=slice(None)):
         """Local costs of the x-points of members `of` at `rows` against y[member, row, ...]."""
@@ -451,7 +454,7 @@ def _align_batch(pairs, weight_kind, fix_zero, band_width, path_below=math.inf) 
 
     # band[b, i, k] = y_ext[b, i + k]: a strided view, never materialized
     band = np.moveaxis(sliding_window_view(y_ext, 2 * W + 1, axis=1), -1, 2)
-    fix_idx = n_half if fix_zero else None
+    fix_idx = (n - 1) // 2 if fix_zero else None
     bound, shift = _reference_bound(cells, band, fix_idx)
     windows = band
     if shift.any():
@@ -459,20 +462,22 @@ def _align_batch(pairs, weight_kind, fix_zero, band_width, path_below=math.inf) 
         # the edge-padded cells outside its band are masked by the kernel
         width = 2 * W + 1 + int(np.ptp(shift))
         cols = np.arange(n + width - 1) + (shift - shift.max())[:, None]
-        y_buf = y_ext[members[:, None], np.clip(cols, 0, n + 2 * W - 1)]
+        y_buf = y_ext[np.arange(len(pairs))[:, None], np.clip(cols, 0, n + 2 * W - 1)]
         windows = np.moveaxis(sliding_window_view(y_buf, width, axis=1), -1, 2)
 
     def local_cost(i0, i1, lo, hi):
         return cells(windows[:, i0:i1, lo:hi], slice(i0, i1))
 
     costs, paths = _minimax_band_dp(local_cost, n, W, bound, fix_idx, shift, path_below)
-    # the local costs along each path, to locate its max (a path of -1s reads valid cells)
-    along = cells(y_ext[members[:, None], np.arange(n) + paths])
-    argmax_t = np.where(paths[:, 0] >= 0, xs0.times[np.argmax(along, axis=1)], math.nan)
+    # the local costs along each path, to locate its max
+    read = np.flatnonzero(paths[:, 0] >= 0)
+    along = cells(y_ext[read[:, None], np.arange(n) + paths[read]], of=read)
+    argmax_t = np.full(len(pairs), math.nan)
+    argmax_t[read] = times[np.argmax(along, axis=1)]
     return [AlignmentResult(cost=float(c), weight_kind=weight_kind, argmax_t=float(t),
-                            reparam=_lift_path(xs.times, path, W, h, fix_idx)
+                            reparam=_lift_path(times, path, W, h, fix_idx)
                             if path[0] >= 0 else None)
-            for (xs, _), c, path, t in zip(pairs, costs, paths, argmax_t)]
+            for c, path, t in zip(costs, paths, argmax_t)]
 
 
 def _reference_bound(cells, band, fix_idx: Optional[int]):
@@ -526,7 +531,7 @@ def recompute_cost(flow: FlowModel, x, y, times: np.ndarray, reparam: Reparam,
     xs = sample_orbit(flow, x, T, h)
     y_pts = flow.evaluate(reparam(times), y)
     dists = flow.space.distance(xs.points, y_pts)
-    ratio = _weighted_ratio(dists, _weights(xs, weight_kind))
+    ratio = _weighted_ratio(dists, _weights(flow, xs.points, weight_kind))
     i = int(np.argmax(ratio))
     return float(ratio[i]), float(times[i])
 

@@ -151,41 +151,28 @@ def _t0_ladder(T: float, step: float) -> np.ndarray:
     return np.r_[0.0, np.column_stack((ts, -ts)).ravel()]
 
 
-def _scan_pairs(flow, pairs, T, h, cost, batch=1):
+def _scan_pairs(flow, pairs, cost, batch=1):
     """Yield (x, y, cost of the pair) for each pair, in order.
 
-    cost maps a list of (x orbit, y orbit) samples to a list of costs.
-    Distinct pairs are costed `batch` at a time in first-listing order, so
-    pairs after the one being yielded may already be costed. This is the
-    only batcher: the alignment drivers pass pairs_per_batch(T, h,
-    band_width), and _align_batch costs each chunk in one kernel call. Each
-    base point is sampled once over [-T, T] with step h, however many pairs
-    share it, and its sample is held only until the last distinct pair that
-    needs it is costed. A pair listed more than once is costed once; its
-    cost is held only until its last listing, since a cost may carry a
-    path. A point outside flow.space raises SpaceError before any pair is
-    costed.
+    cost maps a list of distinct (x, y) pairs of coordinate tuples to a
+    list of costs and samples what it needs; this only schedules. Distinct
+    pairs are costed `batch` at a time in first-listing order, so pairs
+    after the one being yielded may already be costed. This is the only
+    batcher: the alignment drivers pass pairs_per_batch(T, h, band_width),
+    and _align_batch samples and costs each chunk in one kernel call. A pair
+    listed more than once is costed once; its cost is held only until its
+    last listing, since a cost may carry a path. A point outside flow.space
+    raises SpaceError before any pair is costed.
     """
     pairs = [(flow.space.point(x).vec, flow.space.point(y).vec) for x, y in pairs]
     keys = [(tuple(x), tuple(y)) for x, y in pairs]
     listings = Counter(keys)
     todo = list(listings)  # distinct pairs, in first-listing order
-    uses = Counter(p for key in todo for p in key)  # uncosted distinct pairs per point
-    orbits, held = {}, {}
-
-    def orbit(p):
-        if p not in orbits:
-            orbits[p] = sample_orbit(flow, np.array(p), T, h)
-        return orbits[p]
-
+    held = {}
     for (x, y), key in zip(pairs, keys):
         if key not in held:  # its first listing: key is todo's head
             chunk, todo = todo[:batch], todo[batch:]
-            held.update(zip(chunk, cost([(orbit(kx), orbit(ky)) for kx, ky in chunk])))
-            for p in (p for pair in chunk for p in pair):
-                uses[p] -= 1
-                if not uses[p]:
-                    del orbits[p]
+            held.update(zip(chunk, cost(chunk)))
         listings[key] -= 1
         c = held[key] if listings[key] else held.pop(key)
         yield x, y, c
@@ -210,8 +197,8 @@ def _property_scan(flow, property, T, h, band_width, t0_step, strict_t0=False,
     ladder = [0.0] if strict_t0 or t0_mode == "t0_zero" else _t0_ladder(T, t0_step)
     batch = pairs_per_batch(T, h, band_width)
 
-    def cost(orbit_pairs):
-        return _align_batch(orbit_pairs, weight_kind, fix_zero, band_width, path_below)
+    def cost(pairs):
+        return _align_batch(flow, pairs, T, h, weight_kind, fix_zero, band_width, path_below)
 
     def holds(x, y, eps, res):
         for t0 in ladder:
@@ -220,7 +207,7 @@ def _property_scan(flow, property, T, h, band_width, t0_step, strict_t0=False,
                 return True
         return False
 
-    return (lambda pairs: _scan_pairs(flow, pairs, T, h, cost, batch)), holds
+    return (lambda pairs: _scan_pairs(flow, pairs, cost, batch)), holds
 
 
 def _falsify(flow, pairs, max_pairs, scan, fails):
@@ -317,15 +304,15 @@ def check_equicontinuity(flow: FlowModel, singular_variant: bool, eps: float,
     name = "singular_equicontinuous" if singular_variant else "equicontinuous"
     identity = Reparam.identity(-T, T)
 
-    def sup_separation(orbit_pairs):
-        (xs, ys), = orbit_pairs
+    def sup_separation(pairs):
+        xs, ys = (sample_orbit(flow, p, T, h) for p in pairs[0])
         seps = flow.space.distance(xs.points, ys.points)
         i = int(np.argmax(seps))
         return [AlignmentResult(cost=float(seps[i]), reparam=identity,
                                 argmax_t=float(xs.times[i]), weight_kind="unit")]
 
     verdict, witness, pair_costs = _falsify(
-        flow, pairs, max_pairs, lambda some: _scan_pairs(flow, some, T, h, sup_separation),
+        flow, pairs, max_pairs, lambda some: _scan_pairs(flow, some, sup_separation),
         lambda x, y, res: res.cost > eps)
     return PropertyReport(
         property=name, verdict=verdict, eps=eps, delta=delta, witness=witness,
@@ -472,7 +459,7 @@ def return_time_bound_check(flow: FlowModel, x_grid=None, delta_grid=None, *,
 
     Bisects 20 times over r; for each r, scans sampled x, delta < r/3 and
     |t| < r (step 0.002) for a return d(phi_t x, x) <= delta ||V(x)|| with |t| >= 3 delta.
-    A grid point outside flow.space raises SpaceError.
+    Only the first 64 grid points off Sing are scanned; one outside flow.space raises SpaceError.
     """
     grid = x_grid if x_grid is not None else _constants_grid(flow)
     grid = [x for x in (flow.space.point(p).vec for p in grid)
@@ -528,13 +515,13 @@ def hierarchy_check(flow: FlowModel, pairs=None, delta: float = 0.25, *,
     pairs = list(pairs) if pairs is not None else default_pair_grid(flow, delta)
     diam = flow.space.diameter
 
-    def costs(orbit_pairs):  # no path is read
+    def costs(pairs):  # no path is read
         return [(s.cost, u.cost) for s, u in zip(
-            _align_batch(orbit_pairs, "sing_dist", False, band_width, -math.inf),
-            _align_batch(orbit_pairs, "unit", False, band_width, -math.inf))]
+            _align_batch(flow, pairs, T, h, "sing_dist", False, band_width, -math.inf),
+            _align_batch(flow, pairs, T, h, "unit", False, band_width, -math.inf))]
 
     rows = [(tuple(x), tuple(y), c_sing, c_unit) for x, y, (c_sing, c_unit)
-            in _scan_pairs(flow, pairs, T, h, costs, pairs_per_batch(T, h, band_width))]
+            in _scan_pairs(flow, pairs, costs, pairs_per_batch(T, h, band_width))]
     violations = [row for row in rows if row[2] <= delta / diam and not row[3] <= delta]
     return {
         "delta": delta, "diam": diam, "pairs": rows, "violations": violations,

@@ -43,7 +43,7 @@ class FlowModel:
     evaluate_fn(t, x): phi_t(x) for a point x of shape (d,); shape (d,) at a
     scalar t, (len(t), d) at a 1-d array of times. It is elementwise in t:
     each time's point does not depend on the other times in the call, so
-    the shadow search may evaluate an orbit in any batches, in any order.
+    shadowing and alignment may evaluate an orbit in any batches, any order.
     vector_field(x): V at a point (d,) or at each row of a batch (n, d).
     lipschitz_L: a finite L >= 0 with |V(x) - V(y)| <= L d(x, y).
     orbit_times(x, target, lo, hi): a 1-d array of the closed-form times at
@@ -80,7 +80,7 @@ class OrbitSample:
     """Uniform-time discretization of phi_[-T,T](base): its times and points.
 
     Weights along the orbit (singular distances, field norms) are computed
-    from `points` by the code that uses them.
+    from `points` by the code that uses them; align re-samples from base.
     """
 
     flow: FlowModel
@@ -284,16 +284,21 @@ def integrate_flow(vector_field: Callable, t, x, step: float) -> np.ndarray:
     return x
 
 
-def sample_orbit(flow: FlowModel, x, T: float, h: float) -> OrbitSample:
-    """Sample phi_t(x) over the symmetric grid t in [-T, T] with step h."""
+def _grid(T: float, h: float, margin: int = 0) -> np.ndarray:
+    """Times k h, |k| <= round(T / h) + margin: [-T, T] by step h, widened margin steps a side."""
     require(FlowError, "positive", T=T, h=h)
     n_half = int(round(T / h))
     if 2 * n_half + 1 > MAX_ORBIT_SAMPLES:
         raise FlowError("orbit sampling budget exceeded")
+    return np.arange(-(n_half + margin), n_half + margin + 1, dtype=float) * h
+
+
+def sample_orbit(flow: FlowModel, x, T: float, h: float) -> OrbitSample:
+    """Sample phi_t(x) over the symmetric grid t in [-T, T] with step h."""
+    times = _grid(T, h)
     base = as_coords(x)
-    times = np.arange(-n_half, n_half + 1, dtype=float) * h
     points = flow.evaluate(times, base)
-    return OrbitSample(flow=flow, base=base, window_T=n_half * h, step_h=h,
+    return OrbitSample(flow=flow, base=base, window_T=float(times[-1]), step_h=h,
                        times=times, points=points)
 
 

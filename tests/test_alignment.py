@@ -20,6 +20,7 @@ from expanse.alignment import (
 )
 from expanse.expansivity import check_property, default_pair_grid
 from expanse.flows import (
+    FlowModel,
     interval_flow,
     rotation_flow,
     sample_orbit,
@@ -30,6 +31,7 @@ from expanse.spaces import (
     CircleUnion,
     FiniteSet,
     Interval01,
+    SingularSet,
     as_coords,
     exp_radii,
     harmonic_radii,
@@ -666,6 +668,13 @@ def test_align_fix_zero_pins_origin():
     assert free.cost <= res.cost + 1e-12
 
 
+def _align_samples(pairs, *args):
+    """_align_batch on the bases of sampled orbit pairs, on their flow and grid."""
+    first = pairs[0][0]
+    return alignment._align_batch(first.flow, [(xs.base, ys.base) for xs, ys in pairs],
+                                  first.window_T, first.step_h, *args)
+
+
 @pytest.mark.parametrize("fix_zero", [False, True])
 def test_align_batch_matches_single_pairs(harmonic_rot, fix_zero):
     orbits = [sample_orbit(harmonic_rot, np.array([r, 0.0]), T=3.0, h=0.05)
@@ -674,9 +683,38 @@ def test_align_batch_matches_single_pairs(harmonic_rot, fix_zero):
                                T=3.0, h=0.05))
     pairs = [(orbits[i], orbits[j]) for i in range(5) for j in range(5)]
     singles = [align(xs, ys, "sing_dist", fix_zero, 1.0) for xs, ys in pairs]
-    for one, res in zip(singles, alignment._align_batch(pairs, "sing_dist", fix_zero, 1.0)):
+    for one, res in zip(singles, _align_samples(pairs, "sing_dist", fix_zero, 1.0)):
         assert res.cost == one.cost and res.argmax_t == one.argmax_t
         assert np.array_equal(res.reparam.knots_s, one.reparam.knots_s)
+
+
+def test_align_batch_samples_each_point_once(monkeypatch, harmonic_rot):
+    # one flow.evaluate call per distinct point of a batch, over its y-window,
+    # and one weight evaluation per distinct x; the results are align's
+    a, b, c, d = (harmonic_rot.space.on_circle(i, 0.4 * i) for i in range(4))
+    pairs = [(a, b), (a, c), (b, c), (a, b), (b, d), (c, c)]
+    T, h, band = 2.0, 0.05, 1.0
+    singles = [align(sample_orbit(harmonic_rot, x, T, h), sample_orbit(harmonic_rot, y, T, h),
+                     "sing_dist", False, band) for x, y in pairs]
+    evaluated, weighed = [], []
+    evaluate, distances = FlowModel.evaluate, SingularSet.distances
+
+    def counting_evaluate(flow, t, x):
+        evaluated.append(tuple(x))
+        return evaluate(flow, t, x)
+
+    def counting_distances(sing, points):
+        weighed.append(tuple(points[len(points) // 2]))  # phi_0(x) = x on a rotation
+        return distances(sing, points)
+
+    monkeypatch.setattr(FlowModel, "evaluate", counting_evaluate)
+    monkeypatch.setattr(SingularSet, "distances", counting_distances)
+    results = alignment._align_batch(harmonic_rot, pairs, T, h, "sing_dist", False, band)
+    assert sorted(evaluated) == sorted({tuple(p) for pair in pairs for p in pair})
+    assert sorted(weighed) == sorted({tuple(x) for x, _ in pairs})
+    for one, res in zip(singles, results):
+        assert res.cost == one.cost and res.argmax_t == one.argmax_t
+        assert res.reparam.knots_s.tobytes() == one.reparam.knots_s.tobytes()
 
 
 def _dense_local_costs(xs, ys, weight, W):
@@ -688,7 +726,7 @@ def _dense_local_costs(xs, ys, weight, W):
     y_ext = np.concatenate([tails[:W], ys.points, tails[W:]])
     cells = y_ext[np.arange(n)[:, None] + np.arange(2 * W + 1)]
     return alignment._weighted_ratio(xs.flow.space.distance(xs.points[:, None], cells),
-                                     alignment._weights(xs, weight)[:, None])
+                                     alignment._weights(xs.flow, xs.points, weight)[:, None])
 
 
 def _real_orbit_pairs(flow):
@@ -716,7 +754,7 @@ def test_align_batch_matches_dense_oracle(flow, weight, fix_zero):
     W = int(math.floor(band / 0.05 + 1e-9))
     n_half = (len(pairs[0][0].times) - 1) // 2
     fix_idx = n_half if fix_zero else None
-    for (xs, ys), res in zip(pairs, alignment._align_batch(pairs, weight, fix_zero, band)):
+    for (xs, ys), res in zip(pairs, _align_samples(pairs, weight, fix_zero, band)):
         lc = _dense_local_costs(xs, ys, weight, W)
         cost, path = _ref_minimax_band_dp(lc, W, fix_idx)
         assert res.cost == cost
@@ -762,7 +800,7 @@ def test_align_batch_mixed_offsets_match_dense_oracle(monkeypatch, extra, weight
     monkeypatch.setattr(alignment, "_minimax_band_dp", spy)
     n_half = (len(pairs[0][0].times) - 1) // 2
     fix_idx = n_half if fix_zero else None
-    results = alignment._align_batch(pairs, weight, fix_zero, band)
+    results = _align_samples(pairs, weight, fix_zero, band)
     # an antipodal pair's cheapest cells lie at both band edges, and the
     # origin pair's at every column (under sing_dist its bound is +inf), so
     # centring would not narrow the sweep: the layout rule keeps the band
@@ -797,7 +835,7 @@ def test_align_batch_sweeps_few_cells_on_falsify_grid(monkeypatch):
         return kernel(counted, *args)
 
     monkeypatch.setattr(alignment, "_minimax_band_dp", counting)
-    alignment._align_batch(pairs, "sing_dist", False, band)
+    _align_samples(pairs, "sing_dist", False, band)
     n, W = 2 * int(round(T / h)) + 1, int(math.floor(band / h + 1e-9))
     assert sum(asked) < len(pairs) * n * (2 * W + 1) / 40
     assert len(asked) <= 126
@@ -831,9 +869,9 @@ def test_align_batch_reads_paths_below_a_cost(harmonic_rot):
     orbits = [sample_orbit(harmonic_rot, np.array([r, 0.0]), T=3.0, h=0.05)
               for r in (1.0, 0.5, 1.0 / 3.0, 0.25)]
     pairs = [(a, b) for a in orbits for b in orbits]
-    every = alignment._align_batch(pairs, "sing_dist", False, 1.0)
+    every = _align_samples(pairs, "sing_dist", False, 1.0)
     cut = float(np.median([res.cost for res in every]))
-    for res, some in zip(every, alignment._align_batch(pairs, "sing_dist", False, 1.0, cut)):
+    for res, some in zip(every, _align_samples(pairs, "sing_dist", False, 1.0, cut)):
         assert some.cost == res.cost
         if res.cost <= cut:
             assert some.argmax_t == res.argmax_t
@@ -842,11 +880,16 @@ def test_align_batch_reads_paths_below_a_cost(harmonic_rot):
             assert some.reparam is None and math.isnan(some.argmax_t)
 
 
-def test_align_batch_needs_shared_grid(harmonic_rot):
-    a = sample_orbit(harmonic_rot, np.array([1.0, 0.0]), T=2.0, h=0.05)
-    b = sample_orbit(harmonic_rot, np.array([0.5, 0.0]), T=3.0, h=0.05)
-    with pytest.raises(AlignmentError):
-        alignment._align_batch([(a, a), (b, b)], "unit", False, 1.0)
+def test_align_needs_one_flow_and_grid():
+    # samples of two flows used to be aligned on xs's weights and ys's margins
+    flow = interval_flow(1.0)
+    xs = sample_orbit(flow, np.array([0.4]), T=2.0, h=0.05)
+    assert align(xs, sample_orbit(flow, np.array([0.5]), T=2.0, h=0.05), band_width=0.5).cost > 0
+    for ys in (sample_orbit(flow, np.array([0.5]), T=3.0, h=0.05),
+               sample_orbit(flow, np.array([0.5]), T=2.0, h=0.04),
+               sample_orbit(interval_flow(2.0), np.array([0.5]), T=2.0, h=0.05)):
+        with pytest.raises(AlignmentError, match="^samples must share a flow, T and h$"):
+            align(xs, ys, band_width=0.5)
 
 
 def test_align_infeasible_band():

@@ -22,7 +22,7 @@ from expanse.expansivity import (
     return_time_bound_check,
 )
 from expanse.alignment import recompute_cost
-from expanse.flows import interval_flow, rotation_flow, sample_orbit, trivial_flow
+from expanse.flows import FlowModel, interval_flow, rotation_flow, sample_orbit, trivial_flow
 from expanse.spaces import (
     CircleUnion,
     FiniteSet,
@@ -121,17 +121,18 @@ def test_check_property_budget_inconclusive(harmonic_rot):
 def _bad_scale_cases():
     flow = interval_flow(1.0)
     pairs = [(np.array([0.3]), np.array([0.31]))]
+    # the alignment drivers build their default grids, which evaluate the flow
     drivers = {
         "check_property": lambda eps, delta, **kw: check_property(
-            flow, "kstar", eps, delta, pairs, **{**FAST, **kw}),
+            flow, "kstar", eps, delta, **{**FAST, **kw}),
         "check_equicontinuity": lambda eps, delta, **kw: check_equicontinuity(
             flow, False, eps, delta, pairs, **{"T": 6.0, "h": 0.05, **kw}),
         "ball_inclusion_check": lambda eps, delta, **kw: ball_inclusion_check(
             flow, eps, delta, **kw),
         "delta_star": lambda eps, delta, **kw: delta_star(
-            flow, "kstar", [eps], pairs, **{**FAST, **kw}),
+            flow, "kstar", [eps], **{**FAST, **kw}),
         "hierarchy_check": lambda eps, delta, **kw: hierarchy_check(
-            flow, pairs, delta, **{**FAST, **kw}),
+            flow, None, delta, **{**FAST, **kw}),
     }
     reads = {"delta_star": ("eps",), "hierarchy_check": ("delta",)}
     # the scale arguments each driver takes besides eps and delta
@@ -164,10 +165,10 @@ def _bad_scale_cases():
 
 @pytest.mark.parametrize("call, message", _bad_scale_cases())
 def test_drivers_reject_bad_eps_and_delta(monkeypatch, call, message):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("an orbit was sampled")
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a flow was evaluated")
 
-    monkeypatch.setattr(expansivity, "sample_orbit", no_sampling)
+    monkeypatch.setattr(FlowModel, "evaluate", no_evaluation)
     with pytest.raises(ExpansivityError, match=message):
         call()
 
@@ -392,10 +393,9 @@ def test_repeated_pairs_aligned_once(monkeypatch):
     a, b = flow.space.grid()
     costed = []
 
-    def counting_align_batch(orbit_pairs, weight_kind, *args, **kwargs):
-        costed.extend((weight_kind, tuple(xs.base), tuple(ys.base))
-                      for xs, ys in orbit_pairs)
-        return alignment._align_batch(orbit_pairs, weight_kind, *args, **kwargs)
+    def counting_align_batch(flow, pairs, T, h, weight_kind, *args, **kwargs):
+        costed.extend((weight_kind, tuple(x), tuple(y)) for x, y in pairs)
+        return alignment._align_batch(flow, pairs, T, h, weight_kind, *args, **kwargs)
 
     monkeypatch.setattr(expansivity, "_align_batch", counting_align_batch)
     rep = hierarchy_check(flow, [(a, b), (b, b), (a, b)], delta=0.25,
@@ -407,7 +407,7 @@ def test_repeated_pairs_aligned_once(monkeypatch):
 
 
 @pytest.mark.parametrize("batch", [1, 2, 10])
-def test_scan_pairs_frees_each_sample_after_its_last_pair(batch):
+def test_scan_pairs_holds_each_cost_until_its_last_listing(batch):
     flow = rotation_flow(CircleUnion(harmonic_radii(4)))
     a, b, c, d = (flow.space.on_circle(i, 0.3 * i) for i in range(4))
     pairs = [(a, b), (a, c), (a, b), (b, c), (c, c), (a, b), (c, d)]
@@ -416,35 +416,28 @@ def test_scan_pairs_frees_each_sample_after_its_last_pair(batch):
     T, h = 1.0, 0.1
     refs, costed = {}, []
 
-    def sup_gap(xs, ys):
+    class Gap(float):  # a cost a weak reference can follow
+        pass
+
+    def sup_gap(x, y):
+        xs, ys = sample_orbit(flow, x, T, h), sample_orbit(flow, y, T, h)
         return float(flow.space.distance(xs.points, ys.points).max())
 
-    def check_freed():
-        # a sample is alive exactly while a distinct pair that needs it is uncosted
-        gc.collect()
-        for p, ref in refs.items():
-            pending = any(p in key for key in distinct if key not in costed)
-            assert (ref() is not None) == pending, p
-
-    def cost(orbit_pairs):
-        check_freed()
-        for xs, ys in orbit_pairs:
-            for s in (xs, ys):
-                p = tuple(s.base)
-                if p in refs:  # sampled once: the held sample comes back
-                    assert refs[p]() is s
-                refs[p] = weakref.ref(s)
-            costed.append((tuple(xs.base), tuple(ys.base)))
-        return [sup_gap(xs, ys) for xs, ys in orbit_pairs]
+    def cost(chunk):  # the distinct pairs as coordinate tuples
+        costed.extend(chunk)
+        gaps = [Gap(sup_gap(x, y)) for x, y in chunk]
+        refs.update((key, weakref.ref(g)) for key, g in zip(chunk, gaps))
+        return gaps
 
     out = []
-    for x, y, c in expansivity._scan_pairs(flow, pairs, T, h, cost, batch):
-        check_freed()
-        out.append((tuple(x), tuple(y), c))
+    for i, (x, y, gap) in enumerate(expansivity._scan_pairs(flow, pairs, cost, batch)):
+        # a cost is alive from its costing up to its pair's last listing
+        gc.collect()
+        for key, ref in refs.items():
+            assert (ref() is not None) == (key in keys[i:]), (i, key)
+        out.append((tuple(x), tuple(y), float(gap)))
     assert costed == distinct  # a repeated pair is costed once, in first-listing order
-    assert not any(ref() for ref in refs.values())
-    assert out == [(*key, sup_gap(sample_orbit(flow, x, T, h), sample_orbit(flow, y, T, h)))
-                   for key, (x, y) in zip(keys, pairs)]
+    assert out == [(*key, sup_gap(x, y)) for key, (x, y) in zip(keys, pairs)]
 
 
 def test_check_property_same_at_every_batch_size(monkeypatch):
@@ -457,9 +450,9 @@ def test_check_property_same_at_every_batch_size(monkeypatch):
     n_pairs = len(default_pair_grid(flow, 0.1))
     sizes = []
 
-    def sizing_align_batch(orbit_pairs, *args, **kwargs):
-        sizes.append(len(orbit_pairs))
-        return alignment._align_batch(orbit_pairs, *args, **kwargs)
+    def sizing_align_batch(flow, pairs, *args, **kwargs):
+        sizes.append(len(pairs))
+        return alignment._align_batch(flow, pairs, *args, **kwargs)
 
     def witness(rep):
         w = rep.witness
